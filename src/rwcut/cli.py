@@ -38,6 +38,8 @@ def _log(msg: str, level: int = 1) -> None:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise InvalidParamsError(f"--seed must be nonnegative, got {args.seed}")
         return args.seed
     seed = secrets.randbits(63)
     _log(f"seed auto-generated: {seed} (pass --seed {seed} to replay)")
@@ -136,6 +138,8 @@ def cmd_eval(args) -> int:
             left = graph.read_partition(fh)
     except OSError as exc:
         return _fail(f"cannot read {args.partition}: {exc}", EXIT_IO)
+    except ParseError as exc:
+        return _fail(f"bad partition file {args.partition}: {exc}", EXIT_IO)
     value = graph.cut_value(g, left)
     print(json.dumps({"cut_value": value, "n": g.n, "m": g.total_weight},
                      sort_keys=True))

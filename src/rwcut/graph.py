@@ -82,33 +82,36 @@ class WeightedGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
         """Build a graph from (u, v, w) triples, merging parallel edges."""
-        merged: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            u = int(u)
-            v = int(v)
-            w = float(w)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u} not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex id out of range: ({u}, {v}) with n={n}")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ParseError(f"edge ({u}, {v}) has non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0.0) + w
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (u, v), w in merged.items():
-            rows[u].append((v, w))
-            rows[v].append((u, w))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        nbr: list[int] = []
-        wt: list[float] = []
-        for v in range(n):
-            rows[v].sort()
-            indptr[v + 1] = indptr[v] + len(rows[v])
-            for u, w in rows[v]:
-                nbr.append(u)
-                wt.append(w)
-        return cls(n, indptr, np.array(nbr, dtype=np.int64), np.array(wt))
+        triples = list(edges)
+        us, vs, ws = zip(*triples) if triples else ((), (), ())
+        try:
+            u = np.array(us, dtype=np.int64)
+            v = np.array(vs, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParseError(f"vertex id out of range with n={n}: {exc}") from exc
+        w = np.array(ws, dtype=np.float64)
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        bad |= ~(w > 0.0) | ~np.isfinite(w)
+        if bad.any():
+            i = int(np.argmax(bad))
+            ui, vi, wi = int(u[i]), int(v[i]), float(w[i])
+            if ui == vi:
+                raise ParseError(f"self-loop at vertex {ui} not allowed")
+            if not (0 <= ui < n and 0 <= vi < n):
+                raise ParseError(f"vertex id out of range: ({ui}, {vi}) with n={n}")
+            kind = "non-positive" if np.isfinite(wi) else "non-finite"
+            raise ParseError(f"edge ({ui}, {vi}) has {kind} weight {wi}")
+        # bincount adds in input order from 0.0, like summing parallel edges one
+        # by one, so merged weights do not depend on how the pairs are sorted.
+        pairs, inverse = np.unique(
+            np.stack((np.minimum(u, v), np.maximum(u, v))), axis=1, return_inverse=True
+        )
+        merged = np.bincount(inverse.reshape(-1), weights=w, minlength=pairs.shape[1])
+        rows = np.concatenate((pairs[0], pairs[1]))
+        cols = np.concatenate((pairs[1], pairs[0]))
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        return cls(n, indptr, cols[order], np.concatenate((merged, merged))[order])
 
     # -- basic access ------------------------------------------------------
 
@@ -118,12 +121,10 @@ class WeightedGraph:
         return self.nbr[lo:hi], self.wt[lo:hi]
 
     def edges(self):
-        """Yield each undirected edge once as (u, v, w) with u < v."""
-        for u in range(self.n):
-            nb, wt = self.neighbors(u)
-            for v, w in zip(nb.tolist(), wt.tolist()):
-                if u < v:
-                    yield u, v, w
+        """Iterate over each undirected edge once as (u, v, w) with u < v."""
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        once = src < self.nbr
+        return zip(src[once].tolist(), self.nbr[once].tolist(), self.wt[once].tolist())
 
     def edge_weight_total(self) -> float:
         """Sum of edge weights (half the total weighted degree)."""
@@ -149,13 +150,11 @@ class WeightedGraph:
         ids = np.unique(_as_index_array(vertices, self.n))
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[ids] = np.arange(ids.size)
-        edges = []
-        for new_u, old_u in enumerate(ids.tolist()):
-            nb, wt = self.neighbors(old_u)
-            for old_v, w in zip(nb.tolist(), wt.tolist()):
-                if old_u < old_v and pos[old_v] >= 0:
-                    edges.append((new_u, pos[old_v], w))
-        return WeightedGraph.from_edges(ids.size, edges), ids
+        src, nbr, wt = _rows(self, ids)
+        keep = pos[nbr] >= 0
+        # pos is increasing and every row is sorted, so the kept rows stay sorted.
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src[keep], minlength=ids.size))))
+        return WeightedGraph(ids.size, indptr, pos[nbr[keep]], wt[keep]), ids
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -184,6 +183,21 @@ def _as_index_array(vertices, n: int) -> np.ndarray:
     return idx
 
 
+def _rows(g: WeightedGraph, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR rows of vertices, concatenated in order.
+
+    Returns (src_rank, nbr, wt): entry i is the edge from vertices[src_rank[i]]
+    to nbr[i] with weight wt[i].  Costs O(sum of the rows' degrees).
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    starts = g.indptr[vertices]
+    counts = g.indptr[vertices + 1] - starts
+    src_rank = np.repeat(np.arange(vertices.size), counts)
+    shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
+    idx = np.arange(src_rank.size) - shift
+    return src_rank, g.nbr[idx], g.wt[idx]
+
+
 # -- I/O --------------------------------------------------------------------
 
 
@@ -192,7 +206,8 @@ def load_graph(source) -> WeightedGraph:
 
     Format: one edge per line, ``u v [w]`` (w defaults to 1.0), '#' starts a
     comment, blank lines are ignored, ids are 0-based.  Parallel edges merge
-    by weight summation.  Self-loops and non-positive weights are rejected.
+    by weight summation.  Self-loops and non-positive or non-finite weights
+    are rejected.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -220,6 +235,8 @@ def load_graph(source) -> WeightedGraph:
             raise ParseError(f"line {lineno}: negative vertex id")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop {u}-{v} (laziness is implicit)")
+        if not np.isfinite(w):
+            raise ParseError(f"line {lineno}: non-finite weight {w}")
         if not (w > 0.0):
             raise ParseError(f"line {lineno}: non-positive weight {w}")
         max_id = max(max_id, u, v)
@@ -267,13 +284,17 @@ def write_partition(left, n: int, target) -> None:
 
 
 def read_partition(source) -> frozenset[int]:
-    """Read a partition file back into the set of Left vertices."""
+    """Read a partition file back into the set of Left vertices.
+
+    Each vertex may be listed once; a repeated id raises ParseError.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     left = set()
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -281,8 +302,15 @@ def read_partition(source) -> frozenset[int]:
         parts = line.split()
         if len(parts) != 2 or parts[1] not in ("L", "R"):
             raise ParseError(f"line {lineno}: expected 'vertex L|R'")
+        try:
+            v = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if v in seen:
+            raise ParseError(f"line {lineno}: vertex {v} listed twice")
+        seen.add(v)
         if parts[1] == "L":
-            left.add(int(parts[0]))
+            left.add(v)
     return frozenset(left)
 
 
@@ -291,27 +319,54 @@ def read_partition(source) -> frozenset[int]:
 
 def cut_metrics(g: WeightedGraph, A, B) -> CutMetrics:
     """good/cross/inc totals for disjoint vertex sets A and B."""
-    a = set(int(v) for v in A)
-    b = set(int(v) for v in B)
-    if a & b:
+    a = _as_index_array(A, g.n)
+    b = _as_index_array(B, g.n)
+    if np.intersect1d(a, b).size:
         raise InvalidInputError("A and B must be disjoint")
-    if any(not (0 <= v < g.n) for v in a | b):
-        raise InvalidInputError("vertex id out of range")
     side = np.zeros(g.n, dtype=np.int8)
-    for v in a:
-        side[v] = EVEN
-    for v in b:
-        side[v] = ODD
-    good = cross = inc = 0.0
-    for v in a | b:
-        sv = side[v]
-        nb, wt = g.neighbors(v)
-        su = side[nb]
-        unclassified = su == UNCLASSIFIED
-        cross += float(wt[unclassified].sum())
-        inc += float(wt[unclassified].sum()) + float(wt[~unclassified].sum()) / 2.0
-        good += float(wt[su == -sv].sum()) / 2.0
+    side[a] = EVEN
+    side[b] = ODD
+    members = np.flatnonzero(side)
+    src, nbr, wt = _rows(g, members)
+    su = side[nbr]
+    unclassified = su == UNCLASSIFIED
+    cross = float(wt[unclassified].sum())
+    inc = cross + float(wt[~unclassified].sum()) / 2.0
+    good = float(wt[su == -side[members][src]].sum()) / 2.0
     return CutMetrics(good=good, cross=cross, inc=inc)
+
+
+def prefix_cut_metrics(g: WeightedGraph, order, sides,
+                       side=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative good/cross/inc of classifying order[k] to sides[k] in turn.
+
+    Entry k of each returned array is what classifying order[:k+1] adds to
+    the metrics of the labelling ``side`` (all unclassified when None).  The
+    vertices of order must be distinct and unclassified in ``side``; sides is
+    one side for all of them or one per vertex.  Costs O(sum of the degrees
+    of order), however large the graph.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    sides = np.broadcast_to(np.asarray(sides, dtype=np.int8), order.shape)
+    label = np.zeros(g.n, dtype=np.int8) if side is None else side.copy()
+    rank = np.full(g.n, order.size, dtype=np.int64)
+    rank[label != UNCLASSIFIED] = -1
+    rank[order] = np.arange(order.size)
+    label[order] = sides
+    src, nbr, wt = _rows(g, order)
+    opens = rank[nbr] > src
+    closes = ~opens
+    cut = closes & (label[nbr] != sides[src])
+    inc = np.bincount(src[opens], wt[opens], minlength=order.size)
+    cross = inc - np.bincount(src[closes], wt[closes], minlength=order.size)
+    good = np.bincount(src[cut], wt[cut], minlength=order.size)
+    return np.cumsum(good), np.cumsum(cross), np.cumsum(inc)
+
+
+def _crossing(g: WeightedGraph, inside: np.ndarray) -> float:
+    """Weight of the edges leaving the vertex mask inside."""
+    _, nbr, wt = _rows(g, np.flatnonzero(inside))
+    return float(wt[~inside[nbr]].sum())
 
 
 def conductance(g: WeightedGraph, S) -> float:
@@ -319,35 +374,25 @@ def conductance(g: WeightedGraph, S) -> float:
 
     The lazy volume 2*vol accounts for the walk's virtual self-loops.
     """
-    idx = _as_index_array(S, g.n)
-    if idx.size == 0 or np.unique(idx).size == g.n:
-        raise InvalidInputError("S must be a nonempty proper subset")
     inside = np.zeros(g.n, dtype=bool)
-    inside[idx] = True
-    crossing = 0.0
-    for v in idx.tolist():
-        nb, wt = g.neighbors(v)
-        crossing += float(wt[~inside[nb]].sum())
+    inside[_as_index_array(S, g.n)] = True
+    if not inside.any() or inside.all():
+        raise InvalidInputError("S must be a nonempty proper subset")
     vol_s = 2.0 * float(g.degrees[inside].sum())
     vol_rest = 2.0 * g.total_weight - vol_s
     denom = min(vol_s, vol_rest)
     if denom <= 0.0:
         return 0.0
-    return crossing / denom
+    return _crossing(g, inside) / denom
 
 
 def cut_value(g: WeightedGraph, left) -> float:
     """Fraction of total edge weight crossing (left, complement)."""
     if g.total_weight == 0.0:
         return 0.0
-    idx = _as_index_array(left, g.n)
     inside = np.zeros(g.n, dtype=bool)
-    inside[idx] = True
-    crossing = 0.0
-    for v in np.nonzero(inside)[0].tolist():
-        nb, wt = g.neighbors(v)
-        crossing += float(wt[~inside[nb]].sum())
-    return crossing / g.edge_weight_total()
+    inside[_as_index_array(left, g.n)] = True
+    return _crossing(g, inside) / g.edge_weight_total()
 
 
 def sample_vertex_by_degree(g: WeightedGraph, rng: np.random.Generator) -> int:
@@ -367,8 +412,8 @@ class Tripartition:
     """Evolving Even/Odd/Unclassified labelling with incremental cut metrics.
 
     A vertex, once classified, may never change side; attempts raise
-    InvalidInputError.  good/cross/inc are maintained in O(deg) per
-    classification.
+    InvalidInputError.  good/cross/inc are maintained by one prefix sweep
+    per classify call, in O(sum of the degrees of the vertices classified).
     """
 
     __slots__ = ("graph", "side", "good", "cross", "inc", "classified_volume",
@@ -386,23 +431,32 @@ class Tripartition:
     def side_of(self, v: int) -> int:
         return int(self.side[v])
 
-    def classify(self, v: int, side: int) -> None:
-        if side not in (EVEN, ODD):
-            raise InvalidInputError(f"side must be EVEN or ODD, got {side}")
-        if self.side[v] != UNCLASSIFIED:
-            raise InvalidInputError(f"vertex {v} already classified")
+    def classify(self, vertices, side) -> None:
+        """Classify one vertex or an array of vertices onto side.
+
+        side is EVEN or ODD, for all of them or one per vertex.
+        """
         g = self.graph
-        nb, wt = g.neighbors(v)
-        su = self.side[nb]
-        unclassified = su == UNCLASSIFIED
-        w_un = float(wt[unclassified].sum())
-        w_cl = float(wt[~unclassified].sum())
-        self.inc += w_un
-        self.cross += w_un - w_cl
-        self.good += float(wt[su == -side].sum())
-        self.side[v] = side
-        self.classified_volume += float(g.degrees[v])
-        self.classified_count += 1
+        vs = _as_index_array(np.atleast_1d(vertices), g.n)
+        sides = np.broadcast_to(np.asarray(side), vs.shape)
+        wrong = (sides != EVEN) & (sides != ODD)
+        if wrong.any():
+            raise InvalidInputError(f"side must be EVEN or ODD, got {sides[wrong][0]}")
+        taken = self.side[vs] != UNCLASSIFIED
+        if taken.any():
+            raise InvalidInputError(f"vertex {vs[taken][0]} already classified")
+        twice = np.flatnonzero(np.bincount(vs) > 1)
+        if twice.size:
+            raise InvalidInputError(f"vertex {twice[0]} classified twice")
+        if vs.size == 0:
+            return
+        good, cross, inc = prefix_cut_metrics(g, vs, sides, self.side)
+        self.good += float(good[-1])
+        self.cross += float(cross[-1])
+        self.inc += float(inc[-1])
+        self.side[vs] = sides
+        self.classified_volume += float(g.degrees[vs].sum())
+        self.classified_count += int(vs.size)
 
     @property
     def cut(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError
-from .graph import WeightedGraph, conductance
+from .graph import EVEN, WeightedGraph, conductance, prefix_cut_metrics
 from .walks import WalkConfig, lazy_step, run_walks
 
 PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
@@ -49,10 +49,6 @@ class LSCurve:
 
     def __call__(self, q) -> np.ndarray | float:
         return np.interp(q, self.x, self.y)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.stack([self.x, self.y], axis=1)
 
 
 def build_ls_curve(g: WeightedGraph, p: np.ndarray) -> LSCurve:
@@ -130,7 +126,6 @@ def cut_or_bound(
     zeta: float,
     seed: int,
     threads: int = 1,
-    curve_sink=None,
     max_walk_steps: int | None = None,
 ) -> CutOrBoundResult:
     """Find a low conductance cut near start or certify spread-out walks.
@@ -165,51 +160,31 @@ def cut_or_bound(
     cfg = WalkConfig(length=ell, walks=w, record_per_length=True, seed=seed)
     tally = run_walks(g, start, cfg, threads=threads)
     two_m = 2.0 * m
-    ids = np.arange(g.n)
     for l in range(ell + 1):
         ev, od = tally.counts_at(l)
         counts = ev + od
         ratio = np.where(g.degrees > 0.0,
                          counts / np.where(g.degrees > 0.0, g.degrees, 1.0),
                          np.where(counts > 0, np.inf, 0.0))
-        order = np.lexsort((ids, -ratio))
-        positive = order[counts[order] > 0]
-        zero = order[counts[order] == 0]
-        zero = zero[np.argsort(zero)]  # padding set: lowest ids first
-        candidates = np.concatenate((positive, zero))[: min(b, g.n)]
-        if curve_sink is not None:
-            _dump_curve(curve_sink, g, counts, l)
-        inside = np.zeros(g.n, dtype=bool)
-        vol2 = 0.0
-        crossing = 0.0
-        for k, v in enumerate(candidates.tolist(), start=1):
-            nb, wt = g.neighbors(v)
-            w_in = float(wt[inside[nb]].sum())
-            crossing += float(g.degrees[v]) - 2.0 * w_in
-            vol2 += 2.0 * float(g.degrees[v])
-            inside[v] = True
-            denom = min(vol2, two_m - vol2)
-            if denom <= 0.0:
-                continue
-            cond = crossing / denom
-            if cond < phi:
-                return LowConductanceCut(
-                    vertices=frozenset(int(u) for u in candidates[:k]),
-                    conductance=cond,
-                    length=l,
-                    prefix_size=k,
-                    phi=phi,
-                    walks=w,
-                )
+        # Reached vertices have ratio > 0, so the zero-count padding comes
+        # last, lowest ids first.
+        candidates = np.lexsort((np.arange(g.n), -ratio))[: min(b, g.n)]
+        _, crossing, _ = prefix_cut_metrics(g, candidates, EVEN)
+        vol2 = np.cumsum(2.0 * g.degrees[candidates])
+        denom = np.minimum(vol2, two_m - vol2)
+        cond = np.divide(crossing, denom, out=np.full(denom.size, np.inf),
+                         where=denom > 0.0)
+        hits = np.flatnonzero(cond < phi)
+        if hits.size:
+            k = int(hits[0]) + 1
+            return LowConductanceCut(
+                vertices=frozenset(candidates[:k].tolist()),
+                conductance=float(cond[k - 1]),
+                length=l,
+                prefix_size=k,
+                phi=phi,
+                walks=w,
+            )
     return ProbabilityBound(
         alpha_bound=256.0 * alpha, alpha=alpha, phi=phi, walks=w, length=ell
     )
-
-
-def _dump_curve(sink, g: WeightedGraph, counts: np.ndarray, l: int) -> None:
-    total = counts.sum()
-    if total == 0:
-        return
-    curve = build_ls_curve(g, counts / total)
-    for x, y in zip(curve.x.tolist(), curve.y.tolist()):
-        sink.write(f"{l},{x:g},{y:g}\n")

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 
 from .bench import BRUTE_FORCE_MAX_N, brute_force_maxcut, greedy_cut
 from .errors import InvalidParamsError
-from .graph import EVEN, ODD, WeightedGraph, cut_value, sample_vertex_by_degree
+from .graph import EVEN, ODD, WeightedGraph, _rows, cut_value, sample_vertex_by_degree
 from .localcut import PSI_MAX, LowConductanceCut, cut_or_bound
 from .threshold import AlgoParams, find_threshold, sigma_fn, soto_fn
 
@@ -99,8 +99,8 @@ class SolveReport:
     n: int = 0
     m: float = 0.0
 
-    def to_json(self, include_timing: bool = False) -> str:
-        payload = {
+    def to_json(self) -> str:
+        return json.dumps({
             "algorithm": self.algorithm,
             "seed": self.seed,
             "n": self.n,
@@ -108,10 +108,7 @@ class SolveReport:
             "cut_value": self.cut_value,
             "total_walks": self.total_walks,
             "levels": self.levels,
-        }
-        if include_timing:
-            payload["wall_time"] = self.wall_time
-        return json.dumps(payload, sort_keys=True)
+        }, sort_keys=True)
 
 
 @dataclass
@@ -149,6 +146,47 @@ def _probe_count(n: int, override: int | None = None) -> int:
     return max(2, min(8, math.ceil(math.log2(max(n, 2)))))
 
 
+def _tripartition_level(g: WeightedGraph, starts, params: AlgoParams,
+                        rng: np.random.Generator, ctx: _Ctx, depth: int,
+                        threads: int, **extra) -> tuple | None:
+    """Probe find_threshold from each start until one succeeds.
+
+    On success, orients the tripartition by a fair coin, logs the level
+    (with the extra fields) and returns (side, unclassified vertices, xi);
+    returns None when every probe fails.  Each probe draws its seed from
+    rng after its start is drawn, so a lazy starts iterable interleaves the
+    two draws.
+    """
+    result = None
+    for start in starts:
+        probe = find_threshold(g, start, params,
+                               seed=int(rng.integers(2**62)), threads=threads)
+        ctx.walks += probe.walks
+        if probe.success:
+            result = probe
+            break
+    if result is None:
+        return None
+    part = result.part
+    flip = rng.random() < 0.5
+    even_side, odd_side = (EVEN, ODD) if not flip else (ODD, EVEN)
+    side = np.zeros(g.n, dtype=np.int8)
+    side[part.even_vertices()] = even_side
+    side[part.odd_vertices()] = odd_side
+    xi = 1.0 - part.inc / g.total_weight
+    ctx.levels.append({
+        "branch": "tripartition",
+        "depth": depth,
+        "n": g.n,
+        **extra,
+        "threshold": result.threshold,
+        "classified_volume": part.classified_volume,
+        "xi": xi,
+        "walks": result.walks,
+    })
+    return side, part.unclassified_vertices(), xi
+
+
 # -- Simple -------------------------------------------------------------------
 
 
@@ -182,35 +220,13 @@ def _simple_once(
         g, eps, mu, alpha=alpha, gamma=gamma, delta=delta, kappa=kappa,
         step_budget=step_budget,
     )
-    result = None
-    for _ in range(_probe_count(g.n, probes)):
-        start = _sample_start(g, rng)
-        probe = find_threshold(g, start, params,
-                               seed=int(rng.integers(2**62)), threads=threads)
-        ctx.walks += probe.walks
-        if probe.success:
-            result = probe
-            break
-    if result is None:
+    starts = (sample_vertex_by_degree(g, rng)
+              for _ in range(_probe_count(g.n, probes)))
+    level = _tripartition_level(g, starts, params, rng, ctx, depth, threads,
+                                eps=eps)
+    if level is None:
         return None
-    part = result.part
-    flip = rng.random() < 0.5
-    even_side, odd_side = (EVEN, ODD) if not flip else (ODD, EVEN)
-    side = np.zeros(g.n, dtype=np.int8)
-    side[part.even_vertices()] = even_side
-    side[part.odd_vertices()] = odd_side
-    xi = 1.0 - part.inc / g.total_weight
-    ctx.levels.append({
-        "branch": "tripartition",
-        "depth": depth,
-        "n": g.n,
-        "eps": eps,
-        "threshold": result.threshold,
-        "classified_volume": part.classified_volume,
-        "xi": xi,
-        "walks": result.walks,
-    })
-    rest = part.unclassified_vertices()
+    side, rest, xi = level
     if rest.size == 0:
         return side
     eps_next = eps / xi if xi > 0.0 else 1.0
@@ -224,10 +240,6 @@ def _simple_once(
         return None
     side[ids] = rec
     return side
-
-
-def _sample_start(g: WeightedGraph, rng: np.random.Generator) -> int:
-    return sample_vertex_by_degree(g, rng)
 
 
 def simple_solve(
@@ -324,16 +336,10 @@ def _crossing_weight(g: WeightedGraph, ids_a, side_a, ids_b, side_b) -> float:
     side = np.zeros(g.n, dtype=np.int8)
     side[ids_a] = side_a
     side[ids_b] = side_b
-    in_a = np.zeros(g.n, dtype=bool)
-    in_a[ids_a] = True
     in_b = np.zeros(g.n, dtype=bool)
     in_b[ids_b] = True
-    total = 0.0
-    for v in np.asarray(ids_a).tolist():
-        nb, wt = g.neighbors(v)
-        mask = in_b[nb] & (side[nb] != side[v])
-        total += float(wt[mask].sum())
-    return total
+    src, nbr, wt = _rows(g, ids_a)
+    return float(wt[in_b[nbr] & (side[nbr] != side[ids_a][src])].sum())
 
 
 def _balance_recurse(
@@ -367,7 +373,8 @@ def _balance_recurse(
     zeta = math.log(m) / probe_params.ell
     if zeta * tau > PSI_MAX:
         zeta = PSI_MAX / tau if tau > 0 else zeta
-    starts = [_sample_start(g, rng) for _ in range(_probe_count(g.n, probes))]
+    starts = [sample_vertex_by_degree(g, rng)
+              for _ in range(_probe_count(g.n, probes))]
     found: LowConductanceCut | None = None
     for start in starts:
         res = cut_or_bound(g, start, tau, zeta, seed=int(rng.integers(2**62)),
@@ -377,7 +384,6 @@ def _balance_recurse(
         if isinstance(res, LowConductanceCut):
             found = res
             break
-    side = np.zeros(g.n, dtype=np.int8)
     if found is not None:
         block = np.array(sorted(found.vertices), dtype=np.int64)
         rest = np.array(sorted(set(range(g.n)) - set(found.vertices)),
@@ -413,6 +419,7 @@ def _balance_recurse(
         flipped = _crossing_weight(g, ids_b, -side_b, ids_r, side_r)
         if flipped > straight:
             side_b = -side_b
+        side = np.zeros(g.n, dtype=np.int8)
         side[ids_b] = side_b
         side[ids_r] = side_r
         return side
@@ -426,37 +433,14 @@ def _balance_recurse(
         g, eps1, mu1, alpha=alpha_cert, gamma=gamma, delta=delta, kappa=kappa,
         step_budget=step_budget,
     )
-    result = None
-    for start in starts:
-        probe = find_threshold(g, start, params,
-                               seed=int(rng.integers(2**62)), threads=threads)
-        ctx.walks += probe.walks
-        if probe.success:
-            result = probe
-            break
-    if result is None:
-        left = greedy_cut(g)
-        side[:] = ODD
-        side[sorted(left)] = EVEN
+    level = _tripartition_level(g, starts, params, rng, ctx, depth, threads)
+    if level is None:
+        side = np.full(g.n, ODD, dtype=np.int8)
+        side[sorted(greedy_cut(g))] = EVEN
         ctx.levels.append({"branch": "fallback-greedy", "depth": depth,
                            "n": g.n})
         return side
-    part = result.part
-    flip = rng.random() < 0.5
-    even_side, odd_side = (EVEN, ODD) if not flip else (ODD, EVEN)
-    side[part.even_vertices()] = even_side
-    side[part.odd_vertices()] = odd_side
-    xi = 1.0 - part.inc / m
-    ctx.levels.append({
-        "branch": "tripartition",
-        "depth": depth,
-        "n": g.n,
-        "threshold": result.threshold,
-        "classified_volume": part.classified_volume,
-        "xi": xi,
-        "walks": result.walks,
-    })
-    rest = part.unclassified_vertices()
+    side, rest, _xi = level
     if rest.size:
         sub, ids = g.induced(rest)
         side[ids] = _balance_recurse(

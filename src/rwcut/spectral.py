@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .graph import EVEN, ODD, Tripartition, WeightedGraph
+from .graph import EVEN, ODD, WeightedGraph, _rows, prefix_cut_metrics
 
 DEFAULT_POWER_ITER_FACTOR = 8
 
@@ -84,38 +84,26 @@ def sweep_cut_best(g: WeightedGraph, y: np.ndarray) -> SweepCut:
         raise DegenerateInputError("score vector is identically zero")
     order = np.lexsort((np.arange(g.n), -absy))
     order = order[absy[order] > 0.0]
-    part = Tripartition(g)
-    best = None
-    best_key = None
-    i = 0
-    k = order.size
-    while i < k:
-        t = absy[order[i]]
-        while i < k and absy[order[i]] == t:
-            v = int(order[i])
-            part.classify(v, EVEN if y[v] > 0 else ODD)
-            i += 1
-        ratio = part.cut / part.inc if part.inc > 0.0 else 0.0
-        key = (ratio, part.classified_volume, -t)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (i, float(t), ratio)
-    prefix_end, t_best, ratio_best = best
-    chosen = order[:prefix_end]
-    pos = frozenset(int(v) for v in chosen if y[v] > 0)
-    neg = frozenset(int(v) for v in chosen if y[v] < 0)
-    return SweepCut(positive=pos, negative=neg, threshold=t_best, ratio=ratio_best)
+    t = absy[order]
+    good, cross, inc = prefix_cut_metrics(g, order, np.where(y[order] > 0, EVEN, ODD))
+    # Thresholds are the tie-group ends; keys are distinct because t is.
+    ends = np.flatnonzero(np.append(t[1:] != t[:-1], True))
+    cut = good[ends] + cross[ends] / 2.0
+    ratio = np.divide(cut, inc[ends], out=np.zeros(ends.size), where=inc[ends] > 0.0)
+    vol = np.cumsum(g.degrees[order])[ends]
+    best = int(np.lexsort((-t[ends], vol, ratio))[-1])
+    chosen = order[: ends[best] + 1]
+    return SweepCut(positive=frozenset(chosen[y[chosen] > 0].tolist()),
+                    negative=frozenset(chosen[y[chosen] < 0].tolist()),
+                    threshold=float(t[ends[best]]), ratio=float(ratio[best]))
 
 
 def _orientation_gain(g: WeightedGraph, group_pos, group_neg, side: np.ndarray) -> float:
     """Weight cut against already-placed vertices if group_pos joins Left."""
     gain = 0.0
-    for v in group_pos:
-        nb, wt = g.neighbors(v)
-        gain += float(wt[side[nb] == ODD].sum())
-    for v in group_neg:
-        nb, wt = g.neighbors(v)
-        gain += float(wt[side[nb] == EVEN].sum())
+    for group, against in ((group_pos, ODD), (group_neg, EVEN)):
+        _, nbr, wt = _rows(g, group)
+        gain += float(wt[side[nbr] == against].sum())
     return gain
 
 

@@ -125,10 +125,10 @@ def threshold_classify(
         raise InvalidInputError("threshold must be positive")
     est = signed_estimates(tally, g)
     free = part.side == UNCLASSIFIED
-    for v in np.nonzero(free & (est > t))[0].tolist():
-        part.classify(int(v), EVEN)
-    for v in np.nonzero(free & (est < -t))[0].tolist():
-        part.classify(int(v), ODD)
+    even = np.flatnonzero(free & (est > t))
+    odd = np.flatnonzero(free & (est < -t))
+    part.classify(np.concatenate((even, odd)),
+                  np.repeat([EVEN, ODD], [even.size, odd.size]))
     return part
 
 

@@ -16,6 +16,7 @@ which keeps the tally a pure function of the requested walk total.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -136,6 +137,31 @@ def _run_block(
     return even, odd
 
 
+def _add_blocks(g: WeightedGraph, start: int, length: int, seed: int,
+                blocks: list[tuple[int, int]], record: bool, threads: int,
+                even: np.ndarray, odd: np.ndarray) -> None:
+    """Run (block index, walk count) blocks, adding each block's tallies into
+    even and odd as soon as that block finishes.
+
+    Integer addition commutes, so the totals do not depend on the order in
+    which the blocks finish.
+    """
+    lock = threading.Lock()
+
+    def run(block: tuple[int, int]) -> None:
+        ev, od = _run_block(g, start, length, seed, block[0], block[1], record)
+        with lock:
+            np.add(even, ev, out=even)
+            np.add(odd, od, out=odd)
+
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, blocks))
+    else:
+        for block in blocks:
+            run(block)
+
+
 def run_walks(
     g: WeightedGraph, start: int, cfg: WalkConfig, threads: int = 1
 ) -> WalkTally:
@@ -148,29 +174,13 @@ def run_walks(
     cfg.validate()
     if not (0 <= start < g.n):
         raise InvalidInputError(f"start vertex {start} out of range")
-    blocks = []
-    done = 0
-    index = 0
-    while done < cfg.walks:
-        count = min(BLOCK_WALKS, cfg.walks - done)
-        blocks.append((index, count))
-        done += count
-        index += 1
-    args = [
-        (g, start, cfg.length, cfg.seed, bi, count, cfg.record_per_length)
-        for bi, count in blocks
-    ]
-    if threads > 1 and len(args) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda a: _run_block(*a), args))
-    else:
-        parts = [_run_block(*a) for a in args]
+    blocks = [(i, min(BLOCK_WALKS, cfg.walks - i * BLOCK_WALKS))
+              for i in range(-(-cfg.walks // BLOCK_WALKS))]
     shape = (cfg.length + 1, g.n) if cfg.record_per_length else (g.n,)
     even = np.zeros(shape, dtype=np.int64)
     odd = np.zeros(shape, dtype=np.int64)
-    for ev, od in parts:
-        even += ev
-        odd += od
+    _add_blocks(g, start, cfg.length, cfg.seed, blocks, cfg.record_per_length,
+                threads, even, odd)
     return WalkTally(
         n=g.n,
         length=cfg.length,
@@ -218,34 +228,16 @@ class WalkAccumulator:
         if walks <= self.walks:
             return
         target_full, tail = divmod(walks, BLOCK_WALKS)
-        if target_full > self._full_blocks:
-            pending = range(self._full_blocks, target_full)
-            args = [
-                (self.g, self.start, self.length, self.seed, bi,
-                 BLOCK_WALKS, False)
-                for bi in pending
-            ]
-            if self.threads > 1 and len(args) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    parts = list(pool.map(lambda a: _run_block(*a), args))
-            else:
-                parts = [_run_block(*a) for a in args]
-            for ev, od in parts:
-                self._full_even += ev
-                self._full_odd += od
-            self._full_blocks = target_full
-            self.steps_sampled += len(args) * BLOCK_WALKS * max(self.length, 1)
-        if tail:
-            ev, od = _run_block(
-                self.g, self.start, self.length, self.seed,
-                self._full_blocks, tail, False,
-            )
-            self._tail_even = ev
-            self._tail_odd = od
-            self.steps_sampled += tail * max(self.length, 1)
-        else:
-            self._tail_even = np.zeros(self.g.n, dtype=np.int64)
-            self._tail_odd = np.zeros(self.g.n, dtype=np.int64)
+        full = [(bi, BLOCK_WALKS) for bi in range(self._full_blocks, target_full)]
+        _add_blocks(self.g, self.start, self.length, self.seed, full, False,
+                    self.threads, self._full_even, self._full_odd)
+        self._tail_even = np.zeros(self.g.n, dtype=np.int64)
+        self._tail_odd = np.zeros(self.g.n, dtype=np.int64)
+        _add_blocks(self.g, self.start, self.length, self.seed,
+                    [(target_full, tail)] if tail else [], False, self.threads,
+                    self._tail_even, self._tail_odd)
+        self._full_blocks = target_full
+        self.steps_sampled += (len(full) * BLOCK_WALKS + tail) * max(self.length, 1)
         self.walks = walks
 
     def tally(self) -> WalkTally:

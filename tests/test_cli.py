@@ -127,6 +127,32 @@ class TestCutbound:
             assert report["conductance"] < report["phi"]
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize("args, partition, code", [
+        (["gen", "--n", "20", "--eps", "0.1", "--deg", "3", "--out", "x.el",
+          "--seed", "-5"], None, 2),
+        (["solve", "--algo", "greedy", "--in", "{graph}", "--seed", "-5"], None, 2),
+        (["cutbound", "--in", "{graph}", "--start", "0", "--seed", "-1"], None, 2),
+        (["eval", "--in", "{graph}", "--partition", "{part}"],
+         "0 L\n1 R\n0 R\n2 R\n", 1),
+        (["eval", "--in", "{graph}", "--partition", "{part}"],
+         "0 L\n1 R\n2 R\n1 R\n", 1),
+        (["eval", "--in", "{graph}", "--partition", "{part}"],
+         "zero L\n1 R\n2 R\n", 1),
+    ])
+    def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
+                                          args, partition, code):
+        part = tmp_path / "p.txt"
+        if partition is not None:
+            part.write_text(partition)
+        argv = [a.format(graph=triangle_file, part=part) for a in args]
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 class TestHelp:
     def test_help_lists_flags(self):
         proc = run_cli(["solve", "--help"])

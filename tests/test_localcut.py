@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -167,15 +166,6 @@ class TestCutOrBound:
                 d = exact_walk_distribution(g, int(np.argmax(g.degrees)),
                                             res.length)
                 assert float((d.p / (2 * g.degrees)).max()) <= res.alpha_bound
-
-    def test_curve_dump(self):
-        g = dumbbell(8)
-        sink = io.StringIO()
-        cut_or_bound(g, 0, tau=0.25, zeta=0.5, seed=1, curve_sink=sink)
-        lines = sink.getvalue().strip().splitlines()
-        assert lines
-        parts = lines[0].split(",")
-        assert len(parts) == 3
 
     def test_empirical_curve_sandwich(self):
         # (1-d)I - d*a*x <= I_hat <= (1+d)I + d*a*x with d = 1/ell, for the

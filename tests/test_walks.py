@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,28 @@ class TestRunWalks:
         a = run_walks(single_edge, 0, cfg)
         b = run_walks(single_edge, 0, cfg, threads=8)
         assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
+
+    def test_threaded_block_adds_lose_no_update(self):
+        # More workers than cores and a tiny switch interval, so block
+        # tallies land in the shared totals concurrently and out of order.
+        g = random_graph(30, 0.2, np.random.default_rng(4))
+        cfg = WalkConfig(length=6, walks=12 * 4096 + 5, seed=8,
+                         record_per_length=True)
+        ref = run_walks(g, 0, cfg)
+        acc_ref = WalkAccumulator(g, 0, 6, seed=8)
+        acc_ref.extend_to(cfg.walks)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_walks(g, 0, cfg, threads=6)
+            acc = WalkAccumulator(g, 0, 6, seed=8, threads=6)
+            acc.extend_to(cfg.walks)
+        finally:
+            sys.setswitchinterval(old)
+        assert np.array_equal(got.even, ref.even)
+        assert np.array_equal(got.odd, ref.odd)
+        assert np.array_equal(acc.tally().even, acc_ref.tally().even)
+        assert np.array_equal(acc.tally().odd, acc_ref.tally().odd)
 
     def test_invalid_start(self, single_edge):
         with pytest.raises(InvalidInputError):
