@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
     g = _load(args.infile)
     t0 = time.perf_counter()
     best = None
-    for rep in range(max(1, args.reps)):
+    for rep in range(args.reps):
         left, report = _solve_once(g, args, seed + rep)
         value = graph.cut_value(g, left)
         if best is None or value > best[0]:
@@ -135,7 +135,7 @@ def cmd_eval(args) -> int:
     g = _load(args.infile)
     try:
         with open(args.partition, "r", encoding="utf-8") as fh:
-            left = graph.read_partition(fh)
+            left = graph.read_partition(fh, g.n)
     except OSError as exc:
         return _fail(f"cannot read {args.partition}: {exc}", EXIT_IO)
     except ParseError as exc:
@@ -239,10 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_counts(args) -> None:
+    for flag in ("threads", "reps"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise InvalidParamsError(f"--{flag} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code
@@ -253,5 +261,18 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_IO)
 
 
+def run() -> int:
+    """Console entry point: main, exiting quietly when stdout is closed early
+    (for example, when piped into `head`)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError, ResourceError
 
 EVEN = 1
 ODD = -1
 UNCLASSIFIED = 0
+
+# Largest vertex count whose pair keys lo * n + hi fit in an int64.
+_MAX_KEYED_N = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -56,9 +59,8 @@ class WeightedGraph:
         "degrees",
         "total_weight",
         "max_degree",
-        "_gcum",
-        "_row_base",
         "_csr",
+        "_alias",
     )
 
     def __init__(self, n: int, indptr, nbr, wt):
@@ -66,16 +68,14 @@ class WeightedGraph:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.nbr = np.asarray(nbr, dtype=np.int64)
         self.wt = np.asarray(wt, dtype=np.float64)
-        # Per-vertex prefix sums, globally offset so one sorted array serves
-        # every row during neighbor sampling.
-        gcum = np.cumsum(self.wt)
-        self._gcum = gcum
-        shifted = np.concatenate(([0.0], gcum))
-        self.degrees = shifted[self.indptr[1:]] - shifted[self.indptr[:-1]]
+        # Each row summed on its own: a difference of one running sum over all
+        # rows would carry that sum's rounding into every light row.
+        self.degrees = np.bincount(np.repeat(np.arange(self.n), np.diff(self.indptr)),
+                                   weights=self.wt, minlength=self.n)
         self.total_weight = float(self.degrees.sum())
         self.max_degree = float(self.degrees.max()) if self.n else 0.0
-        self._row_base = shifted[self.indptr[:-1]] if self.n else shifted[:0]
         self._csr = None
+        self._alias = None
 
     # -- construction ------------------------------------------------------
 
@@ -101,14 +101,16 @@ class WeightedGraph:
                 raise ParseError(f"vertex id out of range: ({ui}, {vi}) with n={n}")
             kind = "non-positive" if np.isfinite(wi) else "non-finite"
             raise ParseError(f"edge ({ui}, {vi}) has {kind} weight {wi}")
+        if n > _MAX_KEYED_N:
+            raise ResourceError(f"n = {n} too large: vertex pair keys need n*n < 2**63")
         # bincount adds in input order from 0.0, like summing parallel edges one
         # by one, so merged weights do not depend on how the pairs are sorted.
-        pairs, inverse = np.unique(
-            np.stack((np.minimum(u, v), np.maximum(u, v))), axis=1, return_inverse=True
-        )
-        merged = np.bincount(inverse.reshape(-1), weights=w, minlength=pairs.shape[1])
-        rows = np.concatenate((pairs[0], pairs[1]))
-        cols = np.concatenate((pairs[1], pairs[0]))
+        keys, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                                  return_inverse=True)
+        merged = np.bincount(inverse, weights=w, minlength=keys.size)
+        lo, hi = np.divmod(keys, n)
+        rows = np.concatenate((lo, hi))
+        cols = np.concatenate((hi, lo))
         order = np.lexsort((cols, rows))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         return cls(n, indptr, cols[order], np.concatenate((merged, merged))[order])
@@ -144,6 +146,20 @@ class WeightedGraph:
                 (self.wt, self.nbr, self.indptr), shape=(self.n, self.n)
             )
         return self._csr
+
+    def alias_table(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Per-row alias tables (Walker 1977; Vose 1991), built once and cached.
+
+        Returns (cnt, prob, alias), cnt being each row's entry count as a
+        float.  For a vertex v of positive degree and u uniform on [0, 1),
+        let x = u * cnt[v] and j = indptr[v] + floor(x).  The neighbour
+        nbr[j] if x - floor(x) < prob[j], else the vertex alias[j], is then
+        drawn with probability proportional to its edge weight.  When every
+        row's weights are equal, prob and alias are None: nbr[j] is drawn.
+        """
+        if self._alias is None:
+            self._alias = _alias_table(self)
+        return self._alias
 
     def induced(self, vertices) -> tuple["WeightedGraph", np.ndarray]:
         """Induced subgraph plus the new-id -> old-id map."""
@@ -196,6 +212,54 @@ def _rows(g: WeightedGraph, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarra
     shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
     idx = np.arange(src_rank.size) - shift
     return src_rank, g.nbr[idx], g.wt[idx]
+
+
+def _alias_table(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Vose's pairing, vectorized over all rows at once.
+
+    Entry weights are scaled to q = w * cnt / degree, so each row's mean is
+    1 and each entry's bucket holds mass 1: prob of it its own, the rest its
+    alias's.  Per row, light entries (q < 1) are laid end to end by their
+    deficits 1 - q and heavy ones by their excesses q - 1, the row maximum
+    last.  A light entry's alias is the first heavy entry whose excess span
+    ends at or after the start of its deficit span.  A heavy entry passes
+    what those deficits overshoot its span on to the next heavy entry, its
+    alias, and keeps the rest; the last one keeps its whole bucket.  A row of
+    equal weights has q = 1 throughout and keeps every bucket whole.
+    """
+    cnt = np.diff(g.indptr)
+    row = np.repeat(np.arange(g.n), cnt)
+    q = g.wt * cnt[row] / g.degrees[row]
+    uneven = np.bincount(row, q != 1.0, minlength=g.n) > 0
+    e = np.flatnonzero(uneven[row])
+    if not e.size:
+        return cnt.astype(np.float64), None, None
+    prob = np.ones(q.size)
+    alias = g.nbr.copy()
+    e = e[np.lexsort((q[e], row[e]))]
+    r = row[e]
+    # The row maximum comes last and is heavy even when rounding left it
+    # just below 1.
+    is_heavy = (q[e] >= 1.0) | np.append(r[1:] != r[:-1], True)
+    light, heavy = e[~is_heavy], e[is_heavy]
+    lrow, hrow = row[light], row[heavy]
+    # Running sums over all rows, each read against its own row's base.
+    a_cum = np.concatenate(([0.0], np.cumsum(1.0 - q[light])))
+    e_cum = np.concatenate(([0.0], np.cumsum(q[heavy] - 1.0)))
+    h_first = np.searchsorted(hrow, lrow)
+    start = a_cum[:-1] - a_cum[np.searchsorted(lrow, lrow)] + e_cum[h_first]
+    owner = np.clip(np.searchsorted(e_cum[1:], start), h_first,
+                    np.searchsorted(hrow, lrow, "right") - 1)
+    # Deficits owned by heavy entries up to k, less their excesses.
+    owed = a_cum[np.searchsorted(owner, np.arange(heavy.size), "right")]
+    passed = (owed - a_cum[np.searchsorted(lrow, hrow)]) - (
+        e_cum[1:] - e_cum[np.searchsorted(hrow, hrow)])
+    last = np.append(hrow[1:] != hrow[:-1], True)
+    prob[light] = q[light]
+    alias[light] = g.nbr[heavy[owner]]
+    prob[heavy] = np.where(last, 1.0, np.clip(1.0 - passed, 0.0, 1.0))
+    alias[heavy[:-1][~last[:-1]]] = g.nbr[heavy[1:][~last[:-1]]]
+    return cnt.astype(np.float64), prob, alias
 
 
 # -- I/O --------------------------------------------------------------------
@@ -283,10 +347,12 @@ def write_partition(left, n: int, target) -> None:
             fh.close()
 
 
-def read_partition(source) -> frozenset[int]:
+def read_partition(source, n: int | None = None) -> frozenset[int]:
     """Read a partition file back into the set of Left vertices.
 
-    Each vertex may be listed once; a repeated id raises ParseError.
+    Each vertex may be listed once; a repeated id raises ParseError, and so
+    does an id outside [0, n) when n is given.  Vertices the file omits are
+    on the Right.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -306,6 +372,8 @@ def read_partition(source) -> frozenset[int]:
             v = int(parts[0])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if n is not None and not 0 <= v < n:
+            raise ParseError(f"line {lineno}: vertex {v} out of range with n={n}")
         if v in seen:
             raise ParseError(f"line {lineno}: vertex {v} listed twice")
         seen.add(v)

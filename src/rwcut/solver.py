@@ -316,6 +316,8 @@ def simple_solve(
 
 def balance_params(b: float, mu1: float) -> tuple[float, float]:
     """Derive (tau, mu2) equalizing the two per-vertex work exponents at b-1."""
+    if not b > 1.5:
+        raise InvalidParamsError(f"b = {b:g} must exceed 1.5")
     tau = 2.0 + mu1 - b
     denom = 2.0 + mu1 - b
     if denom <= 0.0 or not (0.0 <= tau < 1.0):

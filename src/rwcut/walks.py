@@ -6,6 +6,16 @@ along an incident edge chosen with probability proportional to its weight.
 The number of non-lazy moves is the hop length; a walk is even or odd by the
 parity of that count.
 
+Lazy steps never move a walk, so only the hops are simulated.  Each walk's
+hop count is drawn up front: Bin(length, 1/2) for a final-length tally, or
+the running sum of one fair coin per step when positions are recorded per
+length.  A walk from a degree-0 vertex makes no hop.  Walks are ranked by
+descending hop count, so the walks making hop h are a prefix of the ranking,
+and each hop takes its neighbour from the row's alias table
+(``WeightedGraph.alias_table``) with one uniform draw.  A block scatters its
+(parity, length, vertex) observations into the call's single int64 tally;
+``even`` and ``odd`` are views of it.
+
 Reproducibility: walks are generated in fixed blocks of ``BLOCK_WALKS``.
 Block ``i`` draws all of its randomness from a generator seeded by
 ``(seed, i)``, so the tally for a given (graph, start, length, seed,
@@ -98,61 +108,65 @@ def _run_block(
     block_index: int,
     count: int,
     record: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
+    """Sample one block of walks and return the tally cell of each observation.
+
+    A tally has shape (2, rows, n): parity (even, odd), observed length and
+    vertex.  It has rows = length + 1 when record is set, one observation
+    per walk and length; otherwise rows = 1 and each walk is observed once,
+    at the final length.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(block_index)))
     )
-    pos = np.full(count, start, dtype=np.int64)
-    par = np.zeros(count, dtype=bool)
-    shape = (length + 1, g.n) if record else (g.n,)
-    even = np.zeros(shape, dtype=np.int64)
-    odd = np.zeros(shape, dtype=np.int64)
-
-    def tally(l: int) -> None:
-        ev = even[l] if record else even
-        od = odd[l] if record else odd
-        ev += np.bincount(pos[~par], minlength=g.n)
-        od += np.bincount(pos[par], minlength=g.n)
-
     if record:
-        tally(0)
-    deg = g.degrees
-    for l in range(1, length + 1):
-        coins = rng.random(count)
-        r = rng.random(count)
-        movers = (coins < 0.5) & (deg[pos] > 0.0)
-        if movers.any():
-            vs = pos[movers]
-            target = g._row_base[vs] + r[movers] * deg[vs]
-            j = np.searchsorted(g._gcum, target, side="right")
-            lo = g.indptr[vs]
-            hi = g.indptr[vs + 1] - 1
-            j = np.minimum(np.maximum(j, lo), hi)
-            pos[movers] = g.nbr[j]
-            par[movers] ^= True
-        if record:
-            tally(l)
-    if not record:
-        tally(length)
-    return even, odd
+        hops = np.zeros((length + 1, count), dtype=np.int64)
+        np.cumsum(rng.integers(0, 2, (length, count)), axis=0, out=hops[1:])
+    else:
+        hops = rng.binomial(length, 0.5, (1, count))
+    if g.degrees[start] <= 0.0:
+        hops[:] = 0
+    # Rank walks by descending total hops, so the walks making hop h are a
+    # prefix of the ranking.
+    order = np.argsort(-hops[-1], kind="stable")
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    total = hops[-1][order]
+    cnt, prob, alias = g.alias_table()
+    path = np.empty((int(total[0]) + 1, count), dtype=np.int64)
+    path[0] = start
+    movers = np.searchsorted(-total, -np.arange(1, path.shape[0]), "right")
+    for h, k in enumerate(movers, start=1):
+        v = path[h - 1, :k]
+        x = rng.random(k) * cnt[v]
+        col = x.astype(np.int64)
+        j = g.indptr[v] + col
+        if prob is None:
+            path[h, :k] = g.nbr[j]
+        else:
+            path[h, :k] = np.where(x - col < prob[j], g.nbr[j], alias[j])
+    rows = hops.shape[0]
+    cells = path[hops, rank]
+    cells += ((hops & 1) * rows + np.arange(rows)[:, None]) * g.n
+    return cells.ravel()
 
 
 def _add_blocks(g: WeightedGraph, start: int, length: int, seed: int,
                 blocks: list[tuple[int, int]], record: bool, threads: int,
-                even: np.ndarray, odd: np.ndarray) -> None:
-    """Run (block index, walk count) blocks, adding each block's tallies into
-    even and odd as soon as that block finishes.
+                counts: np.ndarray) -> None:
+    """Run (block index, walk count) blocks, adding each block's observations
+    into the (2, rows, n) tally counts as soon as that block finishes.
 
     Integer addition commutes, so the totals do not depend on the order in
     which the blocks finish.
     """
     lock = threading.Lock()
+    cells_of = counts.reshape(-1)
 
     def run(block: tuple[int, int]) -> None:
-        ev, od = _run_block(g, start, length, seed, block[0], block[1], record)
+        cells = _run_block(g, start, length, seed, block[0], block[1], record)
         with lock:
-            np.add(even, ev, out=even)
-            np.add(odd, od, out=odd)
+            np.add.at(cells_of, cells, 1)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -176,17 +190,18 @@ def run_walks(
         raise InvalidInputError(f"start vertex {start} out of range")
     blocks = [(i, min(BLOCK_WALKS, cfg.walks - i * BLOCK_WALKS))
               for i in range(-(-cfg.walks // BLOCK_WALKS))]
-    shape = (cfg.length + 1, g.n) if cfg.record_per_length else (g.n,)
-    even = np.zeros(shape, dtype=np.int64)
-    odd = np.zeros(shape, dtype=np.int64)
+    rows = cfg.length + 1 if cfg.record_per_length else 1
+    counts = np.zeros((2, rows, g.n), dtype=np.int64)
     _add_blocks(g, start, cfg.length, cfg.seed, blocks, cfg.record_per_length,
-                threads, even, odd)
+                threads, counts)
+    if not cfg.record_per_length:
+        counts = counts[:, 0]
     return WalkTally(
         n=g.n,
         length=cfg.length,
         walks=cfg.walks,
-        even=even,
-        odd=odd,
+        even=counts[0],
+        odd=counts[1],
         record_per_length=cfg.record_per_length,
     )
 
@@ -211,10 +226,8 @@ class WalkAccumulator:
         self.walks = 0
         self.steps_sampled = 0
         self._full_blocks = 0
-        self._full_even = np.zeros(g.n, dtype=np.int64)
-        self._full_odd = np.zeros(g.n, dtype=np.int64)
-        self._tail_even = np.zeros(g.n, dtype=np.int64)
-        self._tail_odd = np.zeros(g.n, dtype=np.int64)
+        self._full = np.zeros((2, 1, g.n), dtype=np.int64)
+        self._tail = np.zeros((2, 1, g.n), dtype=np.int64)
 
     def projected_steps(self, walks: int) -> int:
         """Sampled steps an extend_to(walks) call would add."""
@@ -230,23 +243,23 @@ class WalkAccumulator:
         target_full, tail = divmod(walks, BLOCK_WALKS)
         full = [(bi, BLOCK_WALKS) for bi in range(self._full_blocks, target_full)]
         _add_blocks(self.g, self.start, self.length, self.seed, full, False,
-                    self.threads, self._full_even, self._full_odd)
-        self._tail_even = np.zeros(self.g.n, dtype=np.int64)
-        self._tail_odd = np.zeros(self.g.n, dtype=np.int64)
+                    self.threads, self._full)
+        self._tail = np.zeros_like(self._full)
         _add_blocks(self.g, self.start, self.length, self.seed,
                     [(target_full, tail)] if tail else [], False, self.threads,
-                    self._tail_even, self._tail_odd)
+                    self._tail)
         self._full_blocks = target_full
         self.steps_sampled += (len(full) * BLOCK_WALKS + tail) * max(self.length, 1)
         self.walks = walks
 
     def tally(self) -> WalkTally:
+        counts = self._full[:, 0] + self._tail[:, 0]
         return WalkTally(
             n=self.g.n,
             length=self.length,
             walks=self.walks,
-            even=self._full_even + self._tail_even,
-            odd=self._full_odd + self._tail_odd,
+            even=counts[0],
+            odd=counts[1],
         )
 
 

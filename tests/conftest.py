@@ -12,10 +12,10 @@ from rwcut.graph import WeightedGraph
 PACKAGE_ROOT = str(Path(rwcut.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd=None):
-    """Run `python -m rwcut.cli *args` in a child process.
+def cli_env():
+    """The environment for a `python -m rwcut.cli` child process.
 
-    The child's PYTHONPATH starts with the absolute PACKAGE_ROOT, so it
+    Its PYTHONPATH starts with the absolute PACKAGE_ROOT, so the child
     imports the same `rwcut` as the suite from any working directory, even
     when the inherited PYTHONPATH is relative (as in `PYTHONPATH=src`).
     """
@@ -23,9 +23,14 @@ def run_cli(args, cwd=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_cli(args, cwd=None):
+    """Run `python -m rwcut.cli *args` in a child process (see cli_env)."""
     return subprocess.run(
         [sys.executable, "-m", "rwcut.cli", *args],
-        capture_output=True, text=True, timeout=600, cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=600, cwd=cwd, env=cli_env(),
     )
 
 

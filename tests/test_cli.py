@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from rwcut.cli import main
 
-from conftest import make_graph, run_cli
+from conftest import cli_env, make_graph, run_cli
 from rwcut.graph import dump_graph
 
 
@@ -139,6 +141,20 @@ class TestHostileInput:
          "0 L\n1 R\n2 R\n1 R\n", 1),
         (["eval", "--in", "{graph}", "--partition", "{part}"],
          "zero L\n1 R\n2 R\n", 1),
+        (["eval", "--in", "{graph}", "--partition", "{part}"],
+         "-1 L\n1 R\n2 R\n", 1),
+        (["eval", "--in", "{graph}", "--partition", "{part}"],
+         "0 L\n1 R\n3 R\n", 1),
+        (["solve", "--algo", "greedy", "--in", "{graph}", "--seed", "1",
+          "--threads", "0"], None, 2),
+        (["solve", "--algo", "greedy", "--in", "{graph}", "--seed", "1",
+          "--threads", "-2"], None, 2),
+        (["solve", "--algo", "greedy", "--in", "{graph}", "--seed", "1",
+          "--reps", "0"], None, 2),
+        (["solve", "--algo", "greedy", "--in", "{graph}", "--seed", "1",
+          "--reps", "-1"], None, 2),
+        (["cutbound", "--in", "{graph}", "--start", "0", "--seed", "1",
+          "--threads", "0"], None, 2),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):
@@ -151,6 +167,20 @@ class TestHostileInput:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_closed_stdout_exits_quietly(self, triangle_file):
+        # The reader is gone before the child writes, so its first flush
+        # meets a broken pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rwcut.cli", "solve", "--algo", "greedy",
+             "--in", triangle_file, "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=cli_env())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=600) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 class TestHelp:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwcut.errors import InvalidInputError, ParseError
+from rwcut.errors import InvalidInputError, ParseError, ResourceError
 from rwcut.graph import (
     EVEN,
     ODD,
@@ -77,6 +77,17 @@ class TestLoad:
             WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 5, 1.0), (3, 3, 1.0)])
         with pytest.raises(ParseError, match="non-positive weight -1.0"):
             WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, -1.0), (9, 1, 1.0)])
+
+    def test_pair_keys_must_fit_int64(self):
+        with pytest.raises(ResourceError, match="too large"):
+            WeightedGraph.from_edges(3_037_000_500, [(0, 1, 1.0)])
+
+    def test_degrees_summed_per_row(self):
+        # A running sum over all rows would round the light rows at the heavy
+        # edge's scale.
+        g = make_graph(5, [(0, 1, 1e12), (2, 3, 0.1), (3, 4, 0.2)])
+        assert g.degrees[3] == 0.1 + 0.2
+        assert g.degrees[2] == 0.1
 
 
 class TestInduced:
@@ -212,6 +223,12 @@ class TestPartitionIO:
         assert buf.getvalue() == "0 L\n1 R\n2 L\n3 R\n"
         assert read_partition(io.StringIO(buf.getvalue())) == frozenset({0, 2})
 
+    @pytest.mark.parametrize("text", ["0 L\n3 R\n", "-1 L\n0 R\n"])
+    def test_ids_outside_n_rejected(self, text):
+        with pytest.raises(ParseError, match="line [12]: vertex -?[13] out of range"):
+            read_partition(io.StringIO(text), 3)
+        read_partition(io.StringIO(text))
+
 
 class TestTripartition:
     def test_incremental_matches_batch(self):
@@ -311,3 +328,45 @@ class TestPrefixCutMetrics:
         assert list(good) == [0.0, 0.0]
         assert list(cross) == [3.0, 15.0]
         assert list(inc) == [3.0, 15.0]
+
+
+@st.composite
+def _weighted_graphs(draw):
+    n = draw(st.integers(2, 12))
+    weight = st.one_of(st.integers(1, 4).map(float),
+                       st.floats(1e-6, 1e6, allow_nan=False),
+                       st.sampled_from([0.1, 0.2, 0.3]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return WeightedGraph.from_edges(n, [(u, v, draw(weight)) for u, v in chosen])
+
+
+class TestAliasTable:
+    @settings(max_examples=300, deadline=None)
+    @given(_weighted_graphs())
+    def test_rows_imply_edge_probabilities(self, g):
+        cnt, prob, alias = g.alias_table()
+        assert np.array_equal(cnt, np.diff(g.indptr))
+        if prob is None:  # every entry keeps its own neighbour
+            prob, alias = np.ones(g.nbr.size), g.nbr
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        for v in range(g.n):
+            lo, hi = g.indptr[v], g.indptr[v + 1]
+            implied = np.zeros(g.n)
+            np.add.at(implied, g.nbr[lo:hi], prob[lo:hi] / cnt[v])
+            np.add.at(implied, alias[lo:hi], (1.0 - prob[lo:hi]) / cnt[v])
+            want = np.zeros(g.n)
+            want[g.nbr[lo:hi]] = g.wt[lo:hi] / g.degrees[v]
+            assert np.abs(implied - want).max() <= 1e-12
+
+    def test_equal_weights_need_no_alias(self):
+        g = complete_graph(5)
+        assert g.alias_table()[1:] == (None, None)
+        assert g.alias_table() is g.alias_table()
+        # Rows 0 and 2 are uneven; the equal-weight rows 1 and 3 keep every entry.
+        g = make_graph(4, [(0, 1, 1), (0, 2, 3), (1, 2, 1), (2, 3, 1)])
+        _, prob, alias = g.alias_table()
+        for v in (1, 3):
+            lo, hi = g.indptr[v], g.indptr[v + 1]
+            assert np.all(prob[lo:hi] == 1.0)
+            assert np.array_equal(alias[lo:hi], g.nbr[lo:hi])

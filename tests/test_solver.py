@@ -100,6 +100,12 @@ class TestBalanceParams:
         with pytest.raises(InvalidParamsError):
             balance_params(1.6, 0.3)  # mu2 would be negative
 
+    @pytest.mark.parametrize("b", [1.5, 1.2, -1.0])
+    def test_b_at_most_three_halves(self, b):
+        # Below the threshold there is no valid mu1, so no interval to suggest.
+        with pytest.raises(InvalidParamsError, match="must exceed 1.5"):
+            balance_params(b, 0.1)
+
 
 class TestSimpleSolve:
     def test_bipartite_recovers_near_optimum(self):

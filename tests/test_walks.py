@@ -51,6 +51,22 @@ class TestRunWalks:
         b = run_walks(single_edge, 0, cfg, threads=8)
         assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
 
+    def test_degree_zero_start_per_length(self):
+        g = make_graph(3, [(0, 1, 1)])
+        t = run_walks(g, 2, WalkConfig(length=4, walks=50, seed=5,
+                                       record_per_length=True))
+        for l in range(5):
+            ev, od = t.counts_at(l)
+            assert ev[2] == 50 and ev.sum() == 50 and od.sum() == 0
+
+    def test_per_length_thread_count_invariance(self):
+        g = random_graph(40, 0.15, np.random.default_rng(3), weighted=True)
+        cfg = WalkConfig(length=7, walks=3 * 4096 + 17, seed=5,
+                         record_per_length=True)
+        a = run_walks(g, 0, cfg)
+        b = run_walks(g, 0, cfg, threads=3)
+        assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
+
     def test_threaded_block_adds_lose_no_update(self):
         # More workers than cores and a tiny switch interval, so block
         # tallies land in the shared totals concurrently and out of order.
@@ -195,6 +211,33 @@ class TestExactDistribution:
             if err > 0.01:
                 failures += 1
         assert failures <= 1  # >= 95% of seeds within tolerance
+
+    def test_weighted_tallies_match_exact(self):
+        # Even and odd arrival frequencies at every length, from both tally
+        # modes, against the exact (p + s) / 2 and (p - s) / 2.
+        rng = np.random.default_rng(77)
+        failures = 0
+        for i in range(10):
+            g = random_graph(int(rng.integers(6, 31)), 0.25, rng, weighted=True)
+            start = int(np.argmax(g.degrees))
+            ell = 5
+            d = exact_walk_distribution(g, start, ell, record_per_length=True)
+            walks = 200_000
+            final = run_walks(g, start, WalkConfig(length=ell, walks=walks,
+                                                   seed=500 + i))
+            per = run_walks(g, start, WalkConfig(length=ell, walks=walks,
+                                                 seed=600 + i,
+                                                 record_per_length=True))
+            observed = [(final.counts_at(ell), ell)]
+            observed += [(per.counts_at(l), l) for l in range(ell + 1)]
+            err = 0.0
+            for (ev, od), l in observed:
+                p, s = d.prob(l), d.signed(l)
+                err = max(err, np.abs(ev / walks - (p + s) / 2).max(),
+                          np.abs(od / walks - (p - s) / 2).max())
+            if err > 0.005:
+                failures += 1
+        assert failures <= 1
 
     def test_budget_guard(self):
         g = make_graph(2, [(0, 1, 1)])
