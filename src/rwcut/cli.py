@@ -148,11 +148,11 @@ def cmd_eval(args) -> int:
 
 def cmd_tradeoff(args) -> int:
     bs = args.b if args.b else [1.6, 2.0, 3.0]
-    if any(b <= 1.5 for b in bs):
-        return _fail("every b must exceed 1.5", EXIT_PARAMS)
+    if not all(1.5 < b < float("inf") for b in bs):  # also refuses nan
+        return _fail("every b must be finite and exceed 1.5", EXIT_PARAMS)
+    points = [solver.best_tradeoff(b) for b in bs]  # fail before printing
     print("b,source,mu1,tau,mu2,eps1,ratio")
-    for b in bs:
-        point = solver.best_tradeoff(b)
+    for point in points:
         print(f"{point.b:g},{point.source},{point.mu1:.6f},{point.tau:.6f},"
               f"{point.mu2:.6f},{point.eps1:.6f},{point.ratio:.6f}")
     return EXIT_OK

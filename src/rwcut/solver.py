@@ -276,6 +276,10 @@ def simple_solve(
         if keep < 0.5:
             break
         eps_r = 1.0 - keep
+        if r and _at_floor(g):  # pass 0 solved the floor-size g; repeat it
+            ctx.levels.append(dict(ctx.levels[0]))
+            r += 1
+            continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
         side = _simple_once(
             g, eps_r, mu, alpha, rng, ctx, 0,
@@ -559,26 +563,49 @@ def _chi(eps1: float, mu1: float, tau: float) -> float:
 
 
 _EPS_S_GRID = np.linspace(0.0, 0.5, 121)
+_EPS_CHUNK = 8  # 91 KiB temporaries per pass stay under glibc's mmap threshold
 
 
-def _obj(eps: float, eps1: float, chi: float, h1: float, h_block: np.ndarray,
-         x_grid: np.ndarray) -> float:
-    """Adversary's cheapest edge split for a fixed deficit eps.
+def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
+    """Adversary's cheapest edge split, as a function of the deficit eps.
 
     Variables: block deficit (grid), block edge share X (grid); the
     final-round share Z sits at its upper bound because its objective
     coefficient 1/2 - H(eps1, mu1) is negative; Y is eliminated by the
-    simplex constraint.
+    simplex constraint.  A row is linear in X but for one kink, over a grid
+    prefix of feasible X, so only X = 0 and the cells beside its last
+    feasible X and its kink are scored, with the grid's formula.  Rounding
+    puts an unscored cell lower only on pieces made flat by H = 1/2, where
+    the trivial bound 1/(2(1-eps)) wins anyway.
     """
-    es = _EPS_S_GRID[:, None]
-    x = x_grid[None, :]
-    feasible = es * x <= eps + 1e-15
-    z = np.minimum(1.0 - (1.0 + chi) * x, (eps - es * x) / eps1)
-    z = np.clip(z, 0.0, 1.0)
-    y = 1.0 - (1.0 + chi) * x - z
-    value = (h_block[:, None] + chi / 2.0) * x + h1 * y + z / 2.0
-    value = np.where(feasible & (y >= -1e-12), value, np.inf)
-    return float(value.min()) / (1.0 - eps)
+    x = np.linspace(0.0, 1.0 / (1.0 + chi), 121)
+    es_x = _EPS_S_GRID[:, None] * x
+    slack = 1.0 - (1.0 + chi) * x
+    block = (h_block[:, None] + chi / 2.0) * x
+    rows = np.arange(_EPS_S_GRID.size)[:, None, None]
+
+    def score(eps, x_es, a, blk):
+        z = np.clip(np.minimum(a, (eps - x_es) / eps1), 0.0, 1.0)
+        y = a - z
+        value = blk + h1 * y + z / 2.0
+        return np.where((x_es <= eps + 1e-15) & (y >= -1e-12), value, np.inf)
+
+    def ratios(eps: np.ndarray) -> np.ndarray:
+        low = score(eps, 0.0, 1.0, 0.0)  # the X = 0 cell, alike on all rows
+        for i in range(0, eps.size, _EPS_CHUNK):
+            e = eps[i:i + _EPS_CHUNK, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                last = (e + 1e-15) / (_EPS_S_GRID * x[1])
+                kink = (eps1 - e) / (eps1 * (1.0 + chi) - _EPS_S_GRID) / x[1]
+            # 6 columns from two left of each breakpoint, kept on the grid
+            lo = np.fmax(np.floor(np.stack([last, kink], -1)) - 2, 0)
+            cols = np.fmin(lo, x.size - 6).astype(np.intp)[..., None] + np.arange(6)
+            value = score(e[..., None, None], es_x[rows, cols], slack[cols],
+                          block[rows, cols]).min(axis=(1, 2, 3))
+            low[i:i + e.size] = np.minimum(low[i:i + e.size], value)
+        return low / (1.0 - eps)
+
+    return ratios
 
 
 def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float:
@@ -592,22 +619,15 @@ def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float
     chi = _chi(eps1, mu1, tau)
     h1 = h_fn(float(eps1), float(mu1))
     h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
-    x_max = 1.0 / (1.0 + chi)
-    x_grid = np.linspace(0.0, x_max, 121)
-
-    def guaranteed(eps: float) -> float:
-        trivial = 0.5 / (1.0 - eps)
-        return max(trivial, _obj(eps, eps1, chi, h1, h_block, x_grid))
-
-    lo, hi = 1e-6, 0.5
-    grid = np.linspace(lo, hi, 61)
-    vals = [guaranteed(float(e)) for e in grid]
+    lp = _adversary_lp(eps1, chi, h1, h_block)
+    grid = np.linspace(1e-6, 0.5, 61)
+    vals = np.maximum(0.5 / (1.0 - grid), lp(grid))
     best_i = int(np.argmin(vals))
     for _ in range(2):  # local refinement around the minimizer
         lo2 = grid[max(0, best_i - 1)]
         hi2 = grid[min(len(grid) - 1, best_i + 1)]
         grid = np.linspace(lo2, hi2, 31)
-        vals = [guaranteed(float(e)) for e in grid]
+        vals = np.maximum(0.5 / (1.0 - grid), lp(grid))
         best_i = int(np.argmin(vals))
     return float(vals[best_i])
 

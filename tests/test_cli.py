@@ -155,6 +155,10 @@ class TestHostileInput:
           "--reps", "-1"], None, 2),
         (["cutbound", "--in", "{graph}", "--start", "0", "--seed", "1",
           "--threads", "0"], None, 2),
+        (["tradeoff", "--b", "nan"], None, 2),
+        (["tradeoff", "--b", "inf"], None, 2),
+        (["tradeoff", "--b", "2", "--b", "nan"], None, 2),
+        (["tradeoff", "--b", "2", "--b", "1e300"], None, 2),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rwcut.bench import gen_planted, greedy_cut
+from rwcut import solver
+from rwcut.bench import brute_force_maxcut, gen_planted, greedy_cut
 from rwcut.errors import InvalidParamsError
 from rwcut.graph import WeightedGraph, cut_value
 from rwcut.solver import (
+    _EPS_S_GRID,
+    _adversary_lp,
+    _chi,
     balance_params,
     balance_solve,
+    balance_tradeoff,
     best_tradeoff,
     eps_bar,
     h_fn,
@@ -51,6 +58,51 @@ def _h_riemann(eps, mu, points=1_000_000):
     sigma = 1.0 - (1.0 - x) ** (1.0 + 1.0 / mu)
     vals = _soto_independent(sigma)
     return zs / 2.0 + float(vals.mean()) * (1.0 - zs)
+
+
+def _dense_lp(eps, eps1, chi, h1, h_block):
+    """The adversary LP scored on the full 121 x 121 grid (reference)."""
+    es = _EPS_S_GRID[:, None]
+    x = np.linspace(0.0, 1.0 / (1.0 + chi), 121)[None, :]
+    feasible = es * x <= eps + 1e-15
+    z = np.minimum(1.0 - (1.0 + chi) * x, (eps - es * x) / eps1)
+    z = np.clip(z, 0.0, 1.0)
+    y = 1.0 - (1.0 + chi) * x - z
+    value = (h_block[:, None] + chi / 2.0) * x + h1 * y + z / 2.0
+    value = np.where(feasible & (y >= -1e-12), value, np.inf)
+    return float(value.min()) / (1.0 - eps)
+
+
+def _dense_objective(eps1, mu1, mu2, tau):
+    """tradeoff_objective with one dense-grid LP per deficit (reference)."""
+    chi = _chi(eps1, mu1, tau)
+    h1 = h_fn(float(eps1), float(mu1))
+    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
+
+    def guaranteed(eps):
+        return max(0.5 / (1.0 - eps), _dense_lp(eps, eps1, chi, h1, h_block))
+
+    grid = np.linspace(1e-6, 0.5, 61)
+    vals = [guaranteed(float(e)) for e in grid]
+    best_i = int(np.argmin(vals))
+    for _ in range(2):
+        lo2 = grid[max(0, best_i - 1)]
+        hi2 = grid[min(len(grid) - 1, best_i + 1)]
+        grid = np.linspace(lo2, hi2, 31)
+        vals = [guaranteed(float(e)) for e in grid]
+        best_i = int(np.argmin(vals))
+    return float(vals[best_i])
+
+
+def _check_against_dense(eps1, chi, h1, h_block, eps):
+    """_adversary_lp never undercuts the dense grid and, after the trivial
+    bound, equals it: rounding may move the LP value only where that bound
+    wins."""
+    dense = np.array([_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps])
+    mine = _adversary_lp(eps1, chi, h1, h_block)(eps)
+    assert (mine >= dense).all()
+    trivial = 0.5 / (1.0 - eps)
+    assert np.array_equal(np.maximum(trivial, mine), np.maximum(trivial, dense))
 
 
 class TestHFunction:
@@ -137,6 +189,19 @@ class TestSimpleSolve:
             if lvl["branch"] == "tripartition":
                 assert 0.0 < lvl["xi"] <= 1.0
 
+    def test_floor_graph_solved_once(self, triangle, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return brute_force_maxcut(g)
+
+        monkeypatch.setattr(solver, "brute_force_maxcut", counting)
+        rep = simple_solve(triangle, 1.0, seed=3)
+        assert calls == [3]
+        assert rep.levels == [{"branch": "brute-force", "depth": 0, "n": 3}] * 14
+        assert rep.cut_value == pytest.approx(2 / 3)
+
     def test_planted_median(self):
         values = []
         for seed in range(10):
@@ -210,11 +275,8 @@ class TestTradeoff:
                             continue
                         v = (hs + chi / 2) * x + h1 * max(y, 0.0) + z / 2
                         best = min(best, v / (1 - eps))
-            from rwcut.solver import _EPS_S_GRID, _obj
-
             h_block = np.array([h_fn(float(e), mu2) for e in _EPS_S_GRID])
-            x_grid = np.linspace(0, 1 / (1 + chi), 121)
-            mine = _obj(eps, eps1, chi, h1, h_block, x_grid)
+            mine = _adversary_lp(eps1, chi, h1, h_block)(np.array([eps]))[0]
             assert mine == pytest.approx(best, abs=2e-3)
 
     def test_ratio_bounds(self):
@@ -236,6 +298,59 @@ class TestTradeoff:
         ratios = [p.ratio for p in points]
         assert all(b >= a - 1e-9 for a, b in zip(ratios, ratios[1:]))
         assert all(r > 0.5 for r in ratios)
+
+    @pytest.mark.parametrize("b, expected", [
+        (1.6, ("0x1.dfacdfceeb3f3p-4", "0x1.08c268c6aa34cp-1",
+               "0x1.484aaef6decbfp-3", "0x1.f10b419c08693p-8",
+               "0x1.01f532992be1dp-1")),
+        (2.0, ("0x1.6f38b26142017p-3", "0x1.6f38b26142010p-3",
+               "0x1.24edd43dce4f6p+2", "0x1.fe0573fba5c21p-6",
+               "0x1.081bd5b25188fp-1")),
+        (3.0, ("0x1.24267a4267a42p+0", "0x1.2133d2133d210p-3",
+               "0x1.a53808ca29c0bp+3", "0x1.236d5fb294873p-4",
+               "0x1.131fd8f2619d6p-1")),
+    ])
+    def test_balance_points_pinned(self, b, expected):
+        # (mu1, tau, mu2, eps1, ratio) as the dense-grid optimizer found them
+        p = balance_tradeoff(b)
+        assert (p.b, p.source) == (b, "balance")
+        assert tuple(v.hex() for v in (p.mu1, p.tau, p.mu2, p.eps1, p.ratio)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu1=st.floats(0.01, 1.5),
+        tau=st.just(0.0) | st.floats(0.0, 0.99),
+        mu2=st.floats(0.01, 3.0) | st.floats(3.0, 50.0),
+        frac=st.just(1.0) | st.floats(1e-3, 1.0),
+    )
+    def test_objective_matches_dense_grid(self, mu1, tau, mu2, frac):
+        cap = min(0.5, mu1 / (16.0 * tau) * 0.98) if tau > 0.0 else 0.5
+        eps1 = cap * frac
+        assert tradeoff_objective(eps1, mu1, mu2, tau) == _dense_objective(
+            eps1, mu1, mu2, tau)
+        h_block = np.array([h_fn(float(e), mu2) for e in _EPS_S_GRID])
+        _check_against_dense(eps1, _chi(eps1, mu1, tau), h_fn(eps1, mu1),
+                             h_block, np.linspace(1e-6, 0.5, 61))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps1=st.floats(1e-3, 0.5),
+        chi=st.just(0.0) | st.floats(0.0, 20.0),
+        h1=st.just(0.5) | st.floats(0.5, 1.0),
+        h_block=st.lists(st.just(0.5) | st.floats(0.5, 1.0),
+                         min_size=121, max_size=121),
+        eps=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=16),
+    )
+    # One case each where the LP minimum is decided at X = 0, beside a kink
+    # and at a last feasible column, above the trivial bound.
+    @example(eps1=0.1, chi=5.0, h1=0.51, h_block=[1.0] * 121, eps=[0.05])
+    @example(eps1=0.2, chi=0.0, h1=0.9,
+             h_block=np.linspace(0.8, 0.6, 121).tolist(), eps=[0.1])
+    @example(eps1=0.37, chi=1.0, h1=0.61,
+             h_block=np.linspace(0.8, 0.53, 121).tolist(), eps=[0.09])
+    def test_adversary_lp_matches_dense_grid(self, eps1, chi, h1, h_block, eps):
+        # Any H values in [1/2, 1], not only those of h_fn.
+        _check_against_dense(eps1, chi, h1, np.array(h_block), np.array(eps))
 
     def test_eps_bar_formula(self):
         assert eps_bar(1.0) == pytest.approx(1.0 - 0.75**0.5)
