@@ -46,14 +46,7 @@ def brute_force_maxcut(g: WeightedGraph) -> tuple[float, frozenset]:
         raise ResourceError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
     if g.n == 0 or g.total_weight == 0.0:
         return 0.0, frozenset(range(g.n))
-    us, vs, ws = [], [], []
-    for u, v, w in g.edges():
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    eu = np.array(us, dtype=np.int64)
-    ev = np.array(vs, dtype=np.int64)
-    ew = np.array(ws)
+    eu, ev, ew = g.edge_arrays()
     total = g.edge_weight_total()
     n_free = g.n - 1
     best_w = -1.0
@@ -122,7 +115,7 @@ def gen_planted(
     perm = rng.permutation(n)
     left = perm[: n // 2]
     right = perm[n // 2:]
-    edges: set[tuple[int, int]] = set()
+    edges: set[int] = set()  # keys lo * n + hi
     while len(edges) < target_edges:
         if rng.random() < 1.0 - target_eps:
             u = int(left[rng.integers(left.size)])
@@ -133,9 +126,9 @@ def gen_planted(
             v = int(pool[rng.integers(pool.size)])
             if u == v:
                 continue
-        key = (u, v) if u < v else (v, u)
-        edges.add(key)
-    graph = WeightedGraph.from_edges(n, [(u, v, 1.0) for u, v in sorted(edges)])
+        edges.add(u * n + v if u < v else v * n + u)
+    lo, hi = np.divmod(np.fromiter(edges, dtype=np.int64, count=len(edges)), n)
+    graph = WeightedGraph.from_arrays(n, lo, hi, np.ones(lo.size))
     left_set = frozenset(int(v) for v in left)
     value = cut_value(graph, left_set)
     return PlantedInstance(

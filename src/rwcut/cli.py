@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from . import bench, graph, localcut, solver, spectral
-from .errors import InvalidInputError, InvalidParamsError, ParseError, RwCutError
+from .errors import (InvalidInputError, InvalidParamsError, ParseError, ResourceError,
+                     RwCutError)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -51,7 +52,7 @@ def _load(path: str) -> graph.WeightedGraph:
         return graph.load_graph(path)
     except OSError as exc:
         raise SystemExit(_fail(f"cannot read {path}: {exc}", EXIT_IO))
-    except ParseError as exc:
+    except (ParseError, ResourceError) as exc:
         raise SystemExit(_fail(f"bad graph file {path}: {exc}", EXIT_IO))
 
 

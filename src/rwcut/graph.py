@@ -15,6 +15,7 @@ vertex.
 from __future__ import annotations
 
 import io
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -28,6 +29,9 @@ UNCLASSIFIED = 0
 
 # Largest vertex count whose pair keys lo * n + hi fit in an int64.
 _MAX_KEYED_N = 3_037_000_499
+# A graph may have at most 2 * edges + _MAX_ISOLATED vertices, so that one
+# large id in a small file cannot size its arrays.
+_MAX_ISOLATED = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,19 @@ class WeightedGraph:
             v = np.array(vs, dtype=np.int64)
         except OverflowError as exc:
             raise ParseError(f"vertex id out of range with n={n}: {exc}") from exc
-        w = np.array(ws, dtype=np.float64)
+        return cls.from_arrays(n, u, v, np.array(ws, dtype=np.float64))
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
+        """Build a graph from edge arrays (edge i joins u[i] and v[i] with
+        weight w[i]), merging parallel edges.
+
+        Refuses with ResourceError a vertex count above 2 * edges + 2**20,
+        before allocating anything of size n.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
         bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
         bad |= ~(w > 0.0) | ~np.isfinite(w)
         if bad.any():
@@ -103,6 +119,9 @@ class WeightedGraph:
             raise ParseError(f"edge ({ui}, {vi}) has {kind} weight {wi}")
         if n > _MAX_KEYED_N:
             raise ResourceError(f"n = {n} too large: vertex pair keys need n*n < 2**63")
+        if n > 2 * u.size + _MAX_ISOLATED:
+            raise ResourceError(f"n = {n} too large for {u.size} edges: at most "
+                                f"2 * edges + {_MAX_ISOLATED} vertices")
         # bincount adds in input order from 0.0, like summing parallel edges one
         # by one, so merged weights do not depend on how the pairs are sorted.
         keys, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
@@ -111,7 +130,7 @@ class WeightedGraph:
         lo, hi = np.divmod(keys, n)
         rows = np.concatenate((lo, hi))
         cols = np.concatenate((hi, lo))
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * n + cols)  # unique keys, so sorted by (row, col)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         return cls(n, indptr, cols[order], np.concatenate((merged, merged))[order])
 
@@ -122,11 +141,15 @@ class WeightedGraph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.nbr[lo:hi], self.wt[lo:hi]
 
-    def edges(self):
-        """Iterate over each undirected edge once as (u, v, w) with u < v."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each undirected edge once as arrays (u, v, w) with u < v, sorted."""
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
         once = src < self.nbr
-        return zip(src[once].tolist(), self.nbr[once].tolist(), self.wt[once].tolist())
+        return src[once], self.nbr[once], self.wt[once]
+
+    def edges(self):
+        """Iterate over each undirected edge once as (u, v, w) with u < v."""
+        return zip(*(a.tolist() for a in self.edge_arrays()))
 
     def edge_weight_total(self) -> float:
         """Sum of edge weights (half the total weighted degree)."""
@@ -280,6 +303,47 @@ def load_graph(source) -> WeightedGraph:
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    columns = _read_columns(text)
+    if columns is None:
+        return _load_lines(text)
+    u, v, w = columns
+    return WeightedGraph.from_arrays(int(max(u.max(), v.max())) + 1, u, v, w)
+
+
+_EDGE_DTYPES = (np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")]),
+                np.dtype([("u", "i8"), ("v", "i8")]))
+_DATA_LINE = re.compile(r"^[ \t]*[^\s#]", re.MULTILINE)
+
+
+def _read_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The edge columns (u, v, w) of text, read by numpy's C reader.
+
+    Returns None unless every line reads as the same two or three numbers and
+    every edge is one _load_lines accepts; _load_lines then decides what the
+    file means and names its first bad line.  The reader accepts a subset of
+    int() and float() with the same values, and splitting at str.splitlines
+    leaves it the same whitespace as str.split.
+    """
+    # loadtxt warns on input without a data line.
+    if not _DATA_LINE.search(text):
+        return None
+    lines = text.splitlines()
+    for dtype in _EDGE_DTYPES:
+        try:
+            rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        except ValueError:
+            continue
+        u, v = rows["u"], rows["v"]
+        w = rows["w"] if "w" in dtype.names else np.ones(u.size)
+        if ((u >= 0) & (v >= 0) & (u != v) & (w > 0.0) & np.isfinite(w)).all():
+            return u, v, w
+        return None
+    return None
+
+
+def _load_lines(text: str) -> WeightedGraph:
+    """Parse text line by line: the reference grammar of the edge-list
+    format, and the reader that names a bad line."""
     edges: list[tuple[int, int, float]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -132,3 +133,12 @@ class TestGenPlanted:
         inst = gen_planted(40, 0.1, 5, seed=4)
         g2 = load_graph(io.StringIO(dumps_graph(inst.graph)))
         assert g2 == inst.graph
+
+    @pytest.mark.parametrize("args, digest", [
+        ((60, 0.05, 6, 9), "30c826c1e8bef23b1957f6be67832da86f06030cb88552b66aec206244949426"),
+        ((1000, 0.05, 8, 1), "99fee29a6a194dc66905708a5b9d437017dba5e4009eeb2d9c9124cc63a635b9"),
+        ((500, 0.2, 3, 4), "bd9b6409b8336de025e49177d80ad3da5cff083bbd8f7ba56a0299b83a8cfe2f"),
+    ])
+    def test_instances_pinned(self, args, digest):
+        text = dumps_graph(gen_planted(*args).graph)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

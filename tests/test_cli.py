@@ -159,6 +159,9 @@ class TestHostileInput:
         (["tradeoff", "--b", "inf"], None, 2),
         (["tradeoff", "--b", "2", "--b", "nan"], None, 2),
         (["tradeoff", "--b", "2", "--b", "1e300"], None, 2),
+        # The file slot holds a graph: one large id, refused before allocating.
+        (["solve", "--algo", "greedy", "--in", "{part}", "--seed", "1"],
+         "0 1000000000\n", 1),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):

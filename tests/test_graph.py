@@ -1,10 +1,13 @@
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rwcut import graph as graph_module
 from rwcut.errors import InvalidInputError, ParseError, ResourceError
 from rwcut.graph import (
     EVEN,
@@ -88,6 +91,151 @@ class TestLoad:
         g = make_graph(5, [(0, 1, 1e12), (2, 3, 0.1), (3, 4, 0.2)])
         assert g.degrees[3] == 0.1 + 0.2
         assert g.degrees[2] == 0.1
+
+    def test_one_large_id_allocates_nothing_of_its_size(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="too large for 1 edges"):
+                load_graph(io.StringIO("0 1000000000\n"))
+            with pytest.raises(ResourceError, match="too large for 1 edges"):
+                WeightedGraph.from_edges(10**9, [(0, 1, 1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
+    def test_vertex_count_bound(self):
+        n = 2 * 2 + 2**20
+        g = WeightedGraph.from_edges(n, [(0, 1, 1.0), (n - 2, n - 1, 1.0)])
+        assert g.n == n and g.degrees[n - 1] == 1.0
+        with pytest.raises(ResourceError, match="at most 2 \\* edges \\+ 1048576"):
+            WeightedGraph.from_edges(n + 1, [(0, 1, 1.0), (n - 2, n - 1, 1.0)])
+
+    @pytest.mark.parametrize("text", ["0 1 2.5\n1 2 0.5\n0 1 1e-3\n",
+                                      "# c\n0 1\r\n\n1 2  # c\r\n",
+                                      "\t3 1 +7 \n"])
+    def test_plain_files_skip_the_line_reader(self, monkeypatch, text):
+        expected = graph_module._load_lines(text)
+
+        def refuse(_):
+            raise AssertionError("line reader used")
+
+        monkeypatch.setattr(graph_module, "_load_lines", refuse)
+        assert load_graph(io.StringIO(text)) == expected
+
+    @pytest.mark.parametrize("text", ["", "\n \t\n", "# only\n", "  # c\r\n#\n"])
+    def test_no_edges_is_the_empty_graph_without_warnings(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_graph(io.StringIO(text))
+        assert g.n == 0
+
+
+def _reference_load(text):
+    """The line-by-line edge-list reader, as load_graph ran before it read
+    whole columns with numpy: the reference for accepted graphs and error
+    messages."""
+    edges = []
+    max_id = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if u < 0 or v < 0:
+            raise ParseError(f"line {lineno}: negative vertex id")
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop {u}-{v} (laziness is implicit)")
+        if not np.isfinite(w):
+            raise ParseError(f"line {lineno}: non-finite weight {w}")
+        if not (w > 0.0):
+            raise ParseError(f"line {lineno}: non-positive weight {w}")
+        max_id = max(max_id, u, v)
+        edges.append((u, v, w))
+    return WeightedGraph.from_edges(max_id + 1, edges)
+
+
+def _outcome(load, text):
+    try:
+        g = load(text)
+    except (ParseError, ResourceError) as exc:
+        return type(exc).__name__, str(exc)
+    return g.n, g.indptr.tolist(), g.nbr.tolist(), g.wt.tolist()
+
+
+_PLAIN_ID = st.integers(0, 43).map(lambda k: str(k) if k <= 40 else ["+2", "007", "-0"][k - 41])
+_PLAIN_WEIGHT = st.one_of(st.floats(1e-3, 1e3).map(repr),
+                          st.sampled_from(["1", ".5", "5.", "+1e3", "2E-1", "3"]))
+_ODD_FIELD = st.one_of(
+    st.text("0123456789-+_.e", min_size=1, max_size=6),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1e-400", "0", "-1", "\u0663",
+                     str(2**20 + 5), str(10**9), str(2**63 - 1), str(2**63),
+                     str(-(2**63) - 1), str(10**30)]),
+)
+_PLAIN_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+_ODD_SPACE = st.sampled_from(["\x0c", "\x1c", "\x85", "\u2028", "\xa0"])
+_PLAIN_BREAK = st.sampled_from(["\n", "\r\n"])
+_ODD_BREAK = st.sampled_from(["\r", "\x0c", "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge lists, half of them plain; the others mix in odd fields, spaces,
+    line breaks and widths, each at its own rate."""
+    noisy = draw(st.booleans())
+
+    def pick(plain, odd):
+        rate = draw(st.sampled_from([0.0, 0.1, 0.5])) if noisy else 0.0
+        return lambda: draw(odd if draw(st.floats(0, 1)) < rate else plain)
+
+    ident, weight = pick(_PLAIN_ID, _ODD_FIELD), pick(_PLAIN_WEIGHT, _ODD_FIELD)
+    space, brk = pick(_PLAIN_SPACE, _ODD_SPACE), pick(_PLAIN_BREAK, _ODD_BREAK)
+    width = pick(st.just(draw(st.sampled_from([2, 3]))), st.sampled_from([1, 2, 3, 4]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge"] * 4 + ["blank", "comment"]))
+        line = draw(st.sampled_from(["", "", " ", "\t"]))
+        if kind == "edge":
+            fields = [ident() if k < 2 else weight() for k in range(width())]
+            line += space().join(fields)
+            if draw(st.booleans()):
+                line += space()
+        if kind == "comment" or draw(st.integers(0, 4)) == 0:
+            line += "#" + weight()
+        lines.append(line + brk())
+    return "".join(lines)
+
+
+class TestReaderMatchesLineReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_edge_list_texts())
+    @example("0 1 2\n1 2\n")
+    @example("1_0 2 3\n")
+    @example("0 1 1_0.5\n")
+    @example("\u0663 1 2\n")
+    @example("0 1\x0c1 2\n")
+    @example("0 1 2\u2028\n")
+    @example("0\xa01 2\n")
+    @example("0 1\r1 2\r")
+    @example("0 1\r\n-1 2\r\n")
+    @example("0 1 2\n1 1 2\n")
+    @example("0 1 nan\n")
+    @example("0 1 0\n")
+    @example("0 1 1e400\n")
+    @example("0 9223372036854775808\n")
+    def test_same_graph_or_same_error(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda t: load_graph(io.StringIO(t)), text)
+        assert got == _outcome(_reference_load, text)
 
 
 class TestInduced:
