@@ -397,18 +397,12 @@ def dumps_graph(g: WeightedGraph) -> str:
 def write_partition(left, n: int, target) -> None:
     """Partition file: one ``vertex_id L|R`` line per vertex."""
     left_set = set(int(v) for v in left)
-    own = False
+    text = "".join([f"{v} {'L' if v in left_set else 'R'}\n" for v in range(n)])
     if hasattr(target, "write"):
-        fh = target
+        target.write(text)
     else:
-        fh = open(target, "w", encoding="utf-8")
-        own = True
-    try:
-        for v in range(n):
-            fh.write(f"{v} {'L' if v in left_set else 'R'}\n")
-    finally:
-        if own:
-            fh.close()
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def read_partition(source, n: int | None = None) -> frozenset[int]:

@@ -98,6 +98,10 @@ class SolveReport:
     seed: int = 0
     n: int = 0
     m: float = 0.0
+    # Which component produced the returned cut, "walks" or "greedy", and the
+    # cut the solver reached before the greedy comparison.
+    winner: str = "walks"
+    walk_cut_value: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -108,6 +112,8 @@ class SolveReport:
             "cut_value": self.cut_value,
             "total_walks": self.total_walks,
             "levels": self.levels,
+            "winner": self.winner,
+            "walk_cut_value": self.walk_cut_value,
         }, sort_keys=True)
 
 
@@ -294,6 +300,7 @@ def simple_solve(
             best_value = value
             best_side = side
         r += 1
+    walk_value = best_value
     greedy_left = greedy_cut(g)
     greedy_value = cut_value(g, greedy_left)
     if greedy_value > best_value:
@@ -305,6 +312,8 @@ def simple_solve(
     return SolveReport(
         left=left,
         cut_value=best_value,
+        winner="greedy" if greedy_value > walk_value else "walks",
+        walk_cut_value=walk_value,
         levels=ctx.levels,
         total_walks=ctx.walks,
         wall_time=time.perf_counter() - t0,
@@ -502,6 +511,7 @@ def balance_solve(
         threads=threads,
     )
     value = cut_value(g, np.nonzero(side == EVEN)[0])
+    walk_value = value
     greedy_left = greedy_cut(g)
     greedy_value = cut_value(g, greedy_left)
     if greedy_value > value:
@@ -513,6 +523,8 @@ def balance_solve(
     return SolveReport(
         left=left,
         cut_value=value,
+        winner="greedy" if greedy_value > walk_value else "walks",
+        walk_cut_value=walk_value,
         levels=ctx.levels,
         total_walks=ctx.walks,
         wall_time=time.perf_counter() - t0,

@@ -2,9 +2,14 @@ import hashlib
 import io
 import json
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rwcut import bench
 from rwcut.bench import (
     brute_force_maxcut,
     gen_planted,
@@ -70,6 +75,101 @@ class TestGreedy:
         rng = np.random.default_rng(3)
         g = random_graph(20, 0.3, rng)
         assert greedy_cut(g) == greedy_cut(g)
+
+
+def _reference_greedy(g):
+    """greedy_cut as one loop over the vertices: the rule the waves keep."""
+    order = np.lexsort((np.arange(g.n), -g.degrees))
+    side = np.zeros(g.n, dtype=np.int8)
+    for v in order.tolist():
+        nb, wt = g.neighbors(v)
+        sv = side[nb]
+        to_left = float(wt[sv == -1].sum())   # cut weight if v goes left
+        to_right = float(wt[sv == 1].sum())
+        side[v] = 1 if to_left >= to_right else -1
+    return frozenset(int(v) for v in np.nonzero(side == 1)[0])
+
+
+def _assert_greedy_is_reference(g):
+    ref = _reference_greedy(g)
+    assert greedy_cut(g) == ref
+    # Every wave placed as a wave, however small.
+    with mock.patch.object(bench, "_SCALAR_WAVE", 1):
+        assert greedy_cut(g) == ref
+
+
+_FRACTIONS = [0.1, 0.2, 0.3, 0.7]
+
+
+@st.composite
+def _greedy_graphs(draw):
+    """Sparse to dense graphs with unit weights (many equal degrees) or
+    weights in _FRACTIONS (sums that round differently by order), plus
+    isolated vertices."""
+    n = draw(st.integers(0, 60))
+    p = draw(st.sampled_from([0.05, 0.15, 0.5, 0.9]))
+    fractional = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    w = rng.choice(_FRACTIONS, int(keep.sum())) if fractional else np.ones(int(keep.sum()))
+    return WeightedGraph.from_arrays(n + draw(st.integers(0, 4)), u[keep], v[keep], w)
+
+
+def _path(n):
+    return WeightedGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+def _grid(k):
+    ids = np.arange(k * k).reshape(k, k)
+    u = np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel()))
+    v = np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel()))
+    return WeightedGraph.from_arrays(k * k, u, v, np.ones(u.size))
+
+
+def _near_tie_copies(copies):
+    """Disjoint copies of a graph whose last vertex x sees a tie that only
+    rounding breaks.  Hub h (Left) puts r, r+1 on the Right and hub h+1 on
+    the Right puts l..l+7 on the Left; x then weighs 0.7 + 0.1 against eight
+    0.1s, which one by one sum to 0.7999999999999999 and pairwise to 0.8.
+    Eight copies make every wave at least _SCALAR_WAVE wide."""
+    edges = []
+    for c in range(copies):
+        h, r, l, x = 13 * c, 13 * c + 2, 13 * c + 4, 13 * c + 12
+        edges += [(h, h + 1, 100.0), (h, r, 30.0), (h, r + 1, 30.0), (r, x, 0.7), (r + 1, x, 0.1)]
+        edges += [e for i in range(8) for e in ((h + 1, l + i, 5.0), (l + i, x, 0.1))]
+    return WeightedGraph.from_edges(13 * copies, edges)
+
+
+class TestGreedyWaves:
+    @settings(max_examples=300, deadline=None)
+    @given(_greedy_graphs())
+    def test_matches_one_at_a_time(self, g):
+        _assert_greedy_is_reference(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _path(300),
+        lambda: _grid(17),
+        lambda: gen_planted(1000, 0.05, 8, seed=1).graph,
+        lambda: _near_tie_copies(8),
+    ], ids=["path", "grid", "planted", "near-tie"])
+    def test_matches_one_at_a_time_on(self, make):
+        _assert_greedy_is_reference(make())
+
+    def test_near_tie_premise(self):
+        # numpy sums eight 0.1s pairwise; a wave's bincount adds one by one.
+        assert np.full(8, 0.1).sum() == 0.8 != sum([0.1] * 8)
+        assert 12 not in _reference_greedy(_near_tie_copies(8))
+
+    @pytest.mark.parametrize("args, digest", [
+        ((60, 0.05, 6, 9), "7dd8c8a05644dcf955a4d62927e0f03ec9e90ce033609b14aa5096725b8340f0"),
+        ((1000, 0.05, 8, 1), "546af6ba157b9c49c2dbcc73968fc216895726f0125f0f0c0016de236b375281"),
+        ((500, 0.2, 3, 4), "da455715da8b38065e53aa4933813a657478ae74d4a939dd840587a89351c96b"),
+    ])
+    def test_planted_partitions_pinned(self, args, digest):
+        left = greedy_cut(gen_planted(*args).graph)
+        text = " ".join(map(str, sorted(left)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRandomCut:

@@ -43,6 +43,15 @@ class TestSolve:
         assert len(lines) == 3
         assert all(line.split()[1] in ("L", "R") for line in lines)
 
+    @pytest.mark.parametrize("algo", [["simple", "--mu", "1"],
+                                      ["balance", "--b", "2", "--mu1", "0.25"]])
+    def test_report_names_winner(self, triangle_file, capsys, algo):
+        rc = main(["solve", "--algo", *algo, "--in", triangle_file, "--seed", "1"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert report["winner"] == "walks"
+        assert report["walk_cut_value"] == report["cut_value"]
+
     def test_missing_file(self, capsys):
         rc = main(["solve", "--algo", "greedy", "--in", "/nonexistent.el",
                    "--seed", "1"])

@@ -371,6 +371,19 @@ class TestPartitionIO:
         assert buf.getvalue() == "0 L\n1 R\n2 L\n3 R\n"
         assert read_partition(io.StringIO(buf.getvalue())) == frozenset({0, 2})
 
+    def test_one_write(self, tmp_path):
+        calls = []
+
+        class Sink:
+            def write(self, text):
+                calls.append(text)
+
+        write_partition(frozenset({1, 7}), 3, Sink())  # 7 is not below n
+        assert calls == ["0 R\n1 L\n2 R\n"]
+        path = tmp_path / "p.txt"
+        write_partition([1], 3, str(path))
+        assert path.read_text() == calls[0]
+
     @pytest.mark.parametrize("text", ["0 L\n3 R\n", "-1 L\n0 R\n"])
     def test_ids_outside_n_rejected(self, text):
         with pytest.raises(ParseError, match="line [12]: vertex -?[13] out of range"):

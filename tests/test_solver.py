@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -251,6 +252,26 @@ class TestBalanceSolve:
         rep = balance_solve(inst.graph, 2.0, 0.25, seed=4,
                             find_step_budget=200_000)
         assert rep.cut_value == pytest.approx(cut_value(inst.graph, rep.left))
+
+
+class TestAttribution:
+    def test_greedy_wins_planted(self):
+        g = gen_planted(1000, 0.05, 8, seed=1).graph
+        rep = simple_solve(g, 1.0, seed=3, find_step_budget=300_000)
+        assert rep.winner == "greedy"
+        assert rep.walk_cut_value < rep.cut_value == cut_value(g, greedy_cut(g))
+
+    @pytest.mark.parametrize("solve", [
+        lambda g: simple_solve(g, 1.0, seed=3),
+        lambda g: balance_solve(g, 2.0, 0.25, seed=3),
+    ], ids=["simple", "balance"])
+    def test_walks_win_triangle(self, triangle, solve):
+        rep = solve(triangle)
+        assert rep.winner == "walks"
+        assert rep.walk_cut_value == rep.cut_value == pytest.approx(2 / 3)
+        report = json.loads(rep.to_json())
+        assert report["winner"] == "walks"
+        assert report["walk_cut_value"] == rep.walk_cut_value
 
 
 class TestTradeoff:
