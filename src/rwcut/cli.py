@@ -66,14 +66,13 @@ def _solve_once(g, args, seed):
         report = solver.simple_solve(
             g, args.mu, seed=seed, gamma=args.gamma, delta=args.delta,
             kappa=args.kappa, find_step_budget=args.find_steps,
-            threads=args.threads,
         )
         return report.left, report
     if args.algo == "balance":
         report = solver.balance_solve(
             g, args.b, args.mu1, eps1=args.eps1, seed=seed, gamma=args.gamma,
             delta=args.delta, kappa=args.kappa,
-            find_step_budget=args.find_steps, threads=args.threads,
+            find_step_budget=args.find_steps,
         )
         return report.left, report
     if args.algo == "trevisan":
@@ -162,8 +161,7 @@ def cmd_tradeoff(args) -> int:
 def cmd_cutbound(args) -> int:
     seed = _resolve_seed(args)
     g = _load(args.infile)
-    res = localcut.cut_or_bound(g, args.start, args.tau, args.zeta, seed=seed,
-                                threads=args.threads)
+    res = localcut.cut_or_bound(g, args.start, args.tau, args.zeta, seed=seed)
     if isinstance(res, localcut.LowConductanceCut):
         print(json.dumps({
             "kind": "cut", "conductance": res.conductance,
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (auto-generated and logged if absent)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are thread-count independent")
+                       help="accepted and ignored: walks run in the calling thread")
 
     ps = sub.add_parser("solve", help="partition a graph", formatter_class=fmt)
     common(ps)

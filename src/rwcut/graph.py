@@ -588,9 +588,6 @@ class Tripartition:
     def cut(self) -> float:
         return self.good + self.cross / 2.0
 
-    def metrics(self) -> CutMetrics:
-        return CutMetrics(good=self.good, cross=self.cross, inc=self.inc)
-
     def even_vertices(self) -> np.ndarray:
         return np.nonzero(self.side == EVEN)[0]
 

@@ -125,7 +125,6 @@ def cut_or_bound(
     tau: float,
     zeta: float,
     seed: int,
-    threads: int = 1,
     max_walk_steps: int | None = None,
 ) -> CutOrBoundResult:
     """Find a low conductance cut near start or certify spread-out walks.
@@ -158,7 +157,7 @@ def cut_or_bound(
         w = max(1, min(w, max_walk_steps // max(ell, 1)))
     b = int(math.ceil(ell / (2.0 * (1.0 - 2.0 * phi) * alpha)))
     cfg = WalkConfig(length=ell, walks=w, record_per_length=True, seed=seed)
-    tally = run_walks(g, start, cfg, threads=threads)
+    tally = run_walks(g, start, cfg)
     two_m = 2.0 * m
     for l in range(ell + 1):
         ev, od = tally.counts_at(l)

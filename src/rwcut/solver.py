@@ -1,9 +1,11 @@
-"""End-to-end recursive solvers and the runtime/quality tradeoff numerics.
+"""End-to-end level-loop solvers and the runtime/quality tradeoff numerics.
 
 simple_solve sweeps an assumed-deficit schedule, classifying vertices with
-the threshold search and recursing on the unclassified remainder;
-balance_solve first tries to peel off low conductance blocks so that the
-walk estimates inside what remains come with a certified probability bound.
+the threshold search and handing the unclassified remainder to the next
+level; balance_solve first tries to peel off low conductance blocks so that
+the walk estimates inside what remains come with a certified probability
+bound.  Each solver is one loop over levels, carrying the current induced
+graph and its root ids.
 Both return the better of what they found and a deterministic greedy
 fallback, so no run is ever worse than the half-weight guarantee.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -93,7 +94,6 @@ class SolveReport:
     cut_value: float
     levels: list = field(default_factory=list)
     total_walks: int = 0
-    wall_time: float = 0.0
     algorithm: str = ""
     seed: int = 0
     n: int = 0
@@ -119,42 +119,83 @@ class SolveReport:
 
 @dataclass
 class _Ctx:
-    """Mutable accounting shared across one solve's recursion."""
+    """One solve's knobs, set once, and its accounting across levels."""
 
+    gamma: float
+    delta: float
+    kappa: float
+    step_budget: int
+    probes: int | None
     walks: int = 0
     levels: list = field(default_factory=list)
 
+    def params(self, g: WeightedGraph, eps: float, mu: float,
+               alpha: float = 1.0) -> AlgoParams:
+        return AlgoParams.for_graph(g, eps, mu, alpha=alpha, gamma=self.gamma,
+                                    delta=self.delta, kappa=self.kappa,
+                                    step_budget=self.step_budget)
+
+    def probe_count(self, n: int) -> int:
+        if self.probes is not None:
+            return max(1, self.probes)
+        return max(2, min(8, math.ceil(math.log2(max(n, 2)))))
+
+
+def _side_of(n: int, left) -> np.ndarray:
+    """Side array with the vertices of left Even and the rest Odd."""
+    side = np.full(n, ODD, dtype=np.int8)
+    side[np.fromiter(left, dtype=np.int64, count=len(left))] = EVEN
+    return side
+
+
+def _random_side(n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.where(rng.random(n) < 0.5, EVEN, ODD).astype(np.int8)
+
+
+def _finish(g: WeightedGraph, side: np.ndarray, walk_value: float, ctx: _Ctx,
+            algorithm: str, seed: int) -> SolveReport:
+    """Report the walk side, or the greedy baseline when that cuts more."""
+    greedy_left = greedy_cut(g)
+    greedy_value = cut_value(g, greedy_left)
+    winner = "walks"
+    if greedy_value > walk_value:
+        side, winner = _side_of(g.n, greedy_left), "greedy"
+        ctx.levels.append({"branch": "fallback-greedy", "n": g.n})
+    return SolveReport(
+        left=frozenset(np.flatnonzero(side == EVEN).tolist()),
+        cut_value=max(greedy_value, walk_value),
+        winner=winner,
+        walk_cut_value=walk_value,
+        levels=ctx.levels,
+        total_walks=ctx.walks,
+        algorithm=algorithm,
+        seed=seed,
+        n=g.n,
+        m=g.total_weight,
+    )
+
 
 def _solve_small(g: WeightedGraph, ctx: _Ctx, depth: int) -> np.ndarray:
-    side = np.full(g.n, EVEN, dtype=np.int8)
     if g.total_weight == 0.0:
         ctx.levels.append({"branch": "isolated", "depth": depth, "n": g.n})
-        return side
+        return np.full(g.n, EVEN, dtype=np.int8)
     if g.n <= BRUTE_FORCE_MAX_N:
         _value, left = brute_force_maxcut(g)
         branch = "brute-force"
     else:
         left = greedy_cut(g)
         branch = "fallback-greedy"
-    side[:] = ODD
-    side[sorted(left)] = EVEN
     ctx.levels.append({"branch": branch, "depth": depth, "n": g.n})
-    return side
+    return _side_of(g.n, left)
 
 
 def _at_floor(g: WeightedGraph) -> bool:
     return g.n <= SMALL_N_FLOOR or g.edge_weight_total() <= SMALL_WEIGHT_FLOOR
 
 
-def _probe_count(n: int, override: int | None = None) -> int:
-    if override is not None:
-        return max(1, override)
-    return max(2, min(8, math.ceil(math.log2(max(n, 2)))))
-
-
 def _tripartition_level(g: WeightedGraph, starts, params: AlgoParams,
                         rng: np.random.Generator, ctx: _Ctx, depth: int,
-                        threads: int, **extra) -> tuple | None:
+                        **extra) -> tuple | None:
     """Probe find_threshold from each start until one succeeds.
 
     On success, orients the tripartition by a fair coin, logs the level
@@ -165,8 +206,7 @@ def _tripartition_level(g: WeightedGraph, starts, params: AlgoParams,
     """
     result = None
     for start in starts:
-        probe = find_threshold(g, start, params,
-                               seed=int(rng.integers(2**62)), threads=threads)
+        probe = find_threshold(g, start, params, seed=int(rng.integers(2**62)))
         ctx.walks += probe.walks
         if probe.success:
             result = probe
@@ -196,56 +236,38 @@ def _tripartition_level(g: WeightedGraph, starts, params: AlgoParams,
 # -- Simple -------------------------------------------------------------------
 
 
-def _simple_once(
-    g: WeightedGraph,
-    eps: float,
-    mu: float,
-    alpha: float,
-    rng: np.random.Generator,
-    ctx: _Ctx,
-    depth: int,
-    *,
-    gamma: float,
-    delta: float,
-    kappa: float,
-    step_budget: int,
-    probes: int | None = None,
-    threads: int = 1,
-) -> np.ndarray | None:
-    """One assumed-deficit pass; returns a side array or None on failure."""
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int8)
-    if _at_floor(g):
-        return _solve_small(g, ctx, depth)
-    if soto_fn(sigma_fn(min(eps, 1.0), mu)) == 0.5:
-        side = np.where(rng.random(g.n) < 0.5, EVEN, ODD).astype(np.int8)
-        ctx.levels.append({"branch": "random", "depth": depth, "n": g.n,
-                           "eps": eps})
-        return side
-    params = AlgoParams.for_graph(
-        g, eps, mu, alpha=alpha, gamma=gamma, delta=delta, kappa=kappa,
-        step_budget=step_budget,
-    )
-    starts = (sample_vertex_by_degree(g, rng)
-              for _ in range(_probe_count(g.n, probes)))
-    level = _tripartition_level(g, starts, params, rng, ctx, depth, threads,
-                                eps=eps)
-    if level is None:
-        return None
-    side, rest, xi = level
-    if rest.size == 0:
-        return side
-    eps_next = eps / xi if xi > 0.0 else 1.0
-    sub, ids = g.induced(rest)
-    rec = _simple_once(
-        sub, eps_next, mu, alpha, rng, ctx, depth + 1,
-        gamma=gamma, delta=delta, kappa=kappa, step_budget=step_budget,
-        probes=probes, threads=threads,
-    )
-    if rec is None:
-        return None
-    side[ids] = rec
-    return side
+def _simple_once(g: WeightedGraph, eps: float, mu: float, alpha: float,
+                 rng: np.random.Generator, ctx: _Ctx) -> np.ndarray | None:
+    """One assumed-deficit pass; returns a side array or None on failure.
+
+    Each level classifies part of the current induced graph and hands the
+    unclassified rest, with the deficit rescaled by 1/xi, to the next.
+    """
+    side = np.zeros(g.n, dtype=np.int8)
+    sub, ids = g, np.arange(g.n)
+    depth = 0
+    while True:
+        if _at_floor(sub):
+            side[ids] = _solve_small(sub, ctx, depth)
+            return side
+        if soto_fn(sigma_fn(min(eps, 1.0), mu)) == 0.5:
+            side[ids] = _random_side(sub.n, rng)
+            ctx.levels.append({"branch": "random", "depth": depth, "n": sub.n,
+                               "eps": eps})
+            return side
+        starts = (sample_vertex_by_degree(sub, rng)
+                  for _ in range(ctx.probe_count(sub.n)))
+        level = _tripartition_level(sub, starts, ctx.params(sub, eps, mu, alpha),
+                                    rng, ctx, depth, eps=eps)
+        if level is None:
+            return None
+        side[ids], rest, xi = level
+        if rest.size == 0:
+            return side
+        eps = eps / xi if xi > 0.0 else 1.0
+        sub, local = sub.induced(rest)
+        ids = ids[local]
+        depth += 1
 
 
 def simple_solve(
@@ -259,69 +281,39 @@ def simple_solve(
     alpha: float = 1.0,
     find_step_budget: int = 2_000_000,
     probes: int | None = None,
-    threads: int = 1,
 ) -> SolveReport:
     """Deficit-sweep solver: best cut over all assumed deficits.
 
-    Runs the recursive classification for eps_r with 1 - eps_r = (1-gamma)^r
-    spanning [1/2, 1]; a failed pass contributes a random cut.  The returned
-    partition is the best of the sweep and the deterministic greedy
-    baseline, so the result never drops below the half-weight guarantee.
+    Runs the level-by-level classification for eps_r with
+    1 - eps_r = (1-gamma)^r spanning [1/2, 1]; a failed pass contributes a
+    random cut.  The returned partition is the best of the sweep and the
+    deterministic greedy baseline, so the result never drops below the
+    half-weight guarantee.
     """
-    t0 = time.perf_counter()
-    ctx = _Ctx()
+    if g.n == 0:
+        return SolveReport(left=frozenset(), cut_value=0.0, algorithm="simple",
+                           seed=seed, n=0, m=0.0)
+    ctx = _Ctx(gamma, delta, kappa, find_step_budget, probes)
     best_side: np.ndarray | None = None
     best_value = -1.0
-    if g.n == 0:
-        report = SolveReport(left=frozenset(), cut_value=0.0, algorithm="simple",
-                             seed=seed, n=0, m=0.0)
-        return report
     r = 0
-    while True:
-        keep = (1.0 - gamma) ** r
-        if keep < 0.5:
-            break
+    while (keep := (1.0 - gamma) ** r) >= 0.5:
         eps_r = 1.0 - keep
         if r and _at_floor(g):  # pass 0 solved the floor-size g; repeat it
             ctx.levels.append(dict(ctx.levels[0]))
             r += 1
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        side = _simple_once(
-            g, eps_r, mu, alpha, rng, ctx, 0,
-            gamma=gamma, delta=delta, kappa=kappa,
-            step_budget=find_step_budget, probes=probes, threads=threads,
-        )
+        side = _simple_once(g, eps_r, mu, alpha, rng, ctx)
         if side is None:
-            side = np.where(rng.random(g.n) < 0.5, EVEN, ODD).astype(np.int8)
+            side = _random_side(g.n, rng)
             ctx.levels.append({"branch": "fail-random", "eps": eps_r, "n": g.n})
-        value = cut_value(g, np.nonzero(side == EVEN)[0])
+        value = cut_value(g, np.flatnonzero(side == EVEN))
         if value > best_value:
             best_value = value
             best_side = side
         r += 1
-    walk_value = best_value
-    greedy_left = greedy_cut(g)
-    greedy_value = cut_value(g, greedy_left)
-    if greedy_value > best_value:
-        best_value = greedy_value
-        best_side = np.full(g.n, ODD, dtype=np.int8)
-        best_side[sorted(greedy_left)] = EVEN
-        ctx.levels.append({"branch": "fallback-greedy", "n": g.n})
-    left = frozenset(int(v) for v in np.nonzero(best_side == EVEN)[0])
-    return SolveReport(
-        left=left,
-        cut_value=best_value,
-        winner="greedy" if greedy_value > walk_value else "walks",
-        walk_cut_value=walk_value,
-        levels=ctx.levels,
-        total_walks=ctx.walks,
-        wall_time=time.perf_counter() - t0,
-        algorithm="simple",
-        seed=seed,
-        n=g.n,
-        m=g.total_weight,
-    )
+    return _finish(g, best_side, best_value, ctx, "simple", seed)
 
 
 # -- Balance ------------------------------------------------------------------
@@ -346,124 +338,96 @@ def balance_params(b: float, mu1: float) -> tuple[float, float]:
     return tau, mu2
 
 
-def _crossing_weight(g: WeightedGraph, ids_a, side_a, ids_b, side_b) -> float:
-    """Cut weight of edges between two disjoint id groups under given sides."""
+def _balance_levels(g: WeightedGraph, tau: float, mu1: float, mu2: float,
+                    eps1: float, rng: np.random.Generator, ctx: _Ctx,
+                    cutbound_step_budget: int | None) -> np.ndarray:
+    """Peel blocks level by level, then stitch them; returns the side array.
+
+    A level either peels a low-conductance block, solves it with the
+    deficit-sweep solver and hands the rest to the next level, or ends the
+    loop (floor, random branch, greedy fallback), or classifies part of the
+    graph by one certified tripartition and hands on the unclassified rest.
+    Each block is then oriented, deepest first, to cut more weight against
+    the vertices that got their side at a later level.
+    """
     side = np.zeros(g.n, dtype=np.int8)
-    side[ids_a] = side_a
-    side[ids_b] = side_b
-    in_b = np.zeros(g.n, dtype=bool)
-    in_b[ids_b] = True
-    src, nbr, wt = _rows(g, ids_a)
-    return float(wt[in_b[nbr] & (side[nbr] != side[ids_a][src])].sum())
-
-
-def _balance_recurse(
-    g: WeightedGraph,
-    *,
-    tau: float,
-    mu1: float,
-    mu2: float,
-    eps1: float,
-    rng: np.random.Generator,
-    ctx: _Ctx,
-    depth: int,
-    gamma: float,
-    delta: float,
-    kappa: float,
-    step_budget: int,
-    probes: int | None,
-    cutbound_step_budget: int | None,
-    threads: int,
-) -> np.ndarray:
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int8)
-    if _at_floor(g):
-        return _solve_small(g, ctx, depth)
-    m = g.total_weight
-    alpha = m**-tau
-    probe_params = AlgoParams.for_graph(
-        g, eps1, mu1, gamma=gamma, delta=delta, kappa=kappa,
-        step_budget=step_budget,
-    )
-    zeta = math.log(m) / probe_params.ell
-    if zeta * tau > PSI_MAX:
-        zeta = PSI_MAX / tau if tau > 0 else zeta
-    starts = [sample_vertex_by_degree(g, rng)
-              for _ in range(_probe_count(g.n, probes))]
-    found: LowConductanceCut | None = None
-    for start in starts:
-        res = cut_or_bound(g, start, tau, zeta, seed=int(rng.integers(2**62)),
-                           threads=threads,
-                           max_walk_steps=cutbound_step_budget)
-        ctx.walks += res.walks
-        if isinstance(res, LowConductanceCut):
-            found = res
+    level_of = np.zeros(g.n, dtype=np.int64)  # level at which a vertex got its side
+    blocks = []  # (level, root ids) of each peeled block
+    sub, ids = g, np.arange(g.n)
+    depth = 0
+    while True:
+        level_of[ids] = depth
+        if _at_floor(sub):
+            side[ids] = _solve_small(sub, ctx, depth)
             break
-    if found is not None:
-        block = np.array(sorted(found.vertices), dtype=np.int64)
-        rest = np.array(sorted(set(range(g.n)) - set(found.vertices)),
-                        dtype=np.int64)
-        ctx.levels.append({
-            "branch": "low-conductance",
-            "depth": depth,
-            "n": g.n,
-            "block_size": int(block.size),
-            "conductance": found.conductance,
-        })
-        sub_b, ids_b = g.induced(block)
-        block_report = simple_solve(
-            sub_b, mu2, seed=int(rng.integers(2**62)), gamma=gamma,
-            delta=delta, kappa=kappa, find_step_budget=step_budget,
-            probes=probes, threads=threads,
-        )
-        ctx.walks += block_report.total_walks
-        ctx.levels.extend(
-            {**lvl, "depth": depth + 1, "within": "block"}
-            for lvl in block_report.levels
-        )
-        side_b = np.full(sub_b.n, ODD, dtype=np.int8)
-        side_b[sorted(block_report.left)] = EVEN
-        sub_r, ids_r = g.induced(rest)
-        side_r = _balance_recurse(
-            sub_r, tau=tau, mu1=mu1, mu2=mu2, eps1=eps1, rng=rng, ctx=ctx,
-            depth=depth + 1, gamma=gamma, delta=delta, kappa=kappa,
-            step_budget=step_budget, probes=probes,
-            cutbound_step_budget=cutbound_step_budget, threads=threads,
-        )
-        straight = _crossing_weight(g, ids_b, side_b, ids_r, side_r)
-        flipped = _crossing_weight(g, ids_b, -side_b, ids_r, side_r)
-        if flipped > straight:
-            side_b = -side_b
-        side = np.zeros(g.n, dtype=np.int8)
-        side[ids_b] = side_b
-        side[ids_r] = side_r
-        return side
-    # Every probe certified the spread-out bound: the classification walks
-    # may now assume max_j p_j / d_j <= 512 * alpha.
-    alpha_cert = min(1.0, 512.0 * alpha)
-    if soto_fn(sigma_fn(min(eps1, 1.0), mu1)) == 0.5:
-        ctx.levels.append({"branch": "random", "depth": depth, "n": g.n})
-        return np.where(rng.random(g.n) < 0.5, EVEN, ODD).astype(np.int8)
-    params = AlgoParams.for_graph(
-        g, eps1, mu1, alpha=alpha_cert, gamma=gamma, delta=delta, kappa=kappa,
-        step_budget=step_budget,
-    )
-    level = _tripartition_level(g, starts, params, rng, ctx, depth, threads)
-    if level is None:
-        side = np.full(g.n, ODD, dtype=np.int8)
-        side[sorted(greedy_cut(g))] = EVEN
-        ctx.levels.append({"branch": "fallback-greedy", "depth": depth,
-                           "n": g.n})
-        return side
-    side, rest, _xi = level
-    if rest.size:
-        sub, ids = g.induced(rest)
-        side[ids] = _balance_recurse(
-            sub, tau=tau, mu1=mu1, mu2=mu2, eps1=eps1, rng=rng, ctx=ctx,
-            depth=depth + 1, gamma=gamma, delta=delta, kappa=kappa,
-            step_budget=step_budget, probes=probes,
-            cutbound_step_budget=cutbound_step_budget, threads=threads,
-        )
+        m = sub.total_weight
+        zeta = math.log(m) / ctx.params(sub, eps1, mu1).ell
+        if zeta * tau > PSI_MAX:
+            zeta = PSI_MAX / tau if tau > 0 else zeta
+        starts = [sample_vertex_by_degree(sub, rng)
+                  for _ in range(ctx.probe_count(sub.n))]
+        found: LowConductanceCut | None = None
+        for start in starts:
+            res = cut_or_bound(sub, start, tau, zeta, seed=int(rng.integers(2**62)),
+                               max_walk_steps=cutbound_step_budget)
+            ctx.walks += res.walks
+            if isinstance(res, LowConductanceCut):
+                found = res
+                break
+        if found is not None:
+            block = np.array(sorted(found.vertices), dtype=np.int64)
+            ctx.levels.append({
+                "branch": "low-conductance",
+                "depth": depth,
+                "n": sub.n,
+                "block_size": int(block.size),
+                "conductance": found.conductance,
+            })
+            sub_b, _ = sub.induced(block)
+            block_report = simple_solve(
+                sub_b, mu2, seed=int(rng.integers(2**62)), gamma=ctx.gamma,
+                delta=ctx.delta, kappa=ctx.kappa, find_step_budget=ctx.step_budget,
+                probes=ctx.probes,
+            )
+            ctx.walks += block_report.total_walks
+            ctx.levels.extend(
+                {**lvl, "depth": depth + 1, "within": "block"}
+                for lvl in block_report.levels
+            )
+            side[ids[block]] = _side_of(sub_b.n, block_report.left)
+            blocks.append((depth, ids[block]))
+            keep = np.ones(sub.n, dtype=bool)
+            keep[block] = False
+            rest = np.flatnonzero(keep)
+        elif soto_fn(sigma_fn(min(eps1, 1.0), mu1)) == 0.5:
+            ctx.levels.append({"branch": "random", "depth": depth, "n": sub.n})
+            side[ids] = _random_side(sub.n, rng)
+            break
+        else:
+            # Every probe certified the spread-out bound: the classification
+            # walks may now assume max_j p_j / d_j <= 512 * m^-tau.
+            alpha_cert = min(1.0, 512.0 * m**-tau)
+            level = _tripartition_level(sub, starts,
+                                        ctx.params(sub, eps1, mu1, alpha_cert),
+                                        rng, ctx, depth)
+            if level is None:
+                side[ids] = _side_of(sub.n, greedy_cut(sub))
+                ctx.levels.append({"branch": "fallback-greedy", "depth": depth,
+                                   "n": sub.n})
+                break
+            side[ids], rest, _xi = level
+            if rest.size == 0:
+                break
+        sub, local = sub.induced(rest)
+        ids = ids[local]
+        depth += 1
+    # Every side is now +-1, so flipping a block turns differs into ~differs.
+    for k, block in reversed(blocks):
+        src, nbr, wt = _rows(g, block)
+        later = level_of[nbr] > k
+        differs = side[nbr] != side[block][src]
+        if wt[later & ~differs].sum() > wt[later & differs].sum():
+            side[block] = -side[block]
     return side
 
 
@@ -481,17 +445,16 @@ def balance_solve(
     find_step_budget: int = 2_000_000,
     probes: int | None = None,
     cutbound_step_budget: int | None = None,
-    threads: int = 1,
 ) -> SolveReport:
     """Block-peeling solver targeting sub-quadratic per-vertex work.
 
     Probes for low conductance blocks; each block found is solved by the
-    deficit-sweep solver and stitched onto the recursion's partition in the
-    orientation cutting more crossing weight.  When every probe certifies a
-    spread-out walk instead, one certified classification round runs before
-    recursing.  Output never falls below the greedy fallback.
+    deficit-sweep solver and later stitched onto the partition in the
+    orientation cutting more crossing weight.  Any number of blocks may be
+    peeled.  When every probe certifies a spread-out walk instead, one
+    certified classification round runs before the next level.  Output
+    never falls below the greedy fallback.
     """
-    t0 = time.perf_counter()
     tau, mu2_derived = balance_params(b, mu1)
     if mu2 is None:
         mu2 = mu2_derived
@@ -499,40 +462,14 @@ def balance_solve(
         eps1 = eps_bar(mu1)
     if not (0.0 < eps1 < 1.0):
         raise InvalidParamsError("eps1 must lie in (0, 1)")
-    ctx = _Ctx()
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="balance",
                            seed=seed, n=0, m=0.0)
+    ctx = _Ctx(gamma, delta, kappa, find_step_budget, probes)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xBA1A)))
-    side = _balance_recurse(
-        g, tau=tau, mu1=mu1, mu2=mu2, eps1=eps1, rng=rng, ctx=ctx, depth=0,
-        gamma=gamma, delta=delta, kappa=kappa, step_budget=find_step_budget,
-        probes=probes, cutbound_step_budget=cutbound_step_budget,
-        threads=threads,
-    )
-    value = cut_value(g, np.nonzero(side == EVEN)[0])
-    walk_value = value
-    greedy_left = greedy_cut(g)
-    greedy_value = cut_value(g, greedy_left)
-    if greedy_value > value:
-        value = greedy_value
-        side = np.full(g.n, ODD, dtype=np.int8)
-        side[sorted(greedy_left)] = EVEN
-        ctx.levels.append({"branch": "fallback-greedy", "n": g.n})
-    left = frozenset(int(v) for v in np.nonzero(side == EVEN)[0])
-    return SolveReport(
-        left=left,
-        cut_value=value,
-        winner="greedy" if greedy_value > walk_value else "walks",
-        walk_cut_value=walk_value,
-        levels=ctx.levels,
-        total_walks=ctx.walks,
-        wall_time=time.perf_counter() - t0,
-        algorithm="balance",
-        seed=seed,
-        n=g.n,
-        m=g.total_weight,
-    )
+    side = _balance_levels(g, tau, mu1, mu2, eps1, rng, ctx, cutbound_step_budget)
+    return _finish(g, side, cut_value(g, np.flatnonzero(side == EVEN)), ctx,
+                   "balance", seed)
 
 
 # -- tradeoff curve -----------------------------------------------------------

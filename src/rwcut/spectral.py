@@ -126,64 +126,46 @@ def _power_top_vector(g: WeightedGraph, rng: np.random.Generator, iters: int) ->
     return x
 
 
-def trevisan_baseline(
-    g: WeightedGraph, power_iters: int | None = None, seed: int = 0
-) -> frozenset:
-    """Recursive spectral partition used as a quality baseline.
+def trevisan_baseline(g: WeightedGraph, seed: int = 0) -> frozenset:
+    """Level-by-level spectral partition used as a quality baseline.
 
     Each level approximates the top eigenvector of the normalized Laplacian
-    by the power method (random start deflated against the stationary
-    direction), takes the best sweep-cut tripartition of D^{-1/2} x, commits
-    the side assignment that cuts more weight against already-placed
-    vertices, and recurses on the unclassified remainder.  When the sweep
+    by the power method (DEFAULT_POWER_ITER_FACTOR * ceil(log2 n) iterations
+    from a random start deflated against the stationary direction), takes
+    the best sweep-cut tripartition of D^{-1/2} x, commits the side
+    assignment that cuts more weight against already-placed vertices, and
+    hands the unclassified remainder to the next level.  When the sweep
     ratio drops to 1/2 the remainder is split greedily.
     """
-    rng = np.random.default_rng(seed)
-    side = np.zeros(g.n, dtype=np.int8)
-    _trevisan_recurse(g, np.arange(g.n), side, rng, power_iters, g)
-    return frozenset(int(v) for v in np.nonzero(side == EVEN)[0])
-
-
-def _trevisan_recurse(
-    g: WeightedGraph,
-    vertices: np.ndarray,
-    side: np.ndarray,
-    rng: np.random.Generator,
-    power_iters: int | None,
-    root: WeightedGraph,
-) -> None:
     from .bench import greedy_cut
 
-    if vertices.size == 0:
-        return
-    sub, ids = g.induced(vertices)
-    if sub.total_weight == 0.0:
-        side[ids] = EVEN
-        return
-    iters = power_iters
-    if iters is None:
+    rng = np.random.default_rng(seed)
+    side = np.zeros(g.n, dtype=np.int8)
+    ids = np.arange(g.n)
+    while ids.size:
+        sub, ids = g.induced(ids)
+        if sub.total_weight == 0.0:
+            side[ids] = EVEN
+            break
         iters = DEFAULT_POWER_ITER_FACTOR * max(1, math.ceil(math.log2(max(sub.n, 2))))
-    x = _power_top_vector(sub, rng, iters)
-    dinv_sqrt = np.where(sub.degrees > 0.0,
-                         1.0 / np.sqrt(np.where(sub.degrees > 0.0, sub.degrees, 1.0)),
-                         0.0)
-    y = dinv_sqrt * x
-    if not np.any(np.abs(y) > 0.0):
-        side[ids] = EVEN
-        return
-    sweep = sweep_cut_best(sub, y)
-    if sweep.ratio <= 0.5:
-        left_local = greedy_cut(sub)
-        pos = ids[sorted(left_local)]
-        neg = ids[sorted(set(range(sub.n)) - set(left_local))]
-        _commit_oriented(root, pos, neg, side)
-        return
-    pos = ids[sorted(sweep.positive)]
-    neg = ids[sorted(sweep.negative)]
-    _commit_oriented(root, pos, neg, side)
-    remaining = ids[[v for v in range(sub.n)
-                     if v not in sweep.positive and v not in sweep.negative]]
-    _trevisan_recurse(g, remaining, side, rng, power_iters, root)
+        x = _power_top_vector(sub, rng, iters)
+        dinv_sqrt = np.where(sub.degrees > 0.0,
+                             1.0 / np.sqrt(np.where(sub.degrees > 0.0, sub.degrees, 1.0)),
+                             0.0)
+        y = dinv_sqrt * x
+        if not np.any(np.abs(y) > 0.0):
+            side[ids] = EVEN
+            break
+        sweep = sweep_cut_best(sub, y)
+        if sweep.ratio <= 0.5:  # the greedy split places the whole remainder
+            pos = greedy_cut(sub)
+            neg = frozenset(range(sub.n)) - pos
+        else:
+            pos, neg = sweep.positive, sweep.negative
+        pos, neg = ids[sorted(pos)], ids[sorted(neg)]
+        _commit_oriented(g, pos, neg, side)
+        ids = np.setdiff1d(ids, np.concatenate((pos, neg)), assume_unique=True)
+    return frozenset(np.flatnonzero(side == EVEN).tolist())
 
 
 def _commit_oriented(root, pos, neg, side) -> None:

@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError
 from .graph import EVEN, ODD, Tripartition, UNCLASSIFIED, WeightedGraph
-from .walks import WalkAccumulator, WalkTally, signed_estimates
+from .walks import LENGTH_CAP, WalkAccumulator, WalkTally, signed_estimates
 
 SIGMA0 = 0.22815
+C_VOL = 1.0  # constant of the classified-volume floor
 
 
 def sigma_fn(eps: float, mu: float) -> float:
@@ -67,7 +68,8 @@ class AlgoParams:
     eps: assumed maxcut deficit; mu: runtime exponent knob; delta, gamma:
     slack constants; kappa: walk-count constant; alpha: certified bound on
     max_j p_j / d_j (1 when uncertified).  Derived on construction:
-    eps_prime = -ln(1-eps), the walk length ell, and sigma.
+    eps_prime = -ln(1-eps), the walk length ell (at most LENGTH_CAP), and
+    sigma.
 
     step_budget caps the sampled walk-steps one threshold search may spend;
     the search reports failure once the schedule would exceed it.
@@ -80,9 +82,7 @@ class AlgoParams:
     gamma: float = 0.05
     kappa: float = 8.0
     alpha: float = 1.0
-    c_vol: float = 1.0
     step_budget: int = 2_000_000
-    length_cap: int = 200
     eps_prime: float = field(init=False)
     ell: int = field(init=False)
     sigma: float = field(init=False)
@@ -104,7 +104,7 @@ class AlgoParams:
         raw = self.mu * math.log(4.0 * self.m / self.delta**2) / (
             2.0 * (self.delta + self.eps_prime)
         )
-        self.ell = max(1, min(int(math.ceil(raw)), self.length_cap))
+        self.ell = max(1, min(int(math.ceil(raw)), LENGTH_CAP))
         self.sigma = sigma_fn(self.eps, self.mu)
 
     @classmethod
@@ -148,14 +148,13 @@ class FindResult:
 
 
 def find_threshold(
-    g: WeightedGraph, start: int, params: AlgoParams, seed: int,
-    threads: int = 1,
+    g: WeightedGraph, start: int, params: AlgoParams, seed: int
 ) -> FindResult:
     """Descend thresholds t_r = (1-gamma)^r looking for a good tripartition.
 
     At each round the shared walk pool is topped up to walk_count(t_r) and
     classification re-runs; success requires cut >= soto(sigma) * inc
-    together with classified volume at least c_vol / (t_r^2 m^{1+mu} ln n).
+    together with classified volume at least C_VOL / (t_r^2 m^{1+mu} ln n).
     Returns a failed result after the last threshold, or earlier if the
     next round would exceed the step budget.
     """
@@ -163,7 +162,7 @@ def find_threshold(
         raise InvalidInputError("graph has no edges")
     m = g.total_weight
     quality_floor = soto_fn(params.sigma)
-    acc = WalkAccumulator(g, start, params.ell, seed, threads=threads)
+    acc = WalkAccumulator(g, start, params.ell, seed)
     part = Tripartition(g)
     t_min = params.gamma / m ** (1.0 + params.mu / 2.0)
     log_n = math.log(max(g.n, 2))
@@ -175,7 +174,7 @@ def find_threshold(
             break
         acc.extend_to(needed)
         threshold_classify(g, t, acc.tally(), part)
-        vol_floor = params.c_vol / (t * t * m ** (1.0 + params.mu) * log_n)
+        vol_floor = C_VOL / (t * t * m ** (1.0 + params.mu) * log_n)
         if (
             part.classified_count > 0
             and part.cut >= quality_floor * part.inc

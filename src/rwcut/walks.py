@@ -16,18 +16,16 @@ and each hop takes its neighbour from the row's alias table
 (parity, length, vertex) observations into the call's single int64 tally;
 ``even`` and ``odd`` are views of it.
 
-Reproducibility: walks are generated in fixed blocks of ``BLOCK_WALKS``.
-Block ``i`` draws all of its randomness from a generator seeded by
-``(seed, i)``, so the tally for a given (graph, start, length, seed,
-walk_count) is bit-identical no matter how blocks are scheduled across
-workers.  A trailing partial block draws for exactly its own walk count,
+Reproducibility: walks are generated, in the calling thread, in fixed
+blocks of ``BLOCK_WALKS``.  Block ``i`` draws all of its randomness from a
+generator seeded by ``(seed, i)``, so the tally for a given (graph, start,
+length, seed, walk_count) is bit-identical however the blocks are grouped
+into calls.  A trailing partial block draws for exactly its own walk count,
 which keeps the tally a pure function of the requested walk total.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +34,9 @@ from .errors import InvalidInputError, ResourceError
 from .graph import WeightedGraph
 
 BLOCK_WALKS = 4096
+# Guards against walk requests sized by outside input.
+LENGTH_CAP = 200
+STEP_CAP = 1_000_000_000
 
 # Guards for a single exact-DP call; the oracle is meant for n up to ~5000.
 _DP_CELL_BUDGET = 50_000_000
@@ -49,23 +50,17 @@ class WalkConfig:
     walks: int
     record_per_length: bool = False
     seed: int = 0
-    length_cap: int = 200
-    step_cap: int = 1_000_000_000
 
     def validate(self) -> None:
         if self.length < 0:
             raise InvalidInputError("walk length must be >= 0")
         if self.walks < 1:
             raise InvalidInputError("walk count must be >= 1")
-        if self.length > self.length_cap:
-            raise ResourceError(
-                f"walk length {self.length} exceeds cap {self.length_cap}"
-            )
+        if self.length > LENGTH_CAP:
+            raise ResourceError(f"walk length {self.length} exceeds cap {LENGTH_CAP}")
         steps = self.walks * max(self.length, 1)
-        if steps > self.step_cap:
-            raise ResourceError(
-                f"aggregate steps {steps} exceed cap {self.step_cap}"
-            )
+        if steps > STEP_CAP:
+            raise ResourceError(f"aggregate steps {steps} exceed cap {STEP_CAP}")
 
 
 @dataclass
@@ -89,15 +84,6 @@ class WalkTally:
         if l != self.length:
             raise InvalidInputError("tally only recorded at the final length")
         return self.even, self.odd
-
-    def dump(self, fh) -> None:
-        """Diagnostic text dump: vertex, length, even, odd."""
-        lengths = range(self.length + 1) if self.record_per_length else [self.length]
-        for l in lengths:
-            ev, od = self.counts_at(l)
-            for j in range(self.n):
-                if ev[j] or od[j]:
-                    fh.write(f"{j} {l} {int(ev[j])} {int(od[j])}\n")
 
 
 def _run_block(
@@ -152,28 +138,13 @@ def _run_block(
 
 
 def _add_blocks(g: WeightedGraph, start: int, length: int, seed: int,
-                blocks: list[tuple[int, int]], record: bool, threads: int,
+                blocks: list[tuple[int, int]], record: bool,
                 counts: np.ndarray) -> None:
     """Run (block index, walk count) blocks, adding each block's observations
-    into the (2, rows, n) tally counts as soon as that block finishes.
-
-    Integer addition commutes, so the totals do not depend on the order in
-    which the blocks finish.
-    """
-    lock = threading.Lock()
+    into the (2, rows, n) tally counts."""
     cells_of = counts.reshape(-1)
-
-    def run(block: tuple[int, int]) -> None:
-        cells = _run_block(g, start, length, seed, block[0], block[1], record)
-        with lock:
-            np.add.at(cells_of, cells, 1)
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
-    else:
-        for block in blocks:
-            run(block)
+    for index, count in blocks:
+        np.add.at(cells_of, _run_block(g, start, length, seed, index, count, record), 1)
 
 
 def run_walks(
@@ -181,9 +152,9 @@ def run_walks(
 ) -> WalkTally:
     """Run cfg.walks independent lazy walks of cfg.length from start.
 
-    Deterministic given (graph, start, cfg): identical results for any
-    thread count, because each fixed-size block derives its own generator
-    from (cfg.seed, block index) and tallies merge by integer summation.
+    Deterministic given (graph, start, cfg): each fixed-size block derives
+    its own generator from (cfg.seed, block index).  threads is accepted for
+    compatibility and ignored; the walks run in the calling thread.
     """
     cfg.validate()
     if not (0 <= start < g.n):
@@ -193,7 +164,7 @@ def run_walks(
     rows = cfg.length + 1 if cfg.record_per_length else 1
     counts = np.zeros((2, rows, g.n), dtype=np.int64)
     _add_blocks(g, start, cfg.length, cfg.seed, blocks, cfg.record_per_length,
-                threads, counts)
+                counts)
     if not cfg.record_per_length:
         counts = counts[:, 0]
     return WalkTally(
@@ -214,15 +185,13 @@ class WalkAccumulator:
     tally of ``run_walks`` with ``walks=w`` exactly.
     """
 
-    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int,
-                 threads: int = 1):
+    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int):
         if not (0 <= start < g.n):
             raise InvalidInputError(f"start vertex {start} out of range")
         self.g = g
         self.start = start
         self.length = length
         self.seed = seed
-        self.threads = threads
         self.walks = 0
         self.steps_sampled = 0
         self._full_blocks = 0
@@ -243,11 +212,10 @@ class WalkAccumulator:
         target_full, tail = divmod(walks, BLOCK_WALKS)
         full = [(bi, BLOCK_WALKS) for bi in range(self._full_blocks, target_full)]
         _add_blocks(self.g, self.start, self.length, self.seed, full, False,
-                    self.threads, self._full)
+                    self._full)
         self._tail = np.zeros_like(self._full)
         _add_blocks(self.g, self.start, self.length, self.seed,
-                    [(target_full, tail)] if tail else [], False, self.threads,
-                    self._tail)
+                    [(target_full, tail)] if tail else [], False, self._tail)
         self._full_blocks = target_full
         self.steps_sampled += (len(full) * BLOCK_WALKS + tail) * max(self.length, 1)
         self.walks = walks

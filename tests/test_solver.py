@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -252,6 +253,58 @@ class TestBalanceSolve:
         rep = balance_solve(inst.graph, 2.0, 0.25, seed=4,
                             find_step_budget=200_000)
         assert rep.cut_value == pytest.approx(cut_value(inst.graph, rep.left))
+
+    def test_many_tiny_blocks(self):
+        # Probes keep peeling blocks of 3-10 vertices: 1,170 levels of one
+        # block each, far deeper than Python's recursion limit.
+        k = 1500
+        edges = [(3 * i + a, 3 * i + b, 1.0)
+                 for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
+        g = WeightedGraph.from_edges(3 * k, edges)
+        rep = balance_solve(g, 2.0, 0.25, seed=42, find_step_budget=20_000,
+                            cutbound_step_budget=5_000, probes=1)
+        assert rep.cut_value == pytest.approx(2 / 3)
+        assert rep.cut_value == cut_value(g, rep.left)
+        blocks = [l for l in rep.levels if l["branch"] == "low-conductance"]
+        assert len(blocks) > 1000
+
+
+# SHA-256 of to_json() for fixed seeds, recorded before the solvers' levels
+# became loops; a change here is a change of fixed-seed output.
+GOLDEN_REPORTS = {
+    ((60, 0.05, 6, 9), 42, "simple"):
+        "6a5dae7983ea8c48507e9484947c0e4e66777d706b7587a2498cd03bcda87d96",
+    ((60, 0.05, 6, 9), 42, "balance"):
+        "6851fdfbc5527ef3c502a0f9fa5dd8c1ca945f317b95a5d5fe3ec3e44010403c",
+    ((60, 0.05, 6, 9), 7, "simple"):
+        "9952e2c7c9843f1e19456299a4a8e55c193245e7f55ea46b5460fb604667fdda",
+    ((60, 0.05, 6, 9), 7, "balance"):
+        "9c2245fb0f816ef044d5f8eec6981fa46c1a6f334593338ffe5b793f243a75f0",
+    ((1000, 0.05, 8, 101000), 42, "simple"):
+        "50727d8b4859740fdffe6ad9c35077c9f6c54a8182eacd523252c9cddbbdfc0d",
+    ((1000, 0.05, 8, 101000), 42, "balance"):
+        "f2333869585c1c8d9a882543b04ac3cbc057093c6ca6eaac4ae8c73bb0888224",
+    ((1000, 0.05, 8, 101000), 7, "simple"):
+        "83a3447511179e945fc8242a55399f9ffd940cdf7099c128cff121dd3feba6bc",
+    ((1000, 0.05, 8, 101000), 7, "balance"):
+        "17654f6a921b3350f2e92eb08f7a3e81b4db650e6df2b33c0464a2f12ac9aafe",
+}
+
+
+@pytest.mark.parametrize("planted", [(60, 0.05, 6, 9), (1000, 0.05, 8, 101000)],
+                         ids=["n60", "n1000"])
+def test_golden_reports(planted):
+    g = gen_planted(*planted).graph
+    for seed in (42, 7):
+        reports = {
+            "simple": simple_solve(g, 1.0, seed=seed),
+            "balance": balance_solve(g, 2.0, 0.25, seed=seed,
+                                     find_step_budget=150_000, probes=3,
+                                     cutbound_step_budget=100_000),
+        }
+        for algo, rep in reports.items():
+            digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+            assert digest == GOLDEN_REPORTS[(planted, seed, algo)], (seed, algo)
 
 
 class TestAttribution:

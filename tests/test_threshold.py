@@ -7,6 +7,7 @@ from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, InvalidParamsError
 from rwcut.graph import EVEN, ODD, Tripartition, cut_metrics
 from rwcut.threshold import (
+    C_VOL,
     SIGMA0,
     AlgoParams,
     find_threshold,
@@ -144,7 +145,7 @@ class TestFindThreshold:
                 # postcondition recheck from scratch
                 assert ref.cut >= soto_fn(params.sigma) * ref.inc - 1e-9
                 m = g.total_weight
-                vol_floor = params.c_vol / (
+                vol_floor = C_VOL / (
                     res.threshold**2 * m ** (1 + params.mu) * math.log(g.n)
                 )
                 assert part.classified_volume >= vol_floor
