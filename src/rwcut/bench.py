@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,9 @@ from .errors import InvalidParamsError, ResourceError
 from .graph import WeightedGraph, _rows, cut_value
 
 BRUTE_FORCE_MAX_N = 22
+# gen_planted builds its edge set one Python int at a time, at about 250
+# bytes of peak memory and 6 us per edge, so larger targets are refused.
+PLANTED_EDGE_CAP = 5_000_000
 _MASK_CHUNK = 1 << 14
 # greedy_cut places waves below this size one vertex at a time: a wave's
 # fixed numpy cost is about that of eight per-vertex decisions.
@@ -143,15 +147,19 @@ def gen_planted(
     Half the vertices are assigned to each side; edges are sampled with
     endpoints crossing the planted cut with probability 1 - target_eps and
     falling inside one side otherwise, resampling duplicates, until
-    n * avg_degree / 2 distinct unit-weight edges exist.
+    n * avg_degree / 2 distinct unit-weight edges exist.  Refuses a target
+    above PLANTED_EDGE_CAP edges with ResourceError.
     """
     if n < 4 or n % 2 != 0:
         raise InvalidParamsError("n must be even and at least 4")
     if not (0.0 <= target_eps < 0.5):
         raise InvalidParamsError("target_eps must be in [0, 0.5)")
-    if avg_degree < 1.0:
-        raise InvalidParamsError("avg_degree must be at least 1")
-    target_edges = int(round(n * avg_degree / 2.0))
+    if not 1.0 <= avg_degree < math.inf:  # also refuses nan
+        raise InvalidParamsError("avg_degree must be finite and at least 1")
+    target = n * avg_degree / 2.0
+    if target > PLANTED_EDGE_CAP:
+        raise ResourceError(f"{target:g} edges requested, above cap {PLANTED_EDGE_CAP}")
+    target_edges = int(round(target))
     max_cross = (n // 2) ** 2
     max_within = 2 * (n // 2) * (n // 2 - 1) // 2
     if target_edges > max_cross + max_within:

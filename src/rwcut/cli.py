@@ -20,6 +20,7 @@ import numpy as np
 from . import bench, graph, localcut, solver, spectral
 from .errors import (InvalidInputError, InvalidParamsError, ParseError, ResourceError,
                      RwCutError)
+from .threshold import STEP_BUDGET
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -63,17 +64,12 @@ def _fail(msg: str, code: int) -> int:
 
 def _solve_once(g, args, seed):
     if args.algo == "simple":
-        report = solver.simple_solve(
-            g, args.mu, seed=seed, gamma=args.gamma, delta=args.delta,
-            kappa=args.kappa, find_step_budget=args.find_steps,
-        )
+        report = solver.simple_solve(g, args.mu, seed=seed,
+                                     find_step_budget=args.find_steps)
         return report.left, report
     if args.algo == "balance":
-        report = solver.balance_solve(
-            g, args.b, args.mu1, eps1=args.eps1, seed=seed, gamma=args.gamma,
-            delta=args.delta, kappa=args.kappa,
-            find_step_budget=args.find_steps,
-        )
+        report = solver.balance_solve(g, args.b, args.mu1, eps1=args.eps1, seed=seed,
+                                      find_step_budget=args.find_steps)
         return report.left, report
     if args.algo == "trevisan":
         return spectral.trevisan_baseline(g, seed=seed), None
@@ -203,10 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--b", type=float, default=2.0, help="balance work exponent")
     ps.add_argument("--mu1", type=float, default=0.25)
     ps.add_argument("--eps1", type=float, default=None)
-    ps.add_argument("--kappa", type=float, default=8.0)
-    ps.add_argument("--delta", type=float, default=0.05)
-    ps.add_argument("--gamma", type=float, default=0.05)
-    ps.add_argument("--find-steps", type=int, default=2_000_000,
+    ps.add_argument("--find-steps", type=int, default=STEP_BUDGET,
                     help="sampled-step budget per threshold search")
     ps.add_argument("--reps", type=int, default=1)
     ps.set_defaults(func=cmd_solve)

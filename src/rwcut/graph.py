@@ -186,7 +186,9 @@ class WeightedGraph:
 
     def induced(self, vertices) -> tuple["WeightedGraph", np.ndarray]:
         """Induced subgraph plus the new-id -> old-id map."""
-        ids = np.unique(_as_index_array(vertices, self.n))
+        member = np.zeros(self.n, dtype=bool)  # sorted unique ids without a sort
+        member[_as_index_array(vertices, self.n)] = True
+        ids = np.flatnonzero(member)
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[ids] = np.arange(ids.size)
         src, nbr, wt = _rows(self, ids)

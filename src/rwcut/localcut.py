@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParamsError
+from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, WeightedGraph, conductance, prefix_cut_metrics
-from .walks import WalkConfig, lazy_step, run_walks
+from .walks import LENGTH_CAP, WalkConfig, lazy_step, run_walks
 
 PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
 
 
-def solve_phi(psi: float, tol: float = 1e-12) -> float:
+def solve_phi(psi: float) -> float:
     """Invert -ln((sqrt(1-2*phi) + sqrt(1+2*phi)) / 2) = psi by bisection."""
     if not (0.0 <= psi <= PSI_MAX):
         raise InvalidInputError(f"psi must lie in [0, {PSI_MAX}]")
@@ -31,7 +31,7 @@ def solve_phi(psi: float, tol: float = 1e-12) -> float:
         return -math.log(0.5 * (math.sqrt(1.0 - 2.0 * phi) + math.sqrt(1.0 + 2.0 * phi)))
 
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) < psi:
             lo = mid
@@ -73,9 +73,7 @@ def build_ls_curve(g: WeightedGraph, p: np.ndarray) -> LSCurve:
     return LSCurve(x=xs[keep], y=ys[keep])
 
 
-def ls_chord_check(
-    g: WeightedGraph, p_prev: np.ndarray, S, slack: float = 1e-9
-) -> bool:
+def ls_chord_check(g: WeightedGraph, p_prev: np.ndarray, S) -> bool:
     """Verify the chord inequality for one exact lazy step from p_prev.
 
     With x = lazy volume of S and xh = min(x, 2m - x), checks
@@ -94,7 +92,7 @@ def ls_chord_check(
     else:
         phi = conductance(g, idx)
     rhs = 0.5 * (curve(x - 2.0 * phi * xh) + curve(x + 2.0 * phi * xh))
-    return lhs <= rhs + slack
+    return lhs <= rhs + 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,21 +132,24 @@ def cut_or_bound(
     length sweeps prefixes of the empirical count/degree ordering (padded
     with zero-count vertices) for a prefix of conductance below phi, where
     phi solves the chord-decay equation at psi = zeta * tau.  If no sweep
-    finds one, declares max_j p_j / (2 d_j) <= 256 * alpha, p being the
-    exact final-length distribution.
+    finds one, declares max_j p_j / (2 d_j) <= alpha_bound, a fixed multiple
+    of alpha, p being the exact final-length distribution.
     """
     if g.total_weight <= 0.0:
         raise InvalidInputError("graph has no edges")
     if not (0.0 <= tau < 1.0):
         raise InvalidParamsError("tau must lie in [0, 1)")
-    if zeta <= 0.0:
-        raise InvalidParamsError("zeta must be positive")
+    if not 0.0 < zeta < math.inf:  # also refuses nan
+        raise InvalidParamsError("zeta must be positive and finite")
     psi = zeta * tau
     if psi > PSI_MAX:
         raise InvalidParamsError(f"zeta * tau = {psi:g} exceeds {PSI_MAX}")
     m = g.total_weight
     alpha = m**-tau
-    ell = max(1, int(math.ceil(math.log(m) / zeta)))
+    length = math.log(m) / zeta
+    if length > LENGTH_CAP:  # checked before the walk count can overflow
+        raise ResourceError(f"walk length ln(m) / zeta = {length:g} exceeds cap {LENGTH_CAP}")
+    ell = max(1, int(math.ceil(length)))
     phi = solve_phi(psi)
     w = int(math.ceil(30.0 * ell * ell * math.log(max(g.n, 2)) / alpha))
     if max_walk_steps is not None:

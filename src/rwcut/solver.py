@@ -24,7 +24,8 @@ from .bench import BRUTE_FORCE_MAX_N, brute_force_maxcut, greedy_cut
 from .errors import InvalidParamsError
 from .graph import EVEN, ODD, WeightedGraph, _rows, cut_value, sample_vertex_by_degree
 from .localcut import PSI_MAX, LowConductanceCut, cut_or_bound
-from .threshold import AlgoParams, find_threshold, sigma_fn, soto_fn
+from .threshold import (GAMMA, SIGMA0, STEP_BUDGET, AlgoParams, find_threshold,
+                        sigma_fn, soto_fn)
 
 SMALL_N_FLOOR = 8
 SMALL_WEIGHT_FLOOR = 16.0
@@ -68,7 +69,7 @@ def h_fn(eps: float, mu: float) -> float:
         return soto_fn(sigma_fn(min(eps / z, 1.0), mu))
 
     points = []
-    denom = 1.0 - (1.0 - 0.22815) ** (mu / (1.0 + mu))
+    denom = 1.0 - (1.0 - SIGMA0) ** (mu / (1.0 + mu))
     if denom > 0.0:
         z_seam = eps / denom
         if zs < z_seam < 1.0:
@@ -119,11 +120,8 @@ class SolveReport:
 
 @dataclass
 class _Ctx:
-    """One solve's knobs, set once, and its accounting across levels."""
+    """One solve's budgets, set once, and its accounting across levels."""
 
-    gamma: float
-    delta: float
-    kappa: float
     step_budget: int
     probes: int | None
     walks: int = 0
@@ -131,8 +129,7 @@ class _Ctx:
 
     def params(self, g: WeightedGraph, eps: float, mu: float,
                alpha: float = 1.0) -> AlgoParams:
-        return AlgoParams.for_graph(g, eps, mu, alpha=alpha, gamma=self.gamma,
-                                    delta=self.delta, kappa=self.kappa,
+        return AlgoParams.for_graph(g, eps, mu, alpha=alpha,
                                     step_budget=self.step_budget)
 
     def probe_count(self, n: int) -> int:
@@ -236,7 +233,7 @@ def _tripartition_level(g: WeightedGraph, starts, params: AlgoParams,
 # -- Simple -------------------------------------------------------------------
 
 
-def _simple_once(g: WeightedGraph, eps: float, mu: float, alpha: float,
+def _simple_once(g: WeightedGraph, eps: float, mu: float,
                  rng: np.random.Generator, ctx: _Ctx) -> np.ndarray | None:
     """One assumed-deficit pass; returns a side array or None on failure.
 
@@ -257,7 +254,7 @@ def _simple_once(g: WeightedGraph, eps: float, mu: float, alpha: float,
             return side
         starts = (sample_vertex_by_degree(sub, rng)
                   for _ in range(ctx.probe_count(sub.n)))
-        level = _tripartition_level(sub, starts, ctx.params(sub, eps, mu, alpha),
+        level = _tripartition_level(sub, starts, ctx.params(sub, eps, mu),
                                     rng, ctx, depth, eps=eps)
         if level is None:
             return None
@@ -275,36 +272,34 @@ def simple_solve(
     mu: float,
     seed: int = 0,
     *,
-    gamma: float = 0.05,
-    delta: float = 0.05,
-    kappa: float = 8.0,
-    alpha: float = 1.0,
-    find_step_budget: int = 2_000_000,
+    find_step_budget: int = STEP_BUDGET,
     probes: int | None = None,
 ) -> SolveReport:
     """Deficit-sweep solver: best cut over all assumed deficits.
 
     Runs the level-by-level classification for eps_r with
-    1 - eps_r = (1-gamma)^r spanning [1/2, 1]; a failed pass contributes a
+    1 - eps_r = (1-GAMMA)^r spanning [1/2, 1]; a failed pass contributes a
     random cut.  The returned partition is the best of the sweep and the
     deterministic greedy baseline, so the result never drops below the
     half-weight guarantee.
     """
+    if not 0.0 < mu < math.inf:
+        raise InvalidParamsError(f"mu = {mu:g} must be positive and finite")
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="simple",
                            seed=seed, n=0, m=0.0)
-    ctx = _Ctx(gamma, delta, kappa, find_step_budget, probes)
+    ctx = _Ctx(find_step_budget, probes)
     best_side: np.ndarray | None = None
     best_value = -1.0
     r = 0
-    while (keep := (1.0 - gamma) ** r) >= 0.5:
+    while (keep := (1.0 - GAMMA) ** r) >= 0.5:
         eps_r = 1.0 - keep
         if r and _at_floor(g):  # pass 0 solved the floor-size g; repeat it
             ctx.levels.append(dict(ctx.levels[0]))
             r += 1
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-        side = _simple_once(g, eps_r, mu, alpha, rng, ctx)
+        side = _simple_once(g, eps_r, mu, rng, ctx)
         if side is None:
             side = _random_side(g.n, rng)
             ctx.levels.append({"branch": "fail-random", "eps": eps_r, "n": g.n})
@@ -324,13 +319,12 @@ def balance_params(b: float, mu1: float) -> tuple[float, float]:
     if not b > 1.5:
         raise InvalidParamsError(f"b = {b:g} must exceed 1.5")
     tau = 2.0 + mu1 - b
-    denom = 2.0 + mu1 - b
-    if denom <= 0.0 or not (0.0 <= tau < 1.0):
+    if not 0.0 < tau < 1.0:
         raise InvalidParamsError(
-            f"tau = {tau:g} outside [0, 1); pick mu1 in "
+            f"tau = {tau:g} outside (0, 1); pick mu1 in "
             f"({max(0.0, b - 2.0):g}, {min(b - 1.0, 2.0 * b - 3.0):g})"
         )
-    mu2 = (2.0 * b - mu1 - 3.0) / denom
+    mu2 = (2.0 * b - mu1 - 3.0) / tau
     if mu2 <= 0.0:
         raise InvalidParamsError(
             f"mu2 = {mu2:g} must be positive; pick mu1 below {2.0 * b - 3.0:g}"
@@ -360,34 +354,30 @@ def _balance_levels(g: WeightedGraph, tau: float, mu1: float, mu2: float,
         if _at_floor(sub):
             side[ids] = _solve_small(sub, ctx, depth)
             break
-        m = sub.total_weight
-        zeta = math.log(m) / ctx.params(sub, eps1, mu1).ell
+        zeta = math.log(sub.total_weight) / ctx.params(sub, eps1, mu1).ell
         if zeta * tau > PSI_MAX:
-            zeta = PSI_MAX / tau if tau > 0 else zeta
+            zeta = PSI_MAX / tau
         starts = [sample_vertex_by_degree(sub, rng)
                   for _ in range(ctx.probe_count(sub.n))]
-        found: LowConductanceCut | None = None
         for start in starts:
             res = cut_or_bound(sub, start, tau, zeta, seed=int(rng.integers(2**62)),
                                max_walk_steps=cutbound_step_budget)
             ctx.walks += res.walks
             if isinstance(res, LowConductanceCut):
-                found = res
                 break
-        if found is not None:
-            block = np.array(sorted(found.vertices), dtype=np.int64)
+        if isinstance(res, LowConductanceCut):
+            block = np.array(sorted(res.vertices), dtype=np.int64)
             ctx.levels.append({
                 "branch": "low-conductance",
                 "depth": depth,
                 "n": sub.n,
                 "block_size": int(block.size),
-                "conductance": found.conductance,
+                "conductance": res.conductance,
             })
             sub_b, _ = sub.induced(block)
             block_report = simple_solve(
-                sub_b, mu2, seed=int(rng.integers(2**62)), gamma=ctx.gamma,
-                delta=ctx.delta, kappa=ctx.kappa, find_step_budget=ctx.step_budget,
-                probes=ctx.probes,
+                sub_b, mu2, seed=int(rng.integers(2**62)),
+                find_step_budget=ctx.step_budget, probes=ctx.probes,
             )
             ctx.walks += block_report.total_walks
             ctx.levels.extend(
@@ -404,9 +394,9 @@ def _balance_levels(g: WeightedGraph, tau: float, mu1: float, mu2: float,
             side[ids] = _random_side(sub.n, rng)
             break
         else:
-            # Every probe certified the spread-out bound: the classification
-            # walks may now assume max_j p_j / d_j <= 512 * m^-tau.
-            alpha_cert = min(1.0, 512.0 * m**-tau)
+            # Every probe certified max_j p_j / (2 d_j) <= res.alpha_bound, so
+            # the classification walks may assume max_j p_j / d_j <= twice it.
+            alpha_cert = min(1.0, 2.0 * res.alpha_bound)
             level = _tripartition_level(sub, starts,
                                         ctx.params(sub, eps1, mu1, alpha_cert),
                                         rng, ctx, depth)
@@ -436,13 +426,9 @@ def balance_solve(
     b: float,
     mu1: float,
     eps1: float | None = None,
-    mu2: float | None = None,
     seed: int = 0,
     *,
-    gamma: float = 0.05,
-    delta: float = 0.05,
-    kappa: float = 8.0,
-    find_step_budget: int = 2_000_000,
+    find_step_budget: int = STEP_BUDGET,
     probes: int | None = None,
     cutbound_step_budget: int | None = None,
 ) -> SolveReport:
@@ -455,9 +441,7 @@ def balance_solve(
     certified classification round runs before the next level.  Output
     never falls below the greedy fallback.
     """
-    tau, mu2_derived = balance_params(b, mu1)
-    if mu2 is None:
-        mu2 = mu2_derived
+    tau, mu2 = balance_params(b, mu1)
     if eps1 is None:
         eps1 = eps_bar(mu1)
     if not (0.0 < eps1 < 1.0):
@@ -465,7 +449,7 @@ def balance_solve(
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="balance",
                            seed=seed, n=0, m=0.0)
-    ctx = _Ctx(gamma, delta, kappa, find_step_budget, probes)
+    ctx = _Ctx(find_step_budget, probes)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xBA1A)))
     side = _balance_levels(g, tau, mu1, mu2, eps1, rng, ctx, cutbound_step_budget)
     return _finish(g, side, cut_value(g, np.flatnonzero(side == EVEN)), ctx,
@@ -486,16 +470,16 @@ class TradeoffPoint:
     source: str = "balance"
 
 
-def simple_ratio(mu: float, grid: int = 400) -> float:
+def simple_ratio(mu: float) -> float:
     """Worst-case ratio of the deficit-sweep solver: min over eps of
     H(eps, mu) / (1 - eps)."""
     if mu <= 0.0:
         raise InvalidParamsError("mu must be positive")
-    eps = np.linspace(1e-4, 0.5, grid)
+    eps = np.linspace(1e-4, 0.5, 400)
     vals = [h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps]
     i = int(np.argmin(vals))
     lo = eps[max(0, i - 1)]
-    hi = eps[min(grid - 1, i + 1)]
+    hi = eps[min(eps.size - 1, i + 1)]
     eps2 = np.linspace(lo, hi, 120)
     vals2 = [h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps2]
     return float(min(vals2))
@@ -581,7 +565,7 @@ def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float
     return float(vals[best_i])
 
 
-def balance_tradeoff(b: float, coarse: int = 12, refine: int = 2) -> TradeoffPoint:
+def balance_tradeoff(b: float) -> TradeoffPoint:
     """Maximize the block-solver LP ratio over mu1 and eps1 for budget b.
 
     eps1 is searched below mu1/(16*tau), the region where the conductance
@@ -595,8 +579,6 @@ def balance_tradeoff(b: float, coarse: int = 12, refine: int = 2) -> TradeoffPoi
 
     def eps1_cap(mu1: float) -> float:
         tau, _ = balance_params(b, mu1)
-        if tau <= 0.0:
-            return 0.5
         return min(0.5, mu1 / (16.0 * tau) * 0.98)
 
     def eval_pair(mu1: float, eps1: float) -> float:
@@ -607,8 +589,7 @@ def balance_tradeoff(b: float, coarse: int = 12, refine: int = 2) -> TradeoffPoi
     mu1_win = (mu1_lo + 0.02 * span, mu1_hi - 0.02 * span)
     eps1_frac_win = (0.02, 1.0)  # fraction of the per-mu1 cap
     best = None
-    points = coarse
-    for _ in range(refine + 1):
+    for points in (12, 7, 7):  # a coarse grid, then two refinements
         mu1_grid = np.linspace(mu1_win[0], mu1_win[1], points)
         frac_grid = np.linspace(eps1_frac_win[0], eps1_frac_win[1], points)
         for mu1 in mu1_grid:
@@ -626,21 +607,20 @@ def balance_tradeoff(b: float, coarse: int = 12, refine: int = 2) -> TradeoffPoi
             min(mu1_hi - 1e-9, mu1_c + mu1_h),
         )
         eps1_frac_win = (max(1e-4, frac_c - frac_h), min(1.0, frac_c + frac_h))
-        points = max(7, coarse // 2 + 1)
     ratio, mu1, eps1, _ = best
     tau, mu2 = balance_params(b, mu1)
     return TradeoffPoint(b=b, mu1=mu1, tau=tau, mu2=mu2, eps1=eps1,
                          ratio=ratio, source="balance")
 
 
-def best_tradeoff(b: float, coarse: int = 12, refine: int = 2) -> TradeoffPoint:
+def best_tradeoff(b: float) -> TradeoffPoint:
     """Best guaranteed ratio at work exponent b over both solver families.
 
     The block solver is available for any b > 1.5; the deficit-sweep solver
     reaches exponent b = 2 + mu, so for b > 2 the curve is the upper
     envelope of the two.
     """
-    point = balance_tradeoff(b, coarse=coarse, refine=refine)
+    point = balance_tradeoff(b)
     if b > 2.0:
         mu = b - 2.0
         sweep = simple_ratio(mu)

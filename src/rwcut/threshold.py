@@ -20,13 +20,18 @@ from .walks import LENGTH_CAP, WalkAccumulator, WalkTally, signed_estimates
 
 SIGMA0 = 0.22815
 C_VOL = 1.0  # constant of the classified-volume floor
+# The paper's fixed constants: DELTA sets the walk length ell, GAMMA the
+# ratio of the threshold and deficit schedules, KAPPA the walk count.
+DELTA = GAMMA = 0.05
+KAPPA = 8.0
+STEP_BUDGET = 2_000_000  # default sampled walk-steps per threshold search
 
 
 def sigma_fn(eps: float, mu: float) -> float:
     """Uncut-fraction surrogate 1 - (1-eps)^(1 + 1/mu), clamped to [0, 1]."""
-    if mu <= 0.0:
+    if not mu > 0.0:  # also refuses nan
         raise InvalidParamsError("mu must be positive")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise InvalidParamsError("eps must be nonnegative")
     if eps >= 1.0:
         return 1.0
@@ -50,7 +55,7 @@ def soto_fn(sigma: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.sqrt(sigma * (1.0 - sigma)))
 
 
-def walk_count(t: float, alpha: float, n: int, kappa: float = 8.0) -> int:
+def walk_count(t: float, alpha: float, n: int, kappa: float = KAPPA) -> int:
     """ceil(kappa * ln(n) * max(alpha, t) / t^2) walks for threshold t."""
     if t <= 0.0:
         raise InvalidInputError("threshold must be positive")
@@ -63,13 +68,12 @@ def walk_count(t: float, alpha: float, n: int, kappa: float = 8.0) -> int:
 
 @dataclass
 class AlgoParams:
-    """All scalar knobs of the threshold machinery plus derived quantities.
+    """The scalar inputs of one threshold search plus derived quantities.
 
-    eps: assumed maxcut deficit; mu: runtime exponent knob; delta, gamma:
-    slack constants; kappa: walk-count constant; alpha: certified bound on
-    max_j p_j / d_j (1 when uncertified).  Derived on construction:
-    eps_prime = -ln(1-eps), the walk length ell (at most LENGTH_CAP), and
-    sigma.
+    eps: assumed maxcut deficit; mu: runtime exponent knob; alpha: certified
+    bound on max_j p_j / d_j (1 when uncertified).  Derived on construction:
+    eps_prime = -ln(1-eps), the walk length ell (from DELTA, at most
+    LENGTH_CAP), and sigma.
 
     step_budget caps the sampled walk-steps one threshold search may spend;
     the search reports failure once the schedule would exceed it.
@@ -78,11 +82,8 @@ class AlgoParams:
     eps: float
     mu: float
     m: float
-    delta: float = 0.05
-    gamma: float = 0.05
-    kappa: float = 8.0
     alpha: float = 1.0
-    step_budget: int = 2_000_000
+    step_budget: int = STEP_BUDGET
     eps_prime: float = field(init=False)
     ell: int = field(init=False)
     sigma: float = field(init=False)
@@ -90,19 +91,15 @@ class AlgoParams:
     def __post_init__(self):
         if not (0.0 <= self.eps < 1.0):
             raise InvalidParamsError("eps must lie in [0, 1)")
-        if self.mu <= 0.0:
-            raise InvalidParamsError("mu must be positive")
-        if self.m <= 0.0:
+        if not 0.0 < self.mu < math.inf:  # also refuses nan
+            raise InvalidParamsError("mu must be positive and finite")
+        if not self.m > 0.0:
             raise InvalidParamsError("graph must have positive total weight")
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidParamsError("gamma must lie in (0, 1)")
-        if self.delta <= 0.0:
-            raise InvalidParamsError("delta must be positive")
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidParamsError("alpha must lie in (0, 1]")
         self.eps_prime = -math.log1p(-self.eps)
-        raw = self.mu * math.log(4.0 * self.m / self.delta**2) / (
-            2.0 * (self.delta + self.eps_prime)
+        raw = self.mu * math.log(4.0 * self.m / DELTA**2) / (
+            2.0 * (DELTA + self.eps_prime)
         )
         self.ell = max(1, min(int(math.ceil(raw)), LENGTH_CAP))
         self.sigma = sigma_fn(self.eps, self.mu)
@@ -150,7 +147,7 @@ class FindResult:
 def find_threshold(
     g: WeightedGraph, start: int, params: AlgoParams, seed: int
 ) -> FindResult:
-    """Descend thresholds t_r = (1-gamma)^r looking for a good tripartition.
+    """Descend thresholds t_r = (1-GAMMA)^r looking for a good tripartition.
 
     At each round the shared walk pool is topped up to walk_count(t_r) and
     classification re-runs; success requires cut >= soto(sigma) * inc
@@ -164,12 +161,12 @@ def find_threshold(
     quality_floor = soto_fn(params.sigma)
     acc = WalkAccumulator(g, start, params.ell, seed)
     part = Tripartition(g)
-    t_min = params.gamma / m ** (1.0 + params.mu / 2.0)
+    t_min = GAMMA / m ** (1.0 + params.mu / 2.0)
     log_n = math.log(max(g.n, 2))
     r = 0
     t = 1.0
     while t >= t_min:
-        needed = walk_count(t, params.alpha, max(g.n, 2), params.kappa)
+        needed = walk_count(t, params.alpha, max(g.n, 2))
         if acc.steps_sampled + acc.projected_steps(needed) > params.step_budget:
             break
         acc.extend_to(needed)
@@ -188,6 +185,6 @@ def find_threshold(
                 steps=acc.steps_sampled,
             )
         r += 1
-        t = (1.0 - params.gamma) ** r
+        t = (1.0 - GAMMA) ** r
     return FindResult(part=None, threshold=None, rounds=r, walks=acc.walks,
                       steps=acc.steps_sampled)

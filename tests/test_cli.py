@@ -1,10 +1,12 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rwcut.cli import main
+from rwcut.cli import build_parser, main
 
 from conftest import cli_env, make_graph, run_cli
 from rwcut.graph import dump_graph
@@ -171,6 +173,25 @@ class TestHostileInput:
         # The file slot holds a graph: one large id, refused before allocating.
         (["solve", "--algo", "greedy", "--in", "{part}", "--seed", "1"],
          "0 1000000000\n", 1),
+        (["solve", "--algo", "simple", "--in", "{graph}", "--seed", "1",
+          "--mu", "nan"], None, 2),
+        (["solve", "--algo", "simple", "--in", "{graph}", "--seed", "1",
+          "--mu", "inf"], None, 2),
+        # tau = 2 + mu1 - b rounds to 0, where mu2 = (2b - mu1 - 3) / tau breaks.
+        (["solve", "--algo", "balance", "--in", "{graph}", "--seed", "1",
+          "--b", "2", "--mu1", "1e-300"], None, 2),
+        (["cutbound", "--in", "{graph}", "--start", "0", "--seed", "1",
+          "--zeta", "nan"], None, 2),
+        # Walk length ln(m) / zeta is over the cap; its walk count would overflow.
+        (["cutbound", "--in", "{graph}", "--start", "0", "--seed", "1",
+          "--zeta", "1e-300"], None, 1),
+        (["gen", "--n", "20", "--eps", "0.1", "--deg", "nan", "--out", "x.el",
+          "--seed", "1"], None, 2),
+        (["gen", "--n", "20", "--eps", "0.1", "--deg", "inf", "--out", "x.el",
+          "--seed", "1"], None, 2),
+        # 5e11 edges, refused before any n-sized allocation.
+        (["gen", "--n", "1000000000000", "--eps", "0.1", "--deg", "1",
+          "--out", "x.el", "--seed", "1"], None, 1),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):
@@ -203,6 +224,24 @@ class TestHelp:
     def test_help_lists_flags(self):
         proc = run_cli(["solve", "--help"])
         assert proc.returncode == 0, proc.stderr
-        for flag in ("--in", "--algo", "--mu", "--kappa", "--delta",
-                     "--gamma", "--seed", "--threads", "--out"):
+        for flag in ("--in", "--algo", "--mu", "--find-steps", "--seed",
+                     "--threads", "--out"):
             assert flag in proc.stdout
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--delta", "--gamma"])
+    def test_fixed_constant_flags_refused(self, triangle_file, flag):
+        # kappa, delta and gamma are module constants, not options.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--algo", "simple", "--in", triangle_file, flag, "0.1"])
+        assert exc.value.code == 2
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("rwcut ")]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            args = parser.parse_args(argv)  # exits 2 on an unknown flag
+            assert args.command == argv[0]

@@ -154,6 +154,12 @@ class TestBalanceParams:
         with pytest.raises(InvalidParamsError):
             balance_params(1.6, 0.3)  # mu2 would be negative
 
+    @pytest.mark.parametrize("mu1", [1e-300, float("nan")])
+    def test_tau_outside_open_interval(self, mu1):
+        # tau = 2 + mu1 - b is 0 (or nan) here, and mu2 divides by tau.
+        with pytest.raises(InvalidParamsError, match=r"outside \(0, 1\)"):
+            balance_params(2.0, mu1)
+
     @pytest.mark.parametrize("b", [1.5, 1.2, -1.0])
     def test_b_at_most_three_halves(self, b):
         # Below the threshold there is no valid mu1, so no interval to suggest.
