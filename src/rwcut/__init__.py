@@ -64,6 +64,7 @@ from .threshold import (
     SIGMA0,
     find_threshold,
     sigma_fn,
+    sigma_inv,
     soto_fn,
     threshold_classify,
     walk_count,
@@ -75,7 +76,6 @@ from .walks import (
     WalkTally,
     exact_walk_distribution,
     run_walks,
-    signed_estimate,
     signed_estimates,
 )
 

@@ -491,6 +491,20 @@ def prefix_cut_metrics(g: WeightedGraph, order, sides,
     return np.cumsum(good), np.cumsum(cross), np.cumsum(inc)
 
 
+def orient(g: WeightedGraph, group, sides, side, placed) -> np.ndarray:
+    """The sides (one per vertex of group), or their negation when that cuts
+    more weight to the group's placed neighbours; a tie keeps them.
+
+    side labels the neighbours, and placed maps neighbour ids to a mask of
+    those that count.  Both are read on the group's rows only, so a call
+    costs O(sum of the group's degrees), however large the graph.
+    """
+    src, nbr, wt = _rows(g, group)
+    counted = placed(nbr)
+    differs = side[nbr] != sides[src]
+    return -sides if wt[counted & ~differs].sum() > wt[counted & differs].sum() else sides
+
+
 def _crossing(g: WeightedGraph, inside: np.ndarray) -> float:
     """Weight of the edges leaving the vertex mask inside."""
     _, nbr, wt = _rows(g, np.flatnonzero(inside))

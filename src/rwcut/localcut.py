@@ -21,23 +21,25 @@ PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
 
 
 def solve_phi(psi: float) -> float:
-    """Invert -ln((sqrt(1-2*phi) + sqrt(1+2*phi)) / 2) = psi by bisection."""
+    """Invert -ln((sqrt(1-2*phi) + sqrt(1+2*phi)) / 2) = psi in closed form.
+
+    Squaring gives sqrt(1 - 4 phi^2) = 2 e^(-2 psi) - 1, so phi = c sqrt(1 - c^2)
+    with c = e^(-psi).
+    """
     if not (0.0 <= psi <= PSI_MAX):
         raise InvalidInputError(f"psi must lie in [0, {PSI_MAX}]")
-    if psi == 0.0:
-        return 0.0
+    return math.exp(-psi) * math.sqrt(-math.expm1(-2.0 * psi))
 
-    def f(phi: float) -> float:
-        return -math.log(0.5 * (math.sqrt(1.0 - 2.0 * phi) + math.sqrt(1.0 + 2.0 * phi)))
 
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < psi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def sweep_order(g: WeightedGraph, mass: np.ndarray) -> np.ndarray:
+    """Vertex ids by mass / degree, descending, ties by smaller id.
+
+    A degree-0 vertex comes first when it has mass and last when not.
+    """
+    d = g.degrees
+    ratio = np.where(d > 0.0, mass / np.where(d > 0.0, d, 1.0),
+                     np.where(mass > 0, np.inf, 0.0))
+    return np.lexsort((np.arange(g.n), -ratio))
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,8 @@ def build_ls_curve(g: WeightedGraph, p: np.ndarray) -> LSCurve:
         raise InvalidInputError("probability vector has negative entries")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise InvalidInputError("probability vector must sum to 1")
-    vol2 = 2.0 * g.degrees
-    ratio = np.where(vol2 > 0.0, p / np.where(vol2 > 0.0, vol2, 1.0), np.inf)
-    ratio = np.where((vol2 <= 0.0) & (p <= 0.0), 0.0, ratio)
-    order = np.lexsort((np.arange(g.n), -ratio))
-    xs = np.concatenate(([0.0], np.cumsum(vol2[order])))
+    order = sweep_order(g, p)  # also the order of p / (2d): halving is exact
+    xs = np.concatenate(([0.0], np.cumsum(2.0 * g.degrees[order])))
     ys = np.concatenate(([0.0], np.cumsum(p[order])))
     # collapse duplicate abscissae (degree-0 vertices), keeping the top mass
     keep = np.ones(xs.size, dtype=bool)
@@ -162,13 +161,9 @@ def cut_or_bound(
     two_m = 2.0 * m
     for l in range(ell + 1):
         ev, od = tally.counts_at(l)
-        counts = ev + od
-        ratio = np.where(g.degrees > 0.0,
-                         counts / np.where(g.degrees > 0.0, g.degrees, 1.0),
-                         np.where(counts > 0, np.inf, 0.0))
-        # Reached vertices have ratio > 0, so the zero-count padding comes
-        # last, lowest ids first.
-        candidates = np.lexsort((np.arange(g.n), -ratio))[: min(b, g.n)]
+        # Reached vertices come first, so the zero-count padding comes last,
+        # lowest ids first.
+        candidates = sweep_order(g, ev + od)[: min(b, g.n)]
         _, crossing, _ = prefix_cut_metrics(g, candidates, EVEN)
         vol2 = np.cumsum(2.0 * g.degrees[candidates])
         denom = np.minimum(vol2, two_m - vol2)

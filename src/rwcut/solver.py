@@ -21,11 +21,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bench import BRUTE_FORCE_MAX_N, brute_force_maxcut, greedy_cut
-from .errors import InvalidParamsError
-from .graph import EVEN, ODD, WeightedGraph, _rows, cut_value, sample_vertex_by_degree
+from .errors import InvalidParamsError, ResourceError
+from .graph import EVEN, ODD, WeightedGraph, cut_value, orient, sample_vertex_by_degree
 from .localcut import PSI_MAX, LowConductanceCut, cut_or_bound
 from .threshold import (GAMMA, SIGMA0, STEP_BUDGET, AlgoParams, find_threshold,
-                        sigma_fn, soto_fn)
+                        sigma_fn, sigma_inv, soto_fn)
+from .walks import STEP_CAP
 
 SMALL_N_FLOOR = 8
 SMALL_WEIGHT_FLOOR = 16.0
@@ -35,19 +36,11 @@ SMALL_WEIGHT_FLOOR = 16.0
 
 
 def z_star(eps: float, mu: float) -> float:
-    """Largest z in (0, 1] where the quality floor is still 1/2, else 0."""
-    if eps <= 0.0:
-        return 0.0
-    if sigma_fn(min(eps, 1.0), mu) >= 1.0 / 3.0:
-        return 1.0
-    lo, hi = 0.0, 1.0  # sigma(eps/z) decreasing in z; root of sigma = 1/3
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if sigma_fn(min(eps / mid, 1.0), mu) >= 1.0 / 3.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The z up to which the quality floor soto(sigma(eps/z, mu)) is 1/2,
+    capped at 1: sigma(eps/z, mu) falls as z grows and is 1/3 at
+    z = eps / sigma_inv(1/3, mu)."""
+    root = sigma_inv(1.0 / 3.0, mu)
+    return eps / root if eps < root else 1.0
 
 
 @lru_cache(maxsize=65536)
@@ -68,22 +61,15 @@ def h_fn(eps: float, mu: float) -> float:
     def integrand(z: float) -> float:
         return soto_fn(sigma_fn(min(eps / z, 1.0), mu))
 
-    points = []
-    denom = 1.0 - (1.0 - SIGMA0) ** (mu / (1.0 + mu))
-    if denom > 0.0:
-        z_seam = eps / denom
-        if zs < z_seam < 1.0:
-            points.append(z_seam)
-    integral, _err = quad(integrand, zs, 1.0, points=points or None,
-                          epsabs=1e-9, limit=200)
+    seam = sigma_inv(SIGMA0, mu)  # the integrand's kink is at z = eps / seam
+    points = [eps / seam] if eps < seam and zs < eps / seam else None
+    integral, _err = quad(integrand, zs, 1.0, points=points, epsabs=1e-9, limit=200)
     return zs / 2.0 + integral
 
 
 def eps_bar(mu: float) -> float:
-    """Deficit at which sigma reaches 1/4: 1 - (3/4)^(mu / (1 + mu))."""
-    if mu <= 0.0:
-        raise InvalidParamsError("mu must be positive")
-    return 1.0 - 0.75 ** (mu / (1.0 + mu))
+    """Deficit at which sigma reaches 1/4."""
+    return sigma_inv(0.25, mu)
 
 
 # -- reports ------------------------------------------------------------------
@@ -126,6 +112,15 @@ class _Ctx:
     probes: int | None
     walks: int = 0
     levels: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # Checked before any work, so that a floor-size graph refuses it too.
+        if not self.step_budget >= 1:
+            raise InvalidParamsError(
+                f"find_step_budget = {self.step_budget} must be at least 1")
+        if self.step_budget > STEP_CAP:
+            raise ResourceError(
+                f"find_step_budget = {self.step_budget} exceeds cap {STEP_CAP}")
 
     def params(self, g: WeightedGraph, eps: float, mu: float,
                alpha: float = 1.0) -> AlgoParams:
@@ -285,10 +280,10 @@ def simple_solve(
     """
     if not 0.0 < mu < math.inf:
         raise InvalidParamsError(f"mu = {mu:g} must be positive and finite")
+    ctx = _Ctx(find_step_budget, probes)
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="simple",
                            seed=seed, n=0, m=0.0)
-    ctx = _Ctx(find_step_budget, probes)
     best_side: np.ndarray | None = None
     best_value = -1.0
     r = 0
@@ -411,13 +406,8 @@ def _balance_levels(g: WeightedGraph, tau: float, mu1: float, mu2: float,
         sub, local = sub.induced(rest)
         ids = ids[local]
         depth += 1
-    # Every side is now +-1, so flipping a block turns differs into ~differs.
     for k, block in reversed(blocks):
-        src, nbr, wt = _rows(g, block)
-        later = level_of[nbr] > k
-        differs = side[nbr] != side[block][src]
-        if wt[later & ~differs].sum() > wt[later & differs].sum():
-            side[block] = -side[block]
+        side[block] = orient(g, block, side[block], side, lambda nbr: level_of[nbr] > k)
     return side
 
 
@@ -446,10 +436,10 @@ def balance_solve(
         eps1 = eps_bar(mu1)
     if not (0.0 < eps1 < 1.0):
         raise InvalidParamsError("eps1 must lie in (0, 1)")
+    ctx = _Ctx(find_step_budget, probes)
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="balance",
                            seed=seed, n=0, m=0.0)
-    ctx = _Ctx(find_step_budget, probes)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xBA1A)))
     side = _balance_levels(g, tau, mu1, mu2, eps1, rng, ctx, cutbound_step_budget)
     return _finish(g, side, cut_value(g, np.flatnonzero(side == EVEN)), ctx,
@@ -470,19 +460,28 @@ class TradeoffPoint:
     source: str = "balance"
 
 
+def _refined_min(f, lo: float, hi: float, sizes) -> float:
+    """Minimum of f over a grid of sizes[0] points on [lo, hi], refined by
+    each further size to a grid spanning the minimizer's two neighbours.
+
+    f maps a grid array to its values.
+    """
+    for size in sizes:
+        grid = np.linspace(lo, hi, size)
+        vals = f(grid)
+        i = int(np.argmin(vals))
+        lo, hi = grid[max(0, i - 1)], grid[min(size - 1, i + 1)]
+    return float(vals[i])
+
+
 def simple_ratio(mu: float) -> float:
     """Worst-case ratio of the deficit-sweep solver: min over eps of
     H(eps, mu) / (1 - eps)."""
     if mu <= 0.0:
         raise InvalidParamsError("mu must be positive")
-    eps = np.linspace(1e-4, 0.5, 400)
-    vals = [h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps]
-    i = int(np.argmin(vals))
-    lo = eps[max(0, i - 1)]
-    hi = eps[min(eps.size - 1, i + 1)]
-    eps2 = np.linspace(lo, hi, 120)
-    vals2 = [h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps2]
-    return float(min(vals2))
+    return _refined_min(
+        lambda eps: np.array([h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps]),
+        1e-4, 0.5, (400, 120))
 
 
 def _chi(eps1: float, mu1: float, tau: float) -> float:
@@ -553,16 +552,8 @@ def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float
     h1 = h_fn(float(eps1), float(mu1))
     h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
     lp = _adversary_lp(eps1, chi, h1, h_block)
-    grid = np.linspace(1e-6, 0.5, 61)
-    vals = np.maximum(0.5 / (1.0 - grid), lp(grid))
-    best_i = int(np.argmin(vals))
-    for _ in range(2):  # local refinement around the minimizer
-        lo2 = grid[max(0, best_i - 1)]
-        hi2 = grid[min(len(grid) - 1, best_i + 1)]
-        grid = np.linspace(lo2, hi2, 31)
-        vals = np.maximum(0.5 / (1.0 - grid), lp(grid))
-        best_i = int(np.argmin(vals))
-    return float(vals[best_i])
+    return _refined_min(lambda eps: np.maximum(0.5 / (1.0 - eps), lp(eps)),
+                        1e-6, 0.5, (61, 31, 31))
 
 
 def balance_tradeoff(b: float) -> TradeoffPoint:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .graph import EVEN, ODD, WeightedGraph, _rows, prefix_cut_metrics
+from .graph import EVEN, ODD, UNCLASSIFIED, WeightedGraph, orient, prefix_cut_metrics
 
 DEFAULT_POWER_ITER_FACTOR = 8
 
@@ -28,11 +28,11 @@ class LaplacianOperator:
     def __init__(self, graph: WeightedGraph):
         self.graph = graph
         d = graph.degrees
-        self._dinv_sqrt = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+        self.dinv_sqrt = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         A = self.graph.adjacency_csr()
-        return x - self._dinv_sqrt * (A @ (self._dinv_sqrt * x))
+        return x - self.dinv_sqrt * (A @ (self.dinv_sqrt * x))
 
     def stationary_direction(self) -> np.ndarray:
         """D^{1/2} * all-ones, the eigenvalue-0 direction."""
@@ -98,27 +98,19 @@ def sweep_cut_best(g: WeightedGraph, y: np.ndarray) -> SweepCut:
                     threshold=float(t[ends[best]]), ratio=float(ratio[best]))
 
 
-def _orientation_gain(g: WeightedGraph, group_pos, group_neg, side: np.ndarray) -> float:
-    """Weight cut against already-placed vertices if group_pos joins Left."""
-    gain = 0.0
-    for group, against in ((group_pos, ODD), (group_neg, EVEN)):
-        _, nbr, wt = _rows(g, group)
-        gain += float(wt[side[nbr] == against].sum())
-    return gain
-
-
-def _power_top_vector(g: WeightedGraph, rng: np.random.Generator, iters: int) -> np.ndarray:
-    op = LaplacianOperator(g)
+def _power_top_vector(op: LaplacianOperator, rng: np.random.Generator,
+                      iters: int) -> np.ndarray:
+    n = op.graph.n
     u = op.stationary_direction()
     un = float(np.dot(u, u))
-    x = rng.standard_normal(g.n)
+    x = rng.standard_normal(n)
     if un > 0.0:
         x -= (np.dot(x, u) / un) * u
     for _ in range(iters):
         x = op.apply(x)
         nrm = float(np.linalg.norm(x))
         if nrm < 1e-300:
-            x = rng.standard_normal(g.n)
+            x = rng.standard_normal(n)
             if un > 0.0:
                 x -= (np.dot(x, u) / un) * u
             continue
@@ -148,11 +140,8 @@ def trevisan_baseline(g: WeightedGraph, seed: int = 0) -> frozenset:
             side[ids] = EVEN
             break
         iters = DEFAULT_POWER_ITER_FACTOR * max(1, math.ceil(math.log2(max(sub.n, 2))))
-        x = _power_top_vector(sub, rng, iters)
-        dinv_sqrt = np.where(sub.degrees > 0.0,
-                             1.0 / np.sqrt(np.where(sub.degrees > 0.0, sub.degrees, 1.0)),
-                             0.0)
-        y = dinv_sqrt * x
+        op = LaplacianOperator(sub)
+        y = op.dinv_sqrt * _power_top_vector(op, rng, iters)
         if not np.any(np.abs(y) > 0.0):
             side[ids] = EVEN
             break
@@ -162,17 +151,8 @@ def trevisan_baseline(g: WeightedGraph, seed: int = 0) -> frozenset:
             neg = frozenset(range(sub.n)) - pos
         else:
             pos, neg = sweep.positive, sweep.negative
-        pos, neg = ids[sorted(pos)], ids[sorted(neg)]
-        _commit_oriented(g, pos, neg, side)
-        ids = np.setdiff1d(ids, np.concatenate((pos, neg)), assume_unique=True)
+        group = ids[sorted(pos) + sorted(neg)]
+        sides = np.repeat(np.array([EVEN, ODD], dtype=np.int8), [len(pos), len(neg)])
+        side[group] = orient(g, group, sides, side, lambda nbr: side[nbr] != UNCLASSIFIED)
+        ids = np.setdiff1d(ids, group, assume_unique=True)
     return frozenset(np.flatnonzero(side == EVEN).tolist())
-
-
-def _commit_oriented(root, pos, neg, side) -> None:
-    straight = _orientation_gain(root, pos, neg, side)
-    flipped = _orientation_gain(root, neg, pos, side)
-    if flipped > straight:
-        pos, neg = neg, pos
-    side[np.asarray(pos, dtype=np.int64)] = EVEN
-    side[np.asarray(neg, dtype=np.int64)] = ODD
-

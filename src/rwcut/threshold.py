@@ -38,6 +38,13 @@ def sigma_fn(eps: float, mu: float) -> float:
     return 1.0 - (1.0 - eps) ** (1.0 + 1.0 / mu)
 
 
+def sigma_inv(s: float, mu: float) -> float:
+    """The eps at which sigma_fn(eps, mu) reaches s: 1 - (1-s)^(mu/(1+mu))."""
+    if not mu > 0.0:
+        raise InvalidParamsError("mu must be positive")
+    return 1.0 - (1.0 - s) ** (mu / (1.0 + mu))
+
+
 def soto_fn(sigma: float) -> float:
     """Piecewise lower bound on the cut/incident ratio of a good tripartition.
 
@@ -101,7 +108,8 @@ class AlgoParams:
         raw = self.mu * math.log(4.0 * self.m / DELTA**2) / (
             2.0 * (DELTA + self.eps_prime)
         )
-        self.ell = max(1, min(int(math.ceil(raw)), LENGTH_CAP))
+        # Clipped before the ceil, since a huge mu makes raw infinite.
+        self.ell = math.ceil(min(max(raw, 1.0), LENGTH_CAP))
         self.sigma = sigma_fn(self.eps, self.mu)
 
     @classmethod
@@ -161,7 +169,8 @@ def find_threshold(
     quality_floor = soto_fn(params.sigma)
     acc = WalkAccumulator(g, start, params.ell, seed)
     part = Tripartition(g)
-    t_min = GAMMA / m ** (1.0 + params.mu / 2.0)
+    # Powers of 1/m underflow to 0 for a huge mu, where powers of m overflow.
+    t_min = GAMMA * m ** -(1.0 + params.mu / 2.0)
     log_n = math.log(max(g.n, 2))
     r = 0
     t = 1.0
@@ -171,7 +180,7 @@ def find_threshold(
             break
         acc.extend_to(needed)
         threshold_classify(g, t, acc.tally(), part)
-        vol_floor = C_VOL / (t * t * m ** (1.0 + params.mu) * log_n)
+        vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * log_n)
         if (
             part.classified_count > 0
             and part.cut >= quality_floor * part.inc

@@ -231,17 +231,9 @@ class WalkAccumulator:
         )
 
 
-def signed_estimate(tally: WalkTally, g: WeightedGraph, j: int) -> float:
-    """(even - odd) endpoint count at j over (d_j * walks); 0 when d_j = 0."""
-    ev, od = tally.counts_at(tally.length)
-    d = g.degrees[j]
-    if d <= 0.0:
-        return 0.0
-    return float(ev[j] - od[j]) / (d * tally.walks)
-
-
 def signed_estimates(tally: WalkTally, g: WeightedGraph) -> np.ndarray:
-    """Vectorized signed_estimate over all vertices."""
+    """(even - odd) endpoint count at each vertex j over (d_j * walks); 0
+    where d_j = 0."""
     ev, od = tally.counts_at(tally.length)
     out = np.zeros(g.n)
     mask = g.degrees > 0.0

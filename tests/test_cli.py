@@ -9,6 +9,7 @@ import pytest
 from rwcut.cli import build_parser, main
 
 from conftest import cli_env, make_graph, run_cli
+from rwcut.bench import gen_planted
 from rwcut.graph import dump_graph
 
 
@@ -63,6 +64,18 @@ class TestSolve:
         rc = main(["solve", "--algo", "balance", "--in", triangle_file,
                    "--seed", "1", "--b", "3.0", "--mu1", "0.5"])
         assert rc == 2
+
+    def test_huge_mu_runs(self, tmp_path):
+        # Large enough to reach the threshold search, where m^(1 + mu)
+        # would overflow.
+        path = tmp_path / "planted.el"
+        dump_graph(gen_planted(60, 0.05, 6, seed=1).graph, str(path))
+        proc = run_cli(["solve", "--algo", "simple", "--mu", "1e300", "--seed", "1",
+                        "--in", str(path), "--find-steps", "20000",
+                        "--out", str(tmp_path / "part.txt")])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["algorithm"] == "simple"
 
     def test_repeat_run_identical(self, triangle_file):
         args = ["solve", "--algo", "simple", "--mu", "1", "--seed", "7",
@@ -192,6 +205,14 @@ class TestHostileInput:
         # 5e11 edges, refused before any n-sized allocation.
         (["gen", "--n", "1000000000000", "--eps", "0.1", "--deg", "1",
           "--out", "x.el", "--seed", "1"], None, 1),
+        # Step budgets are checked before any work, so a floor-size graph
+        # refuses them too.
+        (["solve", "--algo", "simple", "--in", "{graph}", "--seed", "1",
+          "--find-steps", "-5"], None, 2),
+        (["solve", "--algo", "balance", "--in", "{graph}", "--seed", "1",
+          "--find-steps", "0"], None, 2),
+        (["solve", "--algo", "simple", "--in", "{graph}", "--seed", "1",
+          "--find-steps", "100000000000000000000"], None, 1),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):

@@ -12,6 +12,7 @@ from rwcut.errors import InvalidInputError, ParseError, ResourceError
 from rwcut.graph import (
     EVEN,
     ODD,
+    UNCLASSIFIED,
     Tripartition,
     WeightedGraph,
     conductance,
@@ -19,6 +20,7 @@ from rwcut.graph import (
     cut_value,
     dumps_graph,
     load_graph,
+    orient,
     prefix_cut_metrics,
     read_partition,
     sample_vertex_by_degree,
@@ -489,6 +491,50 @@ class TestPrefixCutMetrics:
         assert list(good) == [0.0, 0.0]
         assert list(cross) == [3.0, 15.0]
         assert list(inc) == [3.0, 15.0]
+
+
+class TestOrient:
+    @staticmethod
+    def labelled(side):
+        return lambda nbr: side[nbr] != UNCLASSIFIED
+
+    def test_tie_keeps_sides(self):
+        g = make_graph(3, [(0, 1, 1), (1, 2, 1)])
+        side = np.array([EVEN, 0, ODD], dtype=np.int8)
+        sides = np.array([EVEN], dtype=np.int8)
+        assert list(orient(g, [1], sides, side, self.labelled(side))) == [EVEN]
+
+    def test_flips_when_the_flip_cuts_more(self):
+        g = make_graph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+        side = np.array([EVEN, 0, 0, ODD], dtype=np.int8)
+        sides = np.array([EVEN, ODD], dtype=np.int8)
+        # straight cuts 0 against the placed 0 and 3, flipped cuts 2
+        assert list(orient(g, [1, 2], sides, side, self.labelled(side))) == [ODD, EVEN]
+        side[3] = EVEN  # now 1 either way: a tie
+        assert list(orient(g, [1, 2], sides, side, self.labelled(side))) == [EVEN, ODD]
+
+    def test_unplaced_neighbours_do_not_count(self):
+        g = make_graph(3, [(0, 1, 5), (1, 2, 1)])
+        side = np.array([EVEN, 0, ODD], dtype=np.int8)
+        sides = np.array([EVEN], dtype=np.int8)
+        assert list(orient(g, [1], sides, side, self.labelled(side))) == [ODD]
+        # vertex 0 keeps its label but is not placed: only the edge to 2 counts
+        assert list(orient(g, [1], sides, side, lambda nbr: nbr == 2)) == [EVEN]
+
+    def test_reads_only_the_group_rows(self):
+        n = 1 << 20
+        g = WeightedGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+        side = np.zeros(n, dtype=np.int8)
+        side[[0, 4]] = EVEN
+        tracemalloc.start()
+        try:
+            got = orient(g, np.array([1, 3]), np.array([EVEN, EVEN], dtype=np.int8),
+                         side, self.labelled(side))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(got) == [ODD, ODD]
+        assert peak < 64 * 2**10  # an n-sized array would be 1 MiB or more
 
 
 @st.composite

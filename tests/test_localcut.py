@@ -19,7 +19,11 @@ from conftest import complete_graph, dumbbell, random_graph
 
 
 def _phi_forward(phi):
-    return -math.log(0.5 * (math.sqrt(1 - 2 * phi) + math.sqrt(1 + 2 * phi)))
+    # -ln((a + b) / 2) with a, b = sqrt(1 -+ 2 phi), written as a log1p of
+    # (a + b) / 2 - 1 = -4 phi^2 / ((a + b)(1 + a)(1 + b)), so that small
+    # phi loses no digits to cancellation.
+    a, b = math.sqrt(1 - 2 * phi), math.sqrt(1 + 2 * phi)
+    return -math.log1p(-4 * phi * phi / ((a + b) * (1 + a) * (1 + b)))
 
 
 class TestSolvePhi:
@@ -29,7 +33,7 @@ class TestSolvePhi:
     def test_inverse_residual(self):
         for psi in (1e-4, 0.005, 0.02, 0.08, 0.125):
             phi = solve_phi(psi)
-            assert _phi_forward(phi) == pytest.approx(psi, abs=1e-10)
+            assert _phi_forward(phi) == pytest.approx(psi, rel=1e-14, abs=0.0)
 
     def test_taylor_regime(self):
         phi = solve_phi(0.02)

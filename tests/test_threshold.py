@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, InvalidParamsError
@@ -12,6 +14,7 @@ from rwcut.threshold import (
     AlgoParams,
     find_threshold,
     sigma_fn,
+    sigma_inv,
     soto_fn,
     threshold_classify,
     walk_count,
@@ -38,6 +41,16 @@ class TestSigma:
         mus = np.linspace(0.2, 5.0, 50)
         vals_mu = [sigma_fn(0.2, float(m)) for m in mus]
         assert all(b < a for a, b in zip(vals_mu, vals_mu[1:]))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.99), st.floats(0.01, 100.0))
+    def test_sigma_inv_inverts_sigma(self, s, mu):
+        assert sigma_fn(sigma_inv(s, mu), mu) == pytest.approx(s, rel=1e-12, abs=1e-13)
+
+    def test_sigma_inv_refuses_nonpositive_mu(self):
+        with pytest.raises(InvalidParamsError):
+            sigma_inv(0.25, 0.0)
 
 
 class TestSoto:
@@ -168,6 +181,15 @@ class TestFindThreshold:
         if res.success:
             assert res.part.classified_count > 0
             assert res.rounds >= 1
+
+    def test_huge_mu_runs(self):
+        # m^(1 + mu) overflows here; its reciprocal underflows to 0 instead.
+        g = complete_bipartite(7, 7)
+        params = AlgoParams.for_graph(g, 0.05, 1e300, step_budget=200_000)
+        assert params.ell == 200
+        res = find_threshold(g, 0, params, seed=1)
+        assert res.steps <= 200_000
+        assert res.part is None or res.part.cut >= soto_fn(params.sigma) * res.part.inc
 
     def test_planted_quality_small(self):
         # majority of seeds succeed with the quality floor satisfied

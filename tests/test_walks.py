@@ -9,7 +9,6 @@ from rwcut.walks import (
     WalkTally,
     exact_walk_distribution,
     run_walks,
-    signed_estimate,
     signed_estimates,
 )
 
@@ -102,21 +101,21 @@ class TestSignedEstimate:
         t = WalkTally(n=2, length=1, walks=100,
                       even=np.array([30, 0]), odd=np.array([10, 0]))
         g = make_graph(2, [(0, 1, 2)])
-        assert signed_estimate(t, g, 0) == pytest.approx((30 - 10) / (2.0 * 100))
+        assert signed_estimates(t, g)[0] == pytest.approx((30 - 10) / (2.0 * 100))
 
     def test_unreached_vertex_is_zero(self, single_edge):
         t = run_walks(single_edge, 0, WalkConfig(length=0, walks=10, seed=0))
-        assert signed_estimate(t, single_edge, 1) == 0.0
+        assert signed_estimates(t, single_edge)[1] == 0.0
 
     def test_degree_zero_returns_zero(self):
         g = make_graph(3, [(0, 1, 1)])
         t = run_walks(g, 2, WalkConfig(length=2, walks=10, seed=0))
-        assert signed_estimate(t, g, 2) == 0.0
+        assert signed_estimates(t, g)[2] == 0.0
 
     def test_converges_to_exact(self, single_edge):
         t = run_walks(single_edge, 0,
                       WalkConfig(length=1, walks=200_000, seed=8))
-        est = signed_estimate(t, single_edge, 1)
+        est = signed_estimates(t, single_edge)[1]
         assert abs(est - (-0.5)) < 0.01
 
 
@@ -157,7 +156,7 @@ class TestExactDistribution:
                     ).max() < 1e-9
 
     def test_sampling_consistency(self):
-        # max_j |signed_estimate(j) - s(j)/d_j| small for w = 1e6 walks
+        # max_j |signed_estimates[j] - s(j)/d_j| small for w = 1e6 walks
         rng = np.random.default_rng(42)
         failures = 0
         trials = 20
