@@ -74,7 +74,7 @@ def _solve_once(g, args, seed):
     if args.algo == "trevisan":
         return spectral.trevisan_baseline(g, seed=seed), None
     if args.algo == "greedy":
-        return bench.greedy_cut(g), None
+        return g.greedy_left(), None
     if args.algo == "random":
         return bench.random_cut(g, np.random.default_rng(seed)), None
     if args.algo == "exact":

@@ -65,6 +65,7 @@ class WeightedGraph:
         "max_degree",
         "_csr",
         "_alias",
+        "_greedy",
     )
 
     def __init__(self, n: int, indptr, nbr, wt):
@@ -80,6 +81,7 @@ class WeightedGraph:
         self.max_degree = float(self.degrees.max()) if self.n else 0.0
         self._csr = None
         self._alias = None
+        self._greedy = None
 
     # -- construction ------------------------------------------------------
 
@@ -183,6 +185,14 @@ class WeightedGraph:
         if self._alias is None:
             self._alias = _alias_table(self)
         return self._alias
+
+    def greedy_left(self) -> frozenset:
+        """The Left set of bench.greedy_cut on this graph, computed once and cached."""
+        if self._greedy is None:
+            from .bench import greedy_cut  # bench builds on this module
+
+            self._greedy = greedy_cut(self)
+        return self._greedy
 
     def induced(self, vertices) -> tuple["WeightedGraph", np.ndarray]:
         """Induced subgraph plus the new-id -> old-id map."""

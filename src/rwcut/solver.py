@@ -147,7 +147,7 @@ def _random_side(n: int, rng: np.random.Generator) -> np.ndarray:
 def _finish(g: WeightedGraph, side: np.ndarray, walk_value: float, ctx: _Ctx,
             algorithm: str, seed: int) -> SolveReport:
     """Report the walk side, or the greedy baseline when that cuts more."""
-    greedy_left = greedy_cut(g)
+    greedy_left = g.greedy_left()
     greedy_value = cut_value(g, greedy_left)
     winner = "walks"
     if greedy_value > walk_value:

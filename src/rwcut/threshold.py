@@ -25,6 +25,8 @@ C_VOL = 1.0  # constant of the classified-volume floor
 DELTA = GAMMA = 0.05
 KAPPA = 8.0
 STEP_BUDGET = 2_000_000  # default sampled walk-steps per threshold search
+# Below ln of the largest float (709.78) by more than a power's rounding.
+_LOG_POWER_MAX = 700.0
 
 
 def sigma_fn(eps: float, mu: float) -> float:
@@ -152,6 +154,12 @@ class FindResult:
         return self.part is not None
 
 
+def _inverse_power(m: float, e: float) -> float:
+    """m ** -e, or inf where that would overflow (m below 1, e huge)."""
+    # Decided from the logarithm, so every finite result is the exact power.
+    return m ** -e if e * -math.log(m) < _LOG_POWER_MAX else math.inf
+
+
 def find_threshold(
     g: WeightedGraph, start: int, params: AlgoParams, seed: int
 ) -> FindResult:
@@ -170,7 +178,8 @@ def find_threshold(
     acc = WalkAccumulator(g, start, params.ell, seed)
     part = Tripartition(g)
     # Powers of 1/m underflow to 0 for a huge mu, where powers of m overflow.
-    t_min = GAMMA * m ** -(1.0 + params.mu / 2.0)
+    t_min = GAMMA * _inverse_power(m, 1.0 + params.mu / 2.0)
+    vol_scale = C_VOL * _inverse_power(m, 1.0 + params.mu)
     log_n = math.log(max(g.n, 2))
     r = 0
     t = 1.0
@@ -180,7 +189,7 @@ def find_threshold(
             break
         acc.extend_to(needed)
         threshold_classify(g, t, acc.tally(), part)
-        vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * log_n)
+        vol_floor = vol_scale / (t * t * log_n)
         if (
             part.classified_count > 0
             and part.cut >= quality_floor * part.inc

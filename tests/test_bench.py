@@ -193,6 +193,88 @@ class TestRandomCut:
         assert a == b
 
 
+def _scalar_loop_keys(rng, perm, target_eps, target_edges):
+    """The edge keys gen_planted drew one scalar rng call at a time."""
+    n = perm.size
+    left = perm[: n // 2]
+    right = perm[n // 2:]
+    edges = set()  # keys lo * n + hi
+    while len(edges) < target_edges:
+        if rng.random() < 1.0 - target_eps:
+            u = int(left[rng.integers(left.size)])
+            v = int(right[rng.integers(right.size)])
+        else:
+            pool = left if rng.random() < 0.5 else right
+            u = int(pool[rng.integers(pool.size)])
+            v = int(pool[rng.integers(pool.size)])
+            if u == v:
+                continue
+        edges.add(u * n + v if u < v else v * n + u)
+    return edges
+
+
+def _reference_gen_planted(n, target_eps, avg_degree, seed):
+    """gen_planted's graph as the scalar draw loop builds it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB1A5)))
+    perm = rng.permutation(n)
+    edges = _scalar_loop_keys(rng, perm, target_eps, int(round(n * avg_degree / 2.0)))
+    lo, hi = np.divmod(np.fromiter(edges, dtype=np.int64, count=len(edges)), n)
+    return WeightedGraph.from_arrays(n, lo, hi, np.ones(lo.size))
+
+
+@st.composite
+def _planted_args(draw):
+    """Small instances, up to half of all vertex pairs, so that eps = 0
+    (no same-side edges) can still reach its target."""
+    n = 2 * draw(st.integers(2, 40))
+    target_eps = draw(st.sampled_from([0.0, 0.05, 0.3, 0.49]))
+    avg_degree = draw(st.floats(1.0, (n - 1) / 2.0))
+    return n, target_eps, avg_degree, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGenPlantedReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(_planted_args())
+    def test_matches_scalar_loop(self, args):
+        assert gen_planted(*args).graph == _reference_gen_planted(*args)
+
+    @pytest.mark.parametrize("args", [
+        (4, 0.0, 1, 1),
+        (40, 0.3, 30, 1),
+        (40, 0.3, 30, 2),
+        (1000, 0.05, 8, 1),
+        (100_000, 0.05, 8, 1),
+        (100_000, 0.05, 8, 101000),
+    ], ids=["smallest", "near-complete-1", "near-complete-2", "1k-kept-half",
+            "100k-rejections", "100k-rejections-kept-half"])
+    def test_matches_scalar_loop_on(self, args):
+        assert gen_planted(*args).graph == _reference_gen_planted(*args)
+
+    @pytest.mark.parametrize("block, past_end", [(3, 2), (bench._BLOCK_WORDS, 0)])
+    def test_rejections_replayed(self, block, past_end):
+        # For k = 2,096,129 one 32-bit half in about 2,050 is rejected, so
+        # 4,000 edges see a few rejections.  Blocks of 3 words put every
+        # trial at a block's end: with seed 2, two rejected trials run past
+        # it and are redone in the next block.
+        k = 2_096_129
+        rng = np.random.default_rng(2)
+        perm = rng.permutation(2 * k)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        replay_trial, outcomes = bench._replay_trial, []
+
+        def counted(*args):
+            outcomes.append(replay_trial(*args))
+            return outcomes[-1]
+
+        with mock.patch.object(bench, "_BLOCK_WORDS", block), \
+                mock.patch.object(bench, "_replay_trial", counted):
+            keys = bench._planted_keys(replay.bit_generator, perm, 0.5, 4000)
+        assert set(keys.tolist()) == _scalar_loop_keys(rng, perm, 0.5, 4000)
+        assert len(outcomes) > past_end
+        assert sum(o is None for o in outcomes) == past_end
+
+
 class TestGenPlanted:
     def test_eps_zero_is_bipartite(self):
         inst = gen_planted(16, 0.0, 3, seed=0)
@@ -238,6 +320,8 @@ class TestGenPlanted:
         ((60, 0.05, 6, 9), "30c826c1e8bef23b1957f6be67832da86f06030cb88552b66aec206244949426"),
         ((1000, 0.05, 8, 1), "99fee29a6a194dc66905708a5b9d437017dba5e4009eeb2d9c9124cc63a635b9"),
         ((500, 0.2, 3, 4), "bd9b6409b8336de025e49177d80ad3da5cff083bbd8f7ba56a0299b83a8cfe2f"),
+        ((100_000, 0.05, 8, 101000),
+         "3d0192afd2c769cb87ad0a56287e30867c0f89fd33c8dd5c9c31da951518fdce"),
     ])
     def test_instances_pinned(self, args, digest):
         text = dumps_graph(gen_planted(*args).graph)

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from rwcut import bench, solver
 from rwcut.cli import build_parser, main
 
 from conftest import cli_env, make_graph, run_cli
@@ -76,6 +79,26 @@ class TestSolve:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["algorithm"] == "simple"
+
+    def test_reps_share_one_greedy(self, tmp_path, capsys):
+        path = tmp_path / "planted.el"
+        dump_graph(gen_planted(200, 0.05, 8, seed=1).graph, str(path))
+        greedy_cut, sizes = bench.greedy_cut, []
+
+        def counted(g):
+            sizes.append(g.n)
+            return greedy_cut(g)
+
+        with mock.patch.object(bench, "greedy_cut", counted), \
+                mock.patch.object(solver, "greedy_cut", counted):
+            rc = main(["solve", "--algo", "simple", "--reps", "3", "--seed", "5",
+                       "--find-steps", "20000", "--in", str(path)])
+        assert rc == 0
+        assert sizes.count(200) == 1  # the root graph; smaller ones are subgraphs
+        out = capsys.readouterr().out
+        # The stdout of this command before greedy was cached on the graph.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9ee34073cbec78b841f5f76a85397c10c3eaffebea53b6bd1ebea32d10d24fbe")
 
     def test_repeat_run_identical(self, triangle_file):
         args = ["solve", "--algo", "simple", "--mu", "1", "--seed", "7",

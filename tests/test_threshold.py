@@ -191,6 +191,13 @@ class TestFindThreshold:
         assert res.steps <= 200_000
         assert res.part is None or res.part.cut >= soto_fn(params.sigma) * res.part.inc
 
+    def test_huge_mu_light_graph_fails_cleanly(self):
+        # m = 0.4 < 1: m^-(1 + mu/2) and m^-(1 + mu) overflow a float here.
+        g = make_graph(3, [(0, 1, 0.1), (1, 2, 0.1)])
+        res = find_threshold(g, 0, AlgoParams.for_graph(g, 0.05, 1e4), seed=1)
+        assert not res.success
+        assert (res.rounds, res.walks, res.steps) == (0, 0, 0)
+
     def test_planted_quality_small(self):
         # majority of seeds succeed with the quality floor satisfied
         inst = gen_planted(20, 0.02, 5, seed=11)
