@@ -168,9 +168,9 @@ def gen_planted(
         raise ResourceError(f"{target:g} edges requested, above cap {PLANTED_EDGE_CAP}")
     target_edges = int(round(target))
     max_cross = (n // 2) ** 2
-    max_within = 2 * (n // 2) * (n // 2 - 1) // 2
+    max_within = 2 * (n // 2) * (n // 2 - 1) // 2 if target_eps > 0.0 else 0  # never drawn at eps 0
     if target_edges > max_cross + max_within:
-        raise InvalidParamsError("too many edges requested for this n")
+        raise InvalidParamsError("too many edges requested for this n and target_eps")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB1A5)))
     perm = rng.permutation(n)
     left = perm[: n // 2]

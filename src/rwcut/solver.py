@@ -495,26 +495,26 @@ def _chi(eps1: float, mu1: float, tau: float) -> float:
 
 
 _EPS_S_GRID = np.linspace(0.0, 0.5, 121)
-_EPS_CHUNK = 8  # 91 KiB temporaries per pass stay under glibc's mmap threshold
+_EPS_CHUNK = 8  # 61 KiB temporaries (8 x 121 x 2 x 4), under glibc's 128 KiB mmap threshold
 
 
 def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
-    """Adversary's cheapest edge split, as a function of the deficit eps.
+    """Adversary's cheapest edge split per deficit eps, where it can beat the
+    trivial bound 1/(2(1-eps)); elsewhere a value at or below that bound.
 
     Variables: block deficit (grid), block edge share X (grid); the
     final-round share Z sits at its upper bound because its objective
     coefficient 1/2 - H(eps1, mu1) is negative; Y is eliminated by the
-    simplex constraint.  A row is linear in X but for one kink, over a grid
-    prefix of feasible X, so only X = 0 and the cells beside its last
-    feasible X and its kink are scored, with the grid's formula.  Rounding
-    puts an unscored cell lower only on pieces made flat by H = 1/2, where
-    the trivial bound 1/(2(1-eps)) wins anyway.
+    simplex constraint.  No cell is below 1/2, so rows are scored only where
+    the X = 0 cell exceeds 1/2 (never for eps >= eps1).  A row is linear in X
+    but for one kink, over a grid prefix of feasible X, so only the 4 columns
+    from one left of its last feasible X and of its kink are scored, with the
+    grid's formula.  Rounding puts an unscored cell lower only on pieces made
+    flat by H = 1/2, where the trivial bound wins anyway.
     """
     x = np.linspace(0.0, 1.0 / (1.0 + chi), 121)
-    es_x = _EPS_S_GRID[:, None] * x
-    slack = 1.0 - (1.0 + chi) * x
-    block = (h_block[:, None] + chi / 2.0) * x
-    rows = np.arange(_EPS_S_GRID.size)[:, None, None]
+    es = _EPS_S_GRID[:, None, None]
+    gain = (h_block + chi / 2.0)[:, None, None]
 
     def score(eps, x_es, a, blk):
         z = np.clip(np.minimum(a, (eps - x_es) / eps1), 0.0, 1.0)
@@ -524,17 +524,17 @@ def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
 
     def ratios(eps: np.ndarray) -> np.ndarray:
         low = score(eps, 0.0, 1.0, 0.0)  # the X = 0 cell, alike on all rows
-        for i in range(0, eps.size, _EPS_CHUNK):
-            e = eps[i:i + _EPS_CHUNK, None]
+        todo = np.flatnonzero(low > 0.5)  # the rest cannot beat the trivial bound
+        for i in range(0, todo.size, _EPS_CHUNK):
+            at = todo[i:i + _EPS_CHUNK]
+            e = eps[at, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 last = (e + 1e-15) / (_EPS_S_GRID * x[1])
                 kink = (eps1 - e) / (eps1 * (1.0 + chi) - _EPS_S_GRID) / x[1]
-            # 6 columns from two left of each breakpoint, kept on the grid
-            lo = np.fmax(np.floor(np.stack([last, kink], -1)) - 2, 0)
-            cols = np.fmin(lo, x.size - 6).astype(np.intp)[..., None] + np.arange(6)
-            value = score(e[..., None, None], es_x[rows, cols], slack[cols],
-                          block[rows, cols]).min(axis=(1, 2, 3))
-            low[i:i + e.size] = np.minimum(low[i:i + e.size], value)
+            lo = np.fmin(np.fmax(np.floor(np.stack([last, kink], -1)) - 1, 0), x.size - 4)
+            xc = np.take(x, lo.astype(np.intp)[..., None] + np.arange(4))
+            value = score(e[..., None, None], es * xc, 1.0 - (1.0 + chi) * xc, gain * xc)
+            low[at] = np.minimum(low[at], value.min(axis=(1, 2, 3)))
         return low / (1.0 - eps)
 
     return ratios

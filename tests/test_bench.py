@@ -1,7 +1,8 @@
 import hashlib
 import io
 import json
-
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from rwcut.bench import (
 from rwcut.errors import InvalidParamsError, ResourceError
 from rwcut.graph import WeightedGraph, cut_value, load_graph, dumps_graph
 
-from conftest import complete_bipartite, cycle_graph, make_graph, random_graph
+from conftest import cli_env, complete_bipartite, cycle_graph, make_graph, random_graph
 
 
 class TestBruteForce:
@@ -310,6 +311,20 @@ class TestGenPlanted:
             gen_planted(16, 0.6, 4, seed=0)
         with pytest.raises(InvalidParamsError):
             gen_planted(16, 0.1, 0.5, seed=0)
+
+    def test_eps_zero_beyond_cross_pairs_refused(self):
+        # At target_eps 0 every draw crosses the cut, so 6 edges on 4 vertices
+        # (4 crossing pairs) never exist.  A child process turns a hang into a
+        # timeout instead of stalling the suite.
+        code = ("from rwcut.bench import gen_planted\n"
+                "from rwcut.errors import InvalidParamsError\n"
+                "try:\n    gen_planted(4, 0.0, 3, 1)\n"
+                "except InvalidParamsError:\n    print('refused')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=cli_env())
+        assert proc.stdout == "refused\n", proc.stderr
+        # All 4 crossing pairs are still reachable.
+        assert gen_planted(4, 0.0, 2, 1).planted_value == 1.0
 
     def test_edge_list_round_trip(self):
         inst = gen_planted(40, 0.1, 5, seed=4)

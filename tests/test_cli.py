@@ -176,6 +176,24 @@ class TestCutbound:
             assert report["conductance"] < report["phi"]
 
 
+class TestTradeoff:
+    # The curve as recorded before the adversary LP skipped deficits the
+    # trivial bound decides; the CI workflow compares the default run too.
+    @pytest.mark.parametrize("args, stdout", [
+        ([], "b,source,mu1,tau,mu2,eps1,ratio\n"
+             "1.6,balance,0.117108,0.517108,0.160299,0.007584,0.503824\n"
+             "2,balance,0.179307,0.179307,4.577016,0.031129,0.515837\n"
+             "3,simple,1.000000,0.000000,1.000000,0.000000,0.572610\n"),
+        (["--b", "1.8", "--b", "2.4"], "b,source,mu1,tau,mu2,eps1,ratio\n"
+         "1.8,balance,0.274026,0.474026,0.687671,0.018671,0.509514\n"
+         "2.4,simple,0.400000,0.000000,0.400000,0.000000,0.547711\n"),
+    ])
+    def test_stdout_pinned(self, args, stdout):
+        proc = run_cli(["tradeoff", *args])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("args, partition, code", [
         (["gen", "--n", "20", "--eps", "0.1", "--deg", "3", "--out", "x.el",
@@ -224,6 +242,9 @@ class TestHostileInput:
         (["gen", "--n", "20", "--eps", "0.1", "--deg", "nan", "--out", "x.el",
           "--seed", "1"], None, 2),
         (["gen", "--n", "20", "--eps", "0.1", "--deg", "inf", "--out", "x.el",
+          "--seed", "1"], None, 2),
+        # At eps 0 only the 4 crossing pairs can be drawn, fewer than 6 edges.
+        (["gen", "--n", "4", "--eps", "0", "--deg", "3", "--out", "x.el",
           "--seed", "1"], None, 2),
         # 5e11 edges, refused before any n-sized allocation.
         (["gen", "--n", "1000000000000", "--eps", "0.1", "--deg", "1",

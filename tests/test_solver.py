@@ -96,6 +96,11 @@ def _dense_objective(eps1, mu1, mu2, tau):
     return float(vals[best_i])
 
 
+def _x_column(chi, c):
+    """Column c of the adversary LP's block-share grid."""
+    return np.linspace(0.0, 1.0 / (1.0 + chi), 121)[c]
+
+
 def _check_against_dense(eps1, chi, h1, h_block, eps):
     """_adversary_lp never undercuts the dense grid and, after the trivial
     bound, equals it: rounding may move the LP value only where that bound
@@ -372,6 +377,7 @@ class TestTradeoff:
 
     def test_simple_ratio_reference_value(self):
         assert simple_ratio(1.0) == pytest.approx(0.5727, abs=0.002)
+        assert simple_ratio(1.0).hex() == "0x1.252d293bd429ep-1"
 
     def test_monotone_in_b(self):
         points = [best_tradeoff(b) for b in (1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0)]
@@ -395,6 +401,24 @@ class TestTradeoff:
         p = balance_tradeoff(b)
         assert (p.b, p.source) == (b, "balance")
         assert tuple(v.hex() for v in (p.mu1, p.tau, p.mu2, p.eps1, p.ratio)) == expected
+
+    @pytest.mark.parametrize("b, expected", [
+        (1.6, ("0x1.999999999999ap+0", "balance", "0x1.dfacdfceeb3f3p-4",
+               "0x1.08c268c6aa34cp-1", "0x1.484aaef6decbfp-3",
+               "0x1.f10b419c08693p-8", "0x1.01f532992be1dp-1")),
+        (2.0, ("0x1.0000000000000p+1", "balance", "0x1.6f38b26142017p-3",
+               "0x1.6f38b26142010p-3", "0x1.24edd43dce4f6p+2",
+               "0x1.fe0573fba5c21p-6", "0x1.081bd5b25188fp-1")),
+        (3.0, ("0x1.8000000000000p+1", "simple", "0x1.0000000000000p+0",
+               "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+               "0x1.252d293bd429ep-1")),
+    ])
+    def test_curve_points_pinned(self, b, expected):
+        # Every field of best_tradeoff, recorded before the adversary LP
+        # skipped deficits the trivial bound decides.
+        p = best_tradeoff(b)
+        assert (p.b.hex(), p.source, *(v.hex() for v in (
+            p.mu1, p.tau, p.mu2, p.eps1, p.ratio))) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -428,9 +452,39 @@ class TestTradeoff:
              h_block=np.linspace(0.8, 0.6, 121).tolist(), eps=[0.1])
     @example(eps1=0.37, chi=1.0, h1=0.61,
              h_block=np.linspace(0.8, 0.53, 121).tolist(), eps=[0.09])
+    # eps exactly on a column of row r: at its last feasible X (eps = es_r X_c)
+    # and at its kink (eps = eps1 - (eps1 (1 + chi) - es_r) X_c).  Scoring only
+    # the column at or left of the breakpoint gets both wrong.
+    @example(eps1=0.453, chi=0.0, h1=0.795,
+             h_block=np.linspace(0.512, 0.837, 121).tolist(),
+             eps=[float(_EPS_S_GRID[55] * _x_column(0.0, 111))])
+    @example(eps1=0.117, chi=0.0, h1=0.72,
+             h_block=np.linspace(0.651, 0.807, 121).tolist(),
+             eps=[float(0.117 - (0.117 - _EPS_S_GRID[1]) * _x_column(0.0, 35))])
     def test_adversary_lp_matches_dense_grid(self, eps1, chi, h1, h_block, eps):
         # Any H values in [1/2, 1], not only those of h_fn.
         _check_against_dense(eps1, chi, h1, np.array(h_block), np.array(eps))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eps1=st.floats(1e-3, 0.5),
+        chi=st.just(0.0) | st.floats(0.0, 20.0),
+        h1=st.just(0.5) | st.floats(0.5, 1.0),
+        h_block=st.lists(st.just(0.5) | st.floats(0.5, 1.0),
+                         min_size=121, max_size=121),
+        fracs=st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    def test_trivial_bound_decides_eps_at_least_eps1(self, eps1, chi, h1, h_block,
+                                                     fracs):
+        # The X = 0 cell is 1/2 there, so no row can beat the trivial bound.
+        h_block = np.array(h_block)
+        eps = np.minimum(eps1 + np.array(fracs) * (0.5 - eps1), 0.5)
+        trivial = 0.5 / (1.0 - eps)
+        mine = np.maximum(trivial, _adversary_lp(eps1, chi, h1, h_block)(eps))
+        dense = [max(t, _dense_lp(float(e), eps1, chi, h1, h_block))
+                 for t, e in zip(trivial, eps)]
+        assert np.array_equal(mine, trivial)
+        assert np.array_equal(mine, dense)
 
     def test_eps_bar_formula(self):
         assert eps_bar(1.0) == pytest.approx(1.0 - 0.75**0.5)
