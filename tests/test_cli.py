@@ -243,9 +243,6 @@ class TestHostileInput:
           "--seed", "1"], None, 2),
         (["gen", "--n", "20", "--eps", "0.1", "--deg", "inf", "--out", "x.el",
           "--seed", "1"], None, 2),
-        # At eps 0 only the 4 crossing pairs can be drawn, fewer than 6 edges.
-        (["gen", "--n", "4", "--eps", "0", "--deg", "3", "--out", "x.el",
-          "--seed", "1"], None, 2),
         # 5e11 edges, refused before any n-sized allocation.
         (["gen", "--n", "1000000000000", "--eps", "0.1", "--deg", "1",
           "--out", "x.el", "--seed", "1"], None, 1),
@@ -257,6 +254,9 @@ class TestHostileInput:
           "--find-steps", "0"], None, 2),
         (["solve", "--algo", "simple", "--in", "{graph}", "--seed", "1",
           "--find-steps", "100000000000000000000"], None, 1),
+        # At eps 0 only the 4 crossing pairs can be drawn, fewer than 6 edges.
+        (["gen", "--n", "4", "--eps", "0", "--deg", "3", "--out", "x.el",
+          "--seed", "1"], None, 2),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):
