@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, ResourceError
-from .graph import WeightedGraph, _rows, cut_value
+from .graph import WeightedGraph, _rows, _write_text, cut_value
 
 BRUTE_FORCE_MAX_N = 22
 # gen_planted takes about 0.6 us and 200 bytes of peak memory per edge (one
@@ -46,12 +46,7 @@ class PlantedInstance:
         }
 
     def dump_metadata(self, target) -> None:
-        text = json.dumps(self.metadata(), sort_keys=True, indent=0)
-        if hasattr(target, "write"):
-            target.write(text + "\n")
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _write_text(json.dumps(self.metadata(), sort_keys=True, indent=0) + "\n", target)
 
 
 def brute_force_maxcut(g: WeightedGraph) -> tuple[float, frozenset]:

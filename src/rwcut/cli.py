@@ -57,6 +57,14 @@ def _load(path: str) -> graph.WeightedGraph:
         raise SystemExit(_fail(f"bad graph file {path}: {exc}", EXIT_IO))
 
 
+def _write(path: str, write) -> None:
+    """Call write(path), turning an OSError into a one-line error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {path}: {exc}", EXIT_IO))
+
+
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -95,6 +103,8 @@ def cmd_solve(args) -> int:
             best = (value, left, report, seed + rep)
     value, left, report, used_seed = best
     elapsed = time.perf_counter() - t0
+    if args.out:  # before the report, so that a failed write prints nothing
+        _write(args.out, lambda path: graph.write_partition(left, g.n, path))
     if report is not None:
         print(report.to_json())
     else:
@@ -104,9 +114,7 @@ def cmd_solve(args) -> int:
             "levels": [],
         }, sort_keys=True))
     _log(f"wall_time_s={elapsed:.3f}")
-    if args.out:
-        graph.write_partition(left, g.n, args.out)
-    else:
+    if not args.out:
         graph.write_partition(left, g.n, sys.stdout)
     return EXIT_OK
 
@@ -115,8 +123,8 @@ def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     inst = bench.gen_planted(args.n, args.eps, args.deg, seed)
     out = args.out or "planted.el"
-    graph.dump_graph(inst.graph, out)
-    inst.dump_metadata(out + ".meta.json")
+    _write(out, lambda path: graph.dump_graph(inst.graph, path))
+    _write(out + ".meta.json", inst.dump_metadata)
     _log(f"wrote {out} and {out}.meta.json "
          f"(planted_value={inst.planted_value:.4f})")
     print(json.dumps({

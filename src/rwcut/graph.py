@@ -14,12 +14,14 @@ vertex.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import InvalidInputError, ParseError, ResourceError
 
@@ -124,17 +126,19 @@ class WeightedGraph:
         if n > 2 * u.size + _MAX_ISOLATED:
             raise ResourceError(f"n = {n} too large for {u.size} edges: at most "
                                 f"2 * edges + {_MAX_ISOLATED} vertices")
-        # bincount adds in input order from 0.0, like summing parallel edges one
-        # by one, so merged weights do not depend on how the pairs are sorted.
-        keys, inverse = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
-                                  return_inverse=True)
-        merged = np.bincount(inverse, weights=w, minlength=keys.size)
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        # Strictly increasing keys, as dump_graph writes them, need no merge
+        # (0.0 + w == w).  bincount adds in input order from 0.0, like summing
+        # parallel edges one by one, so merged weights do not depend on the sort.
+        if not (keys[1:] > keys[:-1]).all():
+            keys, inverse = np.unique(keys, return_inverse=True)
+            w = np.bincount(inverse, weights=w, minlength=keys.size)
         lo, hi = np.divmod(keys, n)
-        rows = np.concatenate((lo, hi))
-        cols = np.concatenate((hi, lo))
-        order = np.argsort(rows * n + cols)  # unique keys, so sorted by (row, col)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        return cls(n, indptr, cols[order], np.concatenate((merged, merged))[order])
+        # COO -> CSR is a stable counting sort by row; with the (hi, lo) half
+        # first, each row's columns come out ascending.
+        adj = csr_array((np.concatenate((w, w)),
+                         (np.concatenate((hi, lo)), np.concatenate((lo, hi)))), shape=(n, n))
+        return cls(n, adj.indptr, adj.indices, adj.data)
 
     # -- basic access ------------------------------------------------------
 
@@ -149,10 +153,6 @@ class WeightedGraph:
         once = src < self.nbr
         return src[once], self.nbr[once], self.wt[once]
 
-    def edges(self):
-        """Iterate over each undirected edge once as (u, v, w) with u < v."""
-        return zip(*(a.tolist() for a in self.edge_arrays()))
-
     def edge_weight_total(self) -> float:
         """Sum of edge weights (half the total weighted degree)."""
         return self.total_weight / 2.0
@@ -165,8 +165,6 @@ class WeightedGraph:
     def adjacency_csr(self):
         """Adjacency matrix as a cached scipy CSR array."""
         if self._csr is None:
-            from scipy.sparse import csr_array
-
             self._csr = csr_array(
                 (self.wt, self.nbr, self.indptr), shape=(self.n, self.n)
             )
@@ -228,7 +226,7 @@ def _as_index_array(vertices, n: int) -> np.ndarray:
     if isinstance(vertices, np.ndarray):
         idx = vertices.astype(np.int64, copy=False)
     else:
-        idx = np.fromiter((int(v) for v in vertices), dtype=np.int64)
+        idx = np.fromiter(map(int, vertices), dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidInputError("vertex id out of range")
     return idx
@@ -308,18 +306,25 @@ def load_graph(source) -> WeightedGraph:
     by weight summation.  Self-loops and non-positive or non-finite weights
     are rejected.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _read_text(source)
     columns = _read_columns(text)
     if columns is None:
         return _load_lines(text)
     u, v, w = columns
     return WeightedGraph.from_arrays(int(max(u.max(), v.max())) + 1, u, v, w)
+
+
+def _read_text(source) -> str:
+    """The whole text of a stream or path; ParseError unless it is UTF-8."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return text.decode("utf-8") if isinstance(text, bytes) else text
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from exc
 
 
 _EDGE_DTYPES = (np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")]),
@@ -386,18 +391,12 @@ def _load_lines(text: str) -> WeightedGraph:
 
 def dump_graph(g: WeightedGraph, target) -> None:
     """Write the edge list with sorted edges; round-trips through load_graph."""
-    own = False
-    if hasattr(target, "write"):
-        fh = target
-    else:
-        fh = open(target, "w", encoding="utf-8")
-        own = True
-    try:
-        for u, v, w in g.edges():
-            fh.write(f"{u} {v} {w!r}\n")
-    finally:
-        if own:
-            fh.close()
+    u, v, w = g.edge_arrays()
+    weights, inverse = np.unique(w, return_inverse=True)
+    reprs = [repr(x) for x in weights.tolist()]
+    text = "".join([f"{a} {b} {reprs[k]}\n"
+                    for a, b, k in zip(u.tolist(), v.tolist(), inverse.tolist())])
+    _write_text(text, target)
 
 
 def dumps_graph(g: WeightedGraph) -> str:
@@ -406,10 +405,8 @@ def dumps_graph(g: WeightedGraph) -> str:
     return buf.getvalue()
 
 
-def write_partition(left, n: int, target) -> None:
-    """Partition file: one ``vertex_id L|R`` line per vertex."""
-    left_set = set(int(v) for v in left)
-    text = "".join([f"{v} {'L' if v in left_set else 'R'}\n" for v in range(n)])
+def _write_text(text: str, target) -> None:
+    """Write text to a stream or path in one call."""
     if hasattr(target, "write"):
         target.write(text)
     else:
@@ -417,18 +414,41 @@ def write_partition(left, n: int, target) -> None:
             fh.write(text)
 
 
+def write_partition(left, n: int, target) -> None:
+    """Partition file: one ``vertex_id L|R`` line per vertex."""
+    left_set = set(map(int, left))
+    _write_text("".join([f"{v} {'L' if v in left_set else 'R'}\n" for v in range(n)]), target)
+
+
+_SIDE_DTYPE = np.dtype([("v", "i8"), ("side", "U2")])
+
+
 def read_partition(source, n: int | None = None) -> frozenset[int]:
     """Read a partition file back into the set of Left vertices.
 
     Each vertex may be listed once; a repeated id raises ParseError, and so
     does an id outside [0, n) when n is given.  Vertices the file omits are
-    on the Right.
+    on the Right.  numpy's C reader reads the columns; text it does not take
+    as plain, or that fails a check, goes to _read_partition_lines, which
+    names the first bad line.  The side field is two characters wide, so
+    that a side such as "LL" is not cut to "L".
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read_text(source)
+    rows = None
+    if text.strip():  # loadtxt warns on input without a data line
+        with contextlib.suppress(ValueError):
+            rows = np.loadtxt(text.splitlines(), dtype=_SIDE_DTYPE, comments=None, ndmin=1)
+    if rows is not None:
+        ids, left = np.sort(rows["v"]), rows["side"] == "L"  # a sort: no array sized by an id
+        if ((left | (rows["side"] == "R")).all() and not (ids[1:] == ids[:-1]).any()
+                and (n is None or not ids.size or 0 <= ids[0] and ids[-1] < n)):
+            return frozenset(rows["v"][left].tolist())
+    return _read_partition_lines(text, n)
+
+
+def _read_partition_lines(text: str, n: int | None) -> frozenset[int]:
+    """Parse a partition file line by line: the reference grammar, and the
+    reader that names a bad line."""
     left = set()
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

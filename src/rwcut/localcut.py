@@ -140,6 +140,8 @@ def cut_or_bound(
         raise InvalidParamsError("tau must lie in [0, 1)")
     if not 0.0 < zeta < math.inf:  # also refuses nan
         raise InvalidParamsError("zeta must be positive and finite")
+    if max_walk_steps is not None and max_walk_steps < 1:
+        raise InvalidParamsError(f"max_walk_steps must be at least 1, got {max_walk_steps}")
     psi = zeta * tau
     if psi > PSI_MAX:
         raise InvalidParamsError(f"zeta * tau = {psi:g} exceeds {PSI_MAX}")

@@ -80,10 +80,19 @@ class WalkTally:
 
     def counts_at(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         if self.record_per_length:
+            if not 0 <= l <= self.length:
+                raise InvalidInputError(f"length {l} outside the tally's 0..{self.length}")
             return self.even[l], self.odd[l]
         if l != self.length:
             raise InvalidInputError("tally only recorded at the final length")
         return self.even, self.odd
+
+
+def _start_vertex(g: WeightedGraph, start) -> int:
+    """start as an int, refused unless it is an integer vertex id of g."""
+    if not isinstance(start, (int, np.integer)) or not 0 <= start < g.n:
+        raise InvalidInputError(f"start vertex {start!r} is not an integer in [0, {g.n})")
+    return int(start)
 
 
 def _run_block(
@@ -157,8 +166,7 @@ def run_walks(
     compatibility and ignored; the walks run in the calling thread.
     """
     cfg.validate()
-    if not (0 <= start < g.n):
-        raise InvalidInputError(f"start vertex {start} out of range")
+    start = _start_vertex(g, start)
     blocks = [(i, min(BLOCK_WALKS, cfg.walks - i * BLOCK_WALKS))
               for i in range(-(-cfg.walks // BLOCK_WALKS))]
     rows = cfg.length + 1 if cfg.record_per_length else 1
@@ -186,10 +194,8 @@ class WalkAccumulator:
     """
 
     def __init__(self, g: WeightedGraph, start: int, length: int, seed: int):
-        if not (0 <= start < g.n):
-            raise InvalidInputError(f"start vertex {start} out of range")
         self.g = g
-        self.start = start
+        self.start = _start_vertex(g, start)
         self.length = length
         self.seed = seed
         self.walks = 0
@@ -309,8 +315,7 @@ def exact_walk_distribution(
     Transition per step: new = old/2 + move(old)/2, with the move term
     sign-flipped for the signed vector (one extra hop flips parity).
     """
-    if not (0 <= start < g.n):
-        raise InvalidInputError(f"start vertex {start} out of range")
+    start = _start_vertex(g, start)
     if length < 0:
         raise InvalidInputError("length must be >= 0")
     cells = (length + 1) * g.n if record_per_length else g.n

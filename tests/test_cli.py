@@ -257,11 +257,23 @@ class TestHostileInput:
         # At eps 0 only the 4 crossing pairs can be drawn, fewer than 6 edges.
         (["gen", "--n", "4", "--eps", "0", "--deg", "3", "--out", "x.el",
           "--seed", "1"], None, 2),
+        # Bytes that are not UTF-8, in the graph slot and in the partition slot.
+        (["solve", "--algo", "greedy", "--in", "{part}", "--seed", "1"],
+         b"0 1\n\xff 2\n", 1),
+        (["cutbound", "--in", "{part}", "--start", "0", "--seed", "1"], b"\xff", 1),
+        (["eval", "--in", "{graph}", "--partition", "{part}"], b"0 L\n\xff R\n", 1),
+        # --out in a missing directory; solve writes it before its report.
+        (["solve", "--algo", "greedy", "--in", "{graph}", "--seed", "1",
+          "--out", "missing/x.part"], None, 1),
+        (["gen", "--n", "20", "--eps", "0.1", "--deg", "3", "--out", "missing/x.el",
+          "--seed", "1"], None, 1),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):
         part = tmp_path / "p.txt"
-        if partition is not None:
+        if isinstance(partition, bytes):
+            part.write_bytes(partition)
+        elif partition is not None:
             part.write_text(partition)
         argv = [a.format(graph=triangle_file, part=part) for a in args]
         proc = run_cli(argv, cwd=tmp_path)

@@ -30,6 +30,11 @@ from rwcut.graph import (
 from conftest import complete_graph, cycle_graph, make_graph, random_graph
 
 
+def _edges(g):
+    """Each undirected edge of g once as (u, v, w) with u < v, as Python scalars."""
+    return zip(*(a.tolist() for a in g.edge_arrays()))
+
+
 class TestLoad:
     def test_single_edge(self):
         g = load_graph(io.StringIO("0 1 1.0"))
@@ -131,6 +136,71 @@ class TestLoad:
             warnings.simplefilter("error")
             g = load_graph(io.StringIO(text))
         assert g.n == 0
+
+
+@pytest.mark.parametrize("read", [load_graph, read_partition])
+def test_non_utf8_input_is_a_parse_error(tmp_path, read):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"0 1\n\xff 2\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read(str(path))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read(io.BytesIO(b"\xff"))
+
+
+def _reference_csr(n, edges):
+    """The CSR of (u, v, w) edges built in pure Python: parallel edges summed
+    from 0.0 in input order, each row sorted by neighbour."""
+    merged = {}
+    for u, v, w in edges:
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + w
+    rows = [[] for _ in range(n)]
+    for (u, v), w in merged.items():
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    indptr, nbr, wt = [0], [], []
+    for row in rows:
+        for v, w in sorted(row):
+            nbr.append(v)
+            wt.append(w)
+        indptr.append(len(nbr))
+    return n, indptr, nbr, wt
+
+
+@st.composite
+def _edge_sets(draw):
+    """(n, edges) with some ids above every endpoint left isolated; the edges
+    in canonical order (distinct, sorted by pair, as dump_graph writes them),
+    shuffled, each listed twice, or as drawn, with repeats."""
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=25))
+    order = draw(st.sampled_from(["canonical", "shuffled", "twice", "as drawn"]))
+    if order == "canonical":
+        pairs = sorted({(min(p), max(p)) for p in pairs})
+    elif order == "shuffled":
+        pairs = draw(st.permutations(sorted(set(pairs))))
+    elif order == "twice":
+        pairs = draw(st.permutations(pairs + pairs))
+    weight = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.1, 0.2, 0.3, 1e16, 1.0]))
+    edges = [(u, v, draw(weight)) if draw(st.booleans()) else (v, u, draw(weight))
+             for u, v in pairs]
+    return n + draw(st.integers(0, 3)), edges
+
+
+class TestFromArraysMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_sets())
+    @example((3, []))
+    @example((4, [(0, 1, 0.1), (1, 0, 0.2), (0, 1, 0.3), (2, 1, 1.0)]))
+    def test_same_csr(self, case):
+        n, edges = case
+        u, v, w = (np.array([e[k] for e in edges], dtype=dt)
+                   for k, dt in enumerate((np.int64, np.int64, np.float64)))
+        g = WeightedGraph.from_arrays(n, u, v, w)
+        assert g.indptr.dtype == g.nbr.dtype == np.int64
+        assert (g.n, g.indptr.tolist(), g.nbr.tolist(), g.wt.tolist()) == _reference_csr(n, edges)
 
 
 def _reference_load(text):
@@ -240,6 +310,100 @@ class TestReaderMatchesLineReader:
         assert got == _outcome(_reference_load, text)
 
 
+def _reference_read_partition(text, n):
+    """The line-by-line partition reader, as read_partition ran before it
+    read whole columns with numpy: the reference for accepted sets and error
+    messages."""
+    left = set()
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[1] not in ("L", "R"):
+            raise ParseError(f"line {lineno}: expected 'vertex L|R'")
+        try:
+            v = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if n is not None and not 0 <= v < n:
+            raise ParseError(f"line {lineno}: vertex {v} out of range with n={n}")
+        if v in seen:
+            raise ParseError(f"line {lineno}: vertex {v} listed twice")
+        seen.add(v)
+        if parts[1] == "L":
+            left.add(v)
+    return frozenset(left)
+
+
+def _partition_outcome(read, text):
+    try:
+        return sorted(read(text))
+    except ParseError as exc:
+        return str(exc)
+
+
+_PLAIN_VERTEX = st.integers(0, 14).map(lambda k: str(k) if k <= 11 else ["+5", "007", "-0"][k - 12])
+_ODD_PART_FIELD = st.one_of(
+    st.text("0123456789-+_.LR", min_size=1, max_size=4),
+    st.sampled_from(["LL", "RL", "l", "-1", "99", "1.0", "#", "\u0663", "L\x00",
+                     str(2**63), str(-(2**63) - 1)]),
+)
+
+
+@st.composite
+def _partition_texts(draw):
+    """Partition files, half of them plain; the others mix in odd fields,
+    spaces, line breaks and widths, each at its own rate."""
+    noisy = draw(st.booleans())
+
+    def pick(plain, odd):
+        rate = draw(st.sampled_from([0.0, 0.1, 0.5])) if noisy else 0.0
+        return lambda: draw(odd if draw(st.floats(0, 1)) < rate else plain)
+
+    ident, side = pick(_PLAIN_VERTEX, _ODD_PART_FIELD), pick(st.sampled_from("LR"), _ODD_PART_FIELD)
+    space, brk = pick(_PLAIN_SPACE, _ODD_SPACE), pick(_PLAIN_BREAK, _ODD_BREAK)
+    width = pick(st.just(2), st.sampled_from([1, 3]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        line = draw(st.sampled_from(["", "", " ", "\t"]))
+        if draw(st.integers(0, 5)):
+            line += space().join(ident() if k == 0 else side() for k in range(width()))
+            if draw(st.booleans()):
+                line += space()
+        lines.append(line + brk())
+    return "".join(lines)
+
+
+class TestPartitionReaderMatchesLineReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_partition_texts(), st.one_of(st.none(), st.integers(0, 14)))
+    @example("0 LL\n", None)
+    @example("0 L\n+5 R\n007 L\n", 8)
+    @example("0 L\r1 R\x0c2 L\u2028", 3)
+    @example("0 L\n1 R\n0 R\n", None)
+    @example("0 L\n3 R\n", 3)
+    @example("-1 L\n0 R\n", 3)
+    @example("0 L R\n", None)
+    @example(" \t\n", 2)
+    def test_same_set_or_same_error(self, text, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _partition_outcome(lambda t: read_partition(io.StringIO(t), n), text)
+        assert got == _partition_outcome(lambda t: _reference_read_partition(t, n), text)
+
+    @pytest.mark.parametrize("text", ["0 L\n1 R\n", "+5 L\r\n007 R\n\n", "  2 R \t\n0 L"])
+    def test_plain_files_skip_the_line_reader(self, monkeypatch, text):
+        expected = _reference_read_partition(text, 9)
+
+        def refuse(*_):
+            raise AssertionError("line reader used")
+
+        monkeypatch.setattr(graph_module, "_read_partition_lines", refuse)
+        assert read_partition(io.StringIO(text), 9) == expected
+
+
 class TestInduced:
     def test_matches_from_edges_of_induced_edge_list(self):
         rng = np.random.default_rng(13)
@@ -249,7 +413,7 @@ class TestInduced:
                 keep = rng.permutation(g.n)[: int(rng.integers(0, g.n + 1))]
                 sub, ids = g.induced(keep)
                 pos = {int(old): new for new, old in enumerate(ids)}
-                edges = [(pos[u], pos[v], w) for u, v, w in g.edges()
+                edges = [(pos[u], pos[v], w) for u, v, w in _edges(g)
                          if u in pos and v in pos]
                 assert np.array_equal(ids, np.unique(keep))
                 assert sub == WeightedGraph.from_edges(ids.size, edges)
@@ -436,7 +600,7 @@ class TestTripartition:
 def _metrics_by_edge(g, label):
     """good/cross/inc of a labelling, one undirected edge at a time."""
     good = cross = inc = 0.0
-    for u, v, w in g.edges():
+    for u, v, w in _edges(g):
         a, b = label[u] != 0, label[v] != 0
         if a or b:
             inc += w

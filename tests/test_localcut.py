@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rwcut.errors import InvalidInputError
+from rwcut.errors import InvalidInputError, InvalidParamsError
 from rwcut.graph import conductance
 from rwcut.localcut import (
     LowConductanceCut,
@@ -150,6 +150,15 @@ class TestCutOrBound:
         assert conductance(g, res.vertices) == pytest.approx(res.conductance)
         # the cut stays on the start's side of the dumbbell
         assert all(v < 20 for v in res.vertices)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_walk_step_cap_below_one_refused(self, cap):
+        with pytest.raises(InvalidParamsError, match="max_walk_steps"):
+            cut_or_bound(dumbbell(5), 0, tau=0.25, zeta=0.5, seed=1, max_walk_steps=cap)
+
+    def test_non_integer_start_refused(self):
+        with pytest.raises(InvalidInputError, match="not an integer in"):
+            cut_or_bound(dumbbell(5), 1.5, tau=0.25, zeta=0.5, seed=1)
 
     def test_complete_graph_bound_branch(self):
         g = complete_graph(50)

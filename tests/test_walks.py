@@ -68,6 +68,31 @@ class TestRunWalks:
         with pytest.raises(InvalidInputError):
             run_walks(single_edge, 7, WalkConfig(length=1, walks=1, seed=0))
 
+    @pytest.mark.parametrize("start", [1.5, 0.0, "0"])
+    def test_non_integer_start_refused(self, single_edge, start):
+        with pytest.raises(InvalidInputError, match="not an integer in"):
+            run_walks(single_edge, start, WalkConfig(length=1, walks=1, seed=0))
+        with pytest.raises(InvalidInputError, match="not an integer in"):
+            WalkAccumulator(single_edge, start, 1, seed=0)
+        with pytest.raises(InvalidInputError, match="not an integer in"):
+            exact_walk_distribution(single_edge, start, 1)
+
+    def test_numpy_integer_start_accepted(self, single_edge):
+        cfg = WalkConfig(length=3, walks=50, seed=2)
+        a = run_walks(single_edge, np.int32(1), cfg)
+        b = run_walks(single_edge, 1, cfg)
+        assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
+        acc = WalkAccumulator(single_edge, np.int64(1), 3, seed=2)
+        acc.extend_to(50)
+        assert np.array_equal(acc.tally().even, b.even)
+
+    @pytest.mark.parametrize("l", [-1, 4, 10])
+    def test_counts_at_outside_the_tally_refused(self, single_edge, l):
+        t = run_walks(single_edge, 0, WalkConfig(length=3, walks=10, seed=1,
+                                                 record_per_length=True))
+        with pytest.raises(InvalidInputError, match="outside the tally"):
+            t.counts_at(l)
+
     def test_caps_enforced(self, single_edge):
         with pytest.raises(ResourceError):
             run_walks(single_edge, 0, WalkConfig(length=201, walks=1, seed=0))
