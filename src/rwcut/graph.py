@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
-import re
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -34,6 +34,8 @@ _MAX_KEYED_N = 3_037_000_499
 # A graph may have at most 2 * edges + _MAX_ISOLATED vertices, so that one
 # large id in a small file cannot size its arrays.
 _MAX_ISOLATED = 1 << 20
+# dump_graph writes this many edges at a time, so that its memory stays bounded.
+_DUMP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -329,7 +331,6 @@ def _read_text(source) -> str:
 
 _EDGE_DTYPES = (np.dtype([("u", "i8"), ("v", "i8"), ("w", "f8")]),
                 np.dtype([("u", "i8"), ("v", "i8")]))
-_DATA_LINE = re.compile(r"^[ \t]*[^\s#]", re.MULTILINE)
 
 
 def _read_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -341,14 +342,10 @@ def _read_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
     int() and float() with the same values, and splitting at str.splitlines
     leaves it the same whitespace as str.split.
     """
-    # loadtxt warns on input without a data line.
-    if not _DATA_LINE.search(text):
-        return None
     lines = text.splitlines()
     for dtype in _EDGE_DTYPES:
-        try:
-            rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
-        except ValueError:
+        rows = _loadtxt_or_none(lines, dtype, "#")
+        if rows is None:
             continue
         u, v = rows["u"], rows["v"]
         w = rows["w"] if "w" in dtype.names else np.ones(u.size)
@@ -356,6 +353,18 @@ def _read_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
             return u, v, w
         return None
     return None
+
+
+def _loadtxt_or_none(lines: list[str], dtype: np.dtype, comments: str | None):
+    """np.loadtxt of lines, or None where it refuses or warns: on input without
+    a data line, or (numpy 1.23 to 1.26) on an integer field such as "1.0",
+    which int() refuses and it would read through float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments=comments, ndmin=1)
+        except (ValueError, Warning):
+            return None
 
 
 def _load_lines(text: str) -> WeightedGraph:
@@ -392,11 +401,9 @@ def _load_lines(text: str) -> WeightedGraph:
 def dump_graph(g: WeightedGraph, target) -> None:
     """Write the edge list with sorted edges; round-trips through load_graph."""
     u, v, w = g.edge_arrays()
-    weights, inverse = np.unique(w, return_inverse=True)
-    reprs = [repr(x) for x in weights.tolist()]
-    text = "".join([f"{a} {b} {reprs[k]}\n"
-                    for a, b, k in zip(u.tolist(), v.tolist(), inverse.tolist())])
-    _write_text(text, target)
+    blocks = (zip(u[i:i + _DUMP_BLOCK].tolist(), v[i:i + _DUMP_BLOCK].tolist(),
+                  w[i:i + _DUMP_BLOCK].tolist()) for i in range(0, u.size, _DUMP_BLOCK))
+    _write_text(("".join([f"{a} {b} {x!r}\n" for a, b, x in block]) for block in blocks), target)
 
 
 def dumps_graph(g: WeightedGraph) -> str:
@@ -405,13 +412,12 @@ def dumps_graph(g: WeightedGraph) -> str:
     return buf.getvalue()
 
 
-def _write_text(text: str, target) -> None:
-    """Write text to a stream or path in one call."""
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_text(text: str | Iterable[str], target) -> None:
+    """Write a string, or each string of an iterable, to a stream or path."""
+    with (contextlib.nullcontext(target) if hasattr(target, "write")
+          else open(target, "w", encoding="utf-8")) as fh:
+        for part in (text,) if isinstance(text, str) else text:
+            fh.write(part)
 
 
 def write_partition(left, n: int, target) -> None:
@@ -434,10 +440,7 @@ def read_partition(source, n: int | None = None) -> frozenset[int]:
     that a side such as "LL" is not cut to "L".
     """
     text = _read_text(source)
-    rows = None
-    if text.strip():  # loadtxt warns on input without a data line
-        with contextlib.suppress(ValueError):
-            rows = np.loadtxt(text.splitlines(), dtype=_SIDE_DTYPE, comments=None, ndmin=1)
+    rows = _loadtxt_or_none(text.splitlines(), _SIDE_DTYPE, None)
     if rows is not None:
         ids, left = np.sort(rows["v"]), rows["side"] == "L"  # a sort: no array sized by an id
         if ((left | (rows["side"] == "R")).all() and not (ids[1:] == ids[:-1]).any()

@@ -75,6 +75,12 @@ class TestLoad:
         g2 = load_graph(io.StringIO(dumps_graph(g)))
         assert g == g2
 
+    def test_dump_writes_one_line_per_edge_across_blocks(self, monkeypatch):
+        g = random_graph(17, 0.3, np.random.default_rng(7), weighted=True)
+        expected = "".join(f"{u} {v} {w!r}\n" for u, v, w in _edges(g))
+        monkeypatch.setattr(graph_module, "_DUMP_BLOCK", 4)
+        assert dumps_graph(g) == expected
+
     @pytest.mark.parametrize("w", ["inf", "nan", "-inf"])
     def test_non_finite_weight_named(self, w):
         with pytest.raises(ParseError, match="line 1: non-finite weight"):
@@ -243,6 +249,16 @@ def _outcome(load, text):
     return g.n, g.indptr.tolist(), g.nbr.tolist(), g.wt.tolist()
 
 
+def _unwarned(outcome, *args):
+    """outcome(*args) under a filter that lets every warning pass, as the
+    default filters let a DeprecationWarning pass; none may escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = outcome(*args)
+    assert caught == []
+    return got
+
+
 _PLAIN_ID = st.integers(0, 43).map(lambda k: str(k) if k <= 40 else ["+2", "007", "-0"][k - 41])
 _PLAIN_WEIGHT = st.one_of(st.floats(1e-3, 1e3).map(repr),
                           st.sampled_from(["1", ".5", "5.", "+1e3", "2E-1", "3"]))
@@ -303,10 +319,10 @@ class TestReaderMatchesLineReader:
     @example("0 1 0\n")
     @example("0 1 1e400\n")
     @example("0 9223372036854775808\n")
+    @example("0 1\n1.0 2\n")
+    @example("1e3 2\n")
     def test_same_graph_or_same_error(self, text):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _outcome(lambda t: load_graph(io.StringIO(t)), text)
+        got = _unwarned(_outcome, lambda t: load_graph(io.StringIO(t)), text)
         assert got == _outcome(_reference_load, text)
 
 
@@ -387,10 +403,11 @@ class TestPartitionReaderMatchesLineReader:
     @example("-1 L\n0 R\n", 3)
     @example("0 L R\n", None)
     @example(" \t\n", 2)
+    @example("1.0 L\n", None)
+    @example("0 L\n1.5 L\n", None)
+    @example("1e3 L\n", None)
     def test_same_set_or_same_error(self, text, n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _partition_outcome(lambda t: read_partition(io.StringIO(t), n), text)
+        got = _unwarned(_partition_outcome, lambda t: read_partition(io.StringIO(t), n), text)
         assert got == _partition_outcome(lambda t: _reference_read_partition(t, n), text)
 
     @pytest.mark.parametrize("text", ["0 L\n1 R\n", "+5 L\r\n007 R\n\n", "  2 R \t\n0 L"])
@@ -402,6 +419,27 @@ class TestPartitionReaderMatchesLineReader:
 
         monkeypatch.setattr(graph_module, "_read_partition_lines", refuse)
         assert read_partition(io.StringIO(text), 9) == expected
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (load_graph, "0 1\n1.0 2\n", "line 2: invalid literal for int() with base 10: '1.0'"),
+    (read_partition, "0 L\n1e3 L\n", "line 2: invalid literal for int() with base 10: '1e3'"),
+])
+def test_loadtxt_warning_goes_to_the_line_reader(monkeypatch, read, text, error):
+    # numpy 1.23 to 1.26 read an integer field such as "1.0" through float,
+    # with only a DeprecationWarning.
+    loadtxt = np.loadtxt
+
+    def lenient(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt([line.replace("1.0", "1").replace("1e3", "1000") for line in lines],
+                       **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    with pytest.raises(ParseError) as info:
+        _unwarned(read, io.StringIO(text))
+    assert str(info.value) == error
 
 
 class TestInduced:
