@@ -54,7 +54,6 @@ from .solver import (
 from .spectral import (
     LaplacianOperator,
     power_laplacian_vector,
-    rayleigh_quotient,
     sweep_cut_best,
     trevisan_baseline,
 )
@@ -70,7 +69,6 @@ from .threshold import (
     walk_count,
 )
 from .walks import (
-    ExactWalkDist,
     WalkAccumulator,
     WalkConfig,
     WalkTally,

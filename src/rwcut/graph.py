@@ -15,7 +15,6 @@ vertex.
 from __future__ import annotations
 
 import contextlib
-import io
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -66,7 +65,6 @@ class WeightedGraph:
         "wt",
         "degrees",
         "total_weight",
-        "max_degree",
         "_csr",
         "_alias",
         "_greedy",
@@ -82,7 +80,6 @@ class WeightedGraph:
         self.degrees = np.bincount(np.repeat(np.arange(self.n), np.diff(self.indptr)),
                                    weights=self.wt, minlength=self.n)
         self.total_weight = float(self.degrees.sum())
-        self.max_degree = float(self.degrees.max()) if self.n else 0.0
         self._csr = None
         self._alias = None
         self._greedy = None
@@ -158,11 +155,6 @@ class WeightedGraph:
     def edge_weight_total(self) -> float:
         """Sum of edge weights (half the total weighted degree)."""
         return self.total_weight / 2.0
-
-    def volume(self, vertices) -> float:
-        """Weighted-degree sum over a vertex collection."""
-        idx = _as_index_array(vertices, self.n)
-        return float(self.degrees[idx].sum())
 
     def adjacency_csr(self):
         """Adjacency matrix as a cached scipy CSR array."""
@@ -399,17 +391,13 @@ def _load_lines(text: str) -> WeightedGraph:
 
 
 def dump_graph(g: WeightedGraph, target) -> None:
-    """Write the edge list with sorted edges; round-trips through load_graph."""
+    """Write the edge list with sorted edges.  load_graph reads it back as an
+    equal graph when vertex n - 1 has an edge (it takes n as the largest id
+    plus one)."""
     u, v, w = g.edge_arrays()
     blocks = (zip(u[i:i + _DUMP_BLOCK].tolist(), v[i:i + _DUMP_BLOCK].tolist(),
                   w[i:i + _DUMP_BLOCK].tolist()) for i in range(0, u.size, _DUMP_BLOCK))
     _write_text(("".join([f"{a} {b} {x!r}\n" for a, b, x in block]) for block in blocks), target)
-
-
-def dumps_graph(g: WeightedGraph) -> str:
-    buf = io.StringIO()
-    dump_graph(g, buf)
-    return buf.getvalue()
 
 
 def _write_text(text: str | Iterable[str], target) -> None:
@@ -437,10 +425,11 @@ def read_partition(source, n: int | None = None) -> frozenset[int]:
     on the Right.  numpy's C reader reads the columns; text it does not take
     as plain, or that fails a check, goes to _read_partition_lines, which
     names the first bad line.  The side field is two characters wide, so
-    that a side such as "LL" is not cut to "L".
+    that a side such as "LL" is not cut to "L".  numpy drops trailing NULs
+    from it, so text with a NUL goes to the line reader as well.
     """
     text = _read_text(source)
-    rows = _loadtxt_or_none(text.splitlines(), _SIDE_DTYPE, None)
+    rows = None if "\x00" in text else _loadtxt_or_none(text.splitlines(), _SIDE_DTYPE, None)
     if rows is not None:
         ids, left = np.sort(rows["v"]), rows["side"] == "L"  # a sort: no array sized by an id
         if ((left | (rows["side"] == "R")).all() and not (ids[1:] == ids[:-1]).any()
@@ -602,9 +591,6 @@ class Tripartition:
         self.inc = 0.0
         self.classified_volume = 0.0
         self.classified_count = 0
-
-    def side_of(self, v: int) -> int:
-        return int(self.side[v])
 
     def classify(self, vertices, side) -> None:
         """Classify one vertex or an array of vertices onto side.

@@ -99,7 +99,6 @@ class LowConductanceCut:
     vertices: frozenset
     conductance: float
     length: int
-    prefix_size: int
     phi: float
     walks: int
 
@@ -140,8 +139,6 @@ def cut_or_bound(
         raise InvalidParamsError("tau must lie in [0, 1)")
     if not 0.0 < zeta < math.inf:  # also refuses nan
         raise InvalidParamsError("zeta must be positive and finite")
-    if max_walk_steps is not None and max_walk_steps < 1:
-        raise InvalidParamsError(f"max_walk_steps must be at least 1, got {max_walk_steps}")
     psi = zeta * tau
     if psi > PSI_MAX:
         raise InvalidParamsError(f"zeta * tau = {psi:g} exceeds {PSI_MAX}")
@@ -151,12 +148,14 @@ def cut_or_bound(
     if length > LENGTH_CAP:  # checked before the walk count can overflow
         raise ResourceError(f"walk length ln(m) / zeta = {length:g} exceeds cap {LENGTH_CAP}")
     ell = max(1, int(math.ceil(length)))
+    if max_walk_steps is not None and max_walk_steps < ell:
+        raise InvalidParamsError(f"max_walk_steps {max_walk_steps} is below the walk length {ell}")
     phi = solve_phi(psi)
     w = int(math.ceil(30.0 * ell * ell * math.log(max(g.n, 2)) / alpha))
     if max_walk_steps is not None:
         # Desk-scale cap: weakens the bound declaration's confidence but
         # never the recomputed soundness of a returned cut.
-        w = max(1, min(w, max_walk_steps // max(ell, 1)))
+        w = min(w, max_walk_steps // ell)
     b = int(math.ceil(ell / (2.0 * (1.0 - 2.0 * phi) * alpha)))
     cfg = WalkConfig(length=ell, walks=w, record_per_length=True, seed=seed)
     tally = run_walks(g, start, cfg)
@@ -178,7 +177,6 @@ def cut_or_bound(
                 vertices=frozenset(candidates[:k].tolist()),
                 conductance=float(cond[k - 1]),
                 length=l,
-                prefix_size=k,
                 phi=phi,
                 walks=w,
             )

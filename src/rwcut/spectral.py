@@ -53,14 +53,6 @@ def power_laplacian_vector(g: WeightedGraph, start: int, length: int) -> np.ndar
     return v
 
 
-def rayleigh_quotient(op: LaplacianOperator, x: np.ndarray) -> float:
-    """x^T L x / x^T x, always in [0, 2]."""
-    nrm2 = float(np.dot(x, x))
-    if nrm2 <= 0.0:
-        raise InvalidInputError("Rayleigh quotient of the zero vector")
-    return float(np.dot(x, op.apply(x))) / nrm2
-
-
 @dataclass(frozen=True)
 class SweepCut:
     positive: frozenset

@@ -64,15 +64,15 @@ def soto_fn(sigma: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.sqrt(sigma * (1.0 - sigma)))
 
 
-def walk_count(t: float, alpha: float, n: int, kappa: float = KAPPA) -> int:
-    """ceil(kappa * ln(n) * max(alpha, t) / t^2) walks for threshold t."""
+def walk_count(t: float, alpha: float, n: int) -> int:
+    """ceil(KAPPA * ln(n) * max(alpha, t) / t^2) walks for threshold t."""
     if t <= 0.0:
         raise InvalidInputError("threshold must be positive")
     if not (0.0 < alpha <= 1.0):
         raise InvalidParamsError("alpha must lie in (0, 1]")
     if n < 2:
         raise InvalidParamsError("n must be at least 2")
-    return int(math.ceil(kappa * math.log(n) * max(alpha, t) / (t * t)))
+    return int(math.ceil(KAPPA * math.log(n) * max(alpha, t) / (t * t)))
 
 
 @dataclass

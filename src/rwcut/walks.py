@@ -26,7 +26,7 @@ which keeps the tally a pure function of the requested walk total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ BLOCK_WALKS = 4096
 # Guards against walk requests sized by outside input.
 LENGTH_CAP = 200
 STEP_CAP = 1_000_000_000
-
-# Guards for a single exact-DP call; the oracle is meant for n up to ~5000.
-_DP_CELL_BUDGET = 50_000_000
 
 
 @dataclass
@@ -251,101 +248,39 @@ def signed_estimates(tally: WalkTally, g: WeightedGraph) -> np.ndarray:
 
 
 def lazy_step(g: WeightedGraph, p: np.ndarray) -> np.ndarray:
-    """One exact lazy-walk step applied to a mass vector."""
-    move = _move_operator(g, p)
+    """One exact lazy-walk step applied to a mass vector.
+
+    Mass at a degree-0 vertex has nowhere to go and stays in place.
+    """
+    A = g.adjacency_csr()
+    d = g.degrees
+    scaled = np.where(d > 0.0, p / np.where(d > 0.0, d, 1.0), 0.0)
+    move = A @ scaled + np.where(d > 0.0, 0.0, p)
     return 0.5 * p + 0.5 * move
 
 
-def _move_operator(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
-    # Mass at degree-0 vertices has nowhere to go and stays in place.
-    A = g.adjacency_csr()
-    d = g.degrees
-    scaled = np.where(d > 0.0, x / np.where(d > 0.0, d, 1.0), 0.0)
-    out = A @ scaled
-    out = out + np.where(d > 0.0, 0.0, x)
-    return out
+def exact_walk_distribution(g: WeightedGraph, start: int,
+                            length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact lazy-walk distribution p after length steps from start, and
+    its parity-signed companion s: s(j) is the even-hop minus the odd-hop
+    probability of being at j.
 
-
-@dataclass
-class ExactWalkDist:
-    """Exact per-length walk distribution and its parity-signed companion.
-
-    ``s[l](j)`` is the signed arrival mass: even-hop probability minus
-    odd-hop probability of being at j after l steps.
-    """
-
-    n: int
-    length: int
-    start: int
-    p: np.ndarray
-    s: np.ndarray
-    p_all: np.ndarray | None = None
-    s_all: np.ndarray | None = None
-    record_per_length: bool = field(default=False)
-
-    def prob(self, l: int) -> np.ndarray:
-        if self.record_per_length:
-            return self.p_all[l]
-        if l != self.length:
-            raise InvalidInputError("distribution only recorded at final length")
-        return self.p
-
-    def signed(self, l: int) -> np.ndarray:
-        if self.record_per_length:
-            return self.s_all[l]
-        if l != self.length:
-            raise InvalidInputError("distribution only recorded at final length")
-        return self.s
-
-    def signed_vector(self, g: WeightedGraph, l: int | None = None) -> np.ndarray:
-        """Degree-normalized signed vector s_l(j) / sqrt(d_j)."""
-        l = self.length if l is None else l
-        s = self.signed(l)
-        out = np.zeros(self.n)
-        mask = g.degrees > 0.0
-        out[mask] = s[mask] / np.sqrt(g.degrees[mask])
-        return out
-
-
-def exact_walk_distribution(
-    g: WeightedGraph, start: int, length: int, record_per_length: bool = False
-) -> ExactWalkDist:
-    """Exact DP over walk lengths maintaining (probability, signed) vectors.
-
-    Transition per step: new = old/2 + move(old)/2, with the move term
-    sign-flipped for the signed vector (one extra hop flips parity).
+    Per step p <- p/2 + A(p/d)/2 and s <- s/2 - A(s/d)/2, as one more hop
+    flips the parity.  A walk from a degree-0 vertex never moves.
     """
     start = _start_vertex(g, start)
     if length < 0:
         raise InvalidInputError("length must be >= 0")
-    cells = (length + 1) * g.n if record_per_length else g.n
-    if cells > _DP_CELL_BUDGET:
-        raise ResourceError("exact DP exceeds its memory budget")
     p = np.zeros(g.n)
     p[start] = 1.0
     s = p.copy()
-    p_all = s_all = None
-    if record_per_length:
-        p_all = np.zeros((length + 1, g.n))
-        s_all = np.zeros((length + 1, g.n))
-        p_all[0] = p
-        s_all[0] = s
-    for l in range(1, length + 1):
-        p = 0.5 * p + 0.5 * _move_operator(g, p)
-        # Degree-0 mass "moves" in place without a hop, so no sign flip there.
-        s_move = _move_operator(g, s)
-        d0 = g.degrees <= 0.0
-        s = 0.5 * s - 0.5 * np.where(d0, -s_move, s_move)
-        if record_per_length:
-            p_all[l] = p
-            s_all[l] = s
-    return ExactWalkDist(
-        n=g.n,
-        length=length,
-        start=start,
-        p=p,
-        s=s,
-        p_all=p_all,
-        s_all=s_all,
-        record_per_length=record_per_length,
-    )
+    if g.degrees[start] <= 0.0:
+        return p, s
+    A = g.adjacency_csr()
+    # Mass from start never reaches a degree-0 vertex, so any divisor works
+    # there; 1.0 keeps the division finite.
+    d = np.where(g.degrees > 0.0, g.degrees, 1.0)
+    for _ in range(length):
+        p = 0.5 * p + 0.5 * (A @ (p / d))
+        s = 0.5 * s - 0.5 * (A @ (s / d))
+    return p, s

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rwcut
-from rwcut.graph import WeightedGraph
+from rwcut.graph import WeightedGraph, dump_graph
 
 # Directory holding the `rwcut` package this suite imported.
 PACKAGE_ROOT = str(Path(rwcut.__file__).resolve().parents[1])
@@ -32,6 +33,13 @@ def run_cli(args, cwd=None):
         [sys.executable, "-m", "rwcut.cli", *args],
         capture_output=True, text=True, timeout=600, cwd=cwd, env=cli_env(),
     )
+
+
+def dump_text(g):
+    """dump_graph's file text for g."""
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    return buf.getvalue()
 
 
 def make_graph(n, edges):

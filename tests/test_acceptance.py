@@ -48,11 +48,11 @@ def test_criterion_1_laplacian_identity():
             if g.degrees[s] <= 0.0:
                 continue
             starts_checked += 1
-            dist = exact_walk_distribution(g, s, 12, record_per_length=True)
             for l in range(13):
-                diff = np.abs(
-                    dist.signed_vector(g, l) - power_laplacian_vector(g, s, l)
-                ).max()
+                _, signed = exact_walk_distribution(g, s, l)
+                scaled = np.divide(signed, np.sqrt(g.degrees), out=np.zeros(g.n),
+                                   where=g.degrees > 0)
+                diff = np.abs(scaled - power_laplacian_vector(g, s, l)).max()
                 worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9, f"identity violated: max diff {worst:g}"
@@ -71,14 +71,14 @@ def test_criterion_2_ls_chord_inequality():
         g = random_graph(n, float(rng.uniform(0.15, 0.5)), rng,
                          weighted=bool(rng.random() < 0.5))
         start = int(np.argmax(g.degrees))
-        dist = exact_walk_distribution(g, start, 8, record_per_length=True)
         for _ in range(5):
             if checked >= 500:
                 break
             l = int(rng.integers(1, 9))
             k = int(rng.integers(1, g.n + 1))
             s = set(rng.permutation(g.n)[:k].tolist())
-            assert ls_chord_check(g, dist.prob(l - 1), s), (
+            p, _ = exact_walk_distribution(g, start, l - 1)
+            assert ls_chord_check(g, p, s), (
                 f"chord inequality failed: n={g.n} l={l} |S|={k}"
             )
             checked += 1
@@ -116,8 +116,8 @@ def test_criterion_3_cut_or_bound_soundness():
                 assert cond == pytest.approx(res.conductance, abs=1e-9)
             else:
                 bounds += 1
-                dist = exact_walk_distribution(g, start, res.length)
-                ratio = float((dist.p / (2.0 * g.degrees)).max())
+                p, _ = exact_walk_distribution(g, start, res.length)
+                ratio = float((p / (2.0 * g.degrees)).max())
                 if ratio <= res.alpha_bound:
                     bound_correct += 1
     elapsed = time.perf_counter() - t0
@@ -265,17 +265,17 @@ def test_criterion_8_estimation_concentration():
     battery = _concentration_battery()
     assert len(battery) == 10
     for gi, (g, start, ell) in enumerate(battery):
-        dist = exact_walk_distribution(g, start, ell)
+        _, s = exact_walk_distribution(g, start, ell)
         exact = np.zeros(g.n)
         mask = g.degrees > 0
-        exact[mask] = dist.s[mask] / g.degrees[mask]
+        exact[mask] = s[mask] / g.degrees[mask]
         for t in (0.2, 0.1):
             if float(np.abs(exact).max()) <= t * 1.15:
                 continue  # this core only clears the smaller threshold
             bad_seeds = 0
             nonvacuous = 0
             for seed in range(200):
-                w = walk_count(t, 1.0, g.n, kappa=8.0)
+                w = walk_count(t, 1.0, g.n)
                 tally = run_walks(
                     g, start,
                     WalkConfig(length=ell, walks=w, seed=31_000 * gi + seed),

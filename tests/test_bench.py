@@ -18,9 +18,9 @@ from rwcut.bench import (
     random_cut,
 )
 from rwcut.errors import InvalidParamsError, ResourceError
-from rwcut.graph import WeightedGraph, cut_value, load_graph, dumps_graph
+from rwcut.graph import WeightedGraph, cut_value, load_graph
 
-from conftest import cli_env, complete_bipartite, cycle_graph, make_graph, random_graph
+from conftest import cli_env, complete_bipartite, cycle_graph, dump_text, make_graph, random_graph
 
 
 class TestBruteForce:
@@ -328,7 +328,7 @@ class TestGenPlanted:
 
     def test_edge_list_round_trip(self):
         inst = gen_planted(40, 0.1, 5, seed=4)
-        g2 = load_graph(io.StringIO(dumps_graph(inst.graph)))
+        g2 = load_graph(io.StringIO(dump_text(inst.graph)))
         assert g2 == inst.graph
 
     @pytest.mark.parametrize("args, digest", [
@@ -339,5 +339,5 @@ class TestGenPlanted:
          "3d0192afd2c769cb87ad0a56287e30867c0f89fd33c8dd5c9c31da951518fdce"),
     ])
     def test_instances_pinned(self, args, digest):
-        text = dumps_graph(gen_planted(*args).graph)
+        text = dump_text(gen_planted(*args).graph)
         assert hashlib.sha256(text.encode()).hexdigest() == digest

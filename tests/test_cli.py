@@ -267,6 +267,8 @@ class TestHostileInput:
           "--out", "missing/x.part"], None, 1),
         (["gen", "--n", "20", "--eps", "0.1", "--deg", "3", "--out", "missing/x.el",
           "--seed", "1"], None, 1),
+        # A side followed by a NUL, which numpy's text field would drop.
+        (["eval", "--in", "{graph}", "--partition", "{part}"], "0 L\x00\n1 R\n2 R\n", 1),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):

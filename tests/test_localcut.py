@@ -120,10 +120,10 @@ class TestChordInequality:
                              weighted=bool(rng.random() < 0.5))
             start = int(np.argmax(g.degrees))
             l = int(rng.integers(1, 9))
-            d = exact_walk_distribution(g, start, l, record_per_length=True)
+            p, _ = exact_walk_distribution(g, start, l - 1)
             k = int(rng.integers(1, g.n))
             s = set(rng.permutation(g.n)[:k].tolist())
-            assert ls_chord_check(g, d.prob(l - 1), s)
+            assert ls_chord_check(g, p, s)
             checked += 1
 
     def test_curve_flattens_per_step(self):
@@ -131,10 +131,9 @@ class TestChordInequality:
         for _ in range(10):
             g = random_graph(14, 0.35, rng, weighted=True)
             start = int(np.argmax(g.degrees))
-            d = exact_walk_distribution(g, start, 10, record_per_length=True)
-            prev = build_ls_curve(g, d.prob(0))
+            prev = build_ls_curve(g, exact_walk_distribution(g, start, 0)[0])
             for l in range(1, 11):
-                cur = build_ls_curve(g, d.prob(l))
+                cur = build_ls_curve(g, exact_walk_distribution(g, start, l)[0])
                 xs = np.unique(np.concatenate((prev.x, cur.x)))
                 assert np.all(cur(xs) <= prev(xs) + 1e-12)
                 prev = cur
@@ -151,10 +150,15 @@ class TestCutOrBound:
         # the cut stays on the start's side of the dumbbell
         assert all(v < 20 for v in res.vertices)
 
-    @pytest.mark.parametrize("cap", [0, -5])
+    # On dumbbell(5) with these parameters the walk length is 8.
+    @pytest.mark.parametrize("cap", [0, -5, 1, 7])
     def test_walk_step_cap_below_one_refused(self, cap):
         with pytest.raises(InvalidParamsError, match="max_walk_steps"):
             cut_or_bound(dumbbell(5), 0, tau=0.25, zeta=0.5, seed=1, max_walk_steps=cap)
+
+    def test_walk_step_cap_of_one_walk(self):
+        res = cut_or_bound(dumbbell(5), 0, tau=0.25, zeta=0.5, seed=1, max_walk_steps=8)
+        assert res.walks == 1
 
     def test_non_integer_start_refused(self):
         with pytest.raises(InvalidInputError, match="not an integer in"):
@@ -164,8 +168,8 @@ class TestCutOrBound:
         g = complete_graph(50)
         res = cut_or_bound(g, 0, tau=0.15, zeta=0.21, seed=4)
         assert isinstance(res, ProbabilityBound)
-        d = exact_walk_distribution(g, 0, res.length)
-        assert float((d.p / (2 * g.degrees)).max()) <= res.alpha_bound
+        p, _ = exact_walk_distribution(g, 0, res.length)
+        assert float((p / (2 * g.degrees)).max()) <= res.alpha_bound
 
     def test_cut_soundness_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -176,9 +180,9 @@ class TestCutOrBound:
             if isinstance(res, LowConductanceCut):
                 assert conductance(g, res.vertices) < res.phi
             else:
-                d = exact_walk_distribution(g, int(np.argmax(g.degrees)),
-                                            res.length)
-                assert float((d.p / (2 * g.degrees)).max()) <= res.alpha_bound
+                p, _ = exact_walk_distribution(g, int(np.argmax(g.degrees)),
+                                               res.length)
+                assert float((p / (2 * g.degrees)).max()) <= res.alpha_bound
 
     def test_empirical_curve_sandwich(self):
         # (1-d)I - d*a*x <= I_hat <= (1+d)I + d*a*x with d = 1/ell, for the
@@ -199,14 +203,13 @@ class TestCutOrBound:
             tally = run_walks(g, start, WalkConfig(length=ell, walks=w,
                                                    record_per_length=True,
                                                    seed=seed))
-            d = exact_walk_distribution(g, start, ell, record_per_length=True)
             delta = 1.0 / ell
             ok = True
             for l in range(ell + 1):
                 ev, od = tally.counts_at(l)
                 emp = (ev + od) / w
                 ihat = build_ls_curve(g, emp)
-                ifull = build_ls_curve(g, d.prob(l))
+                ifull = build_ls_curve(g, exact_walk_distribution(g, start, l)[0])
                 xs = np.unique(np.concatenate((ihat.x, ifull.x)))
                 lo = (1 - delta) * ifull(xs) - delta * alpha * xs
                 hi = (1 + delta) * ifull(xs) + delta * alpha * xs

@@ -74,7 +74,7 @@ class TestSoto:
 
 class TestWalkCount:
     def test_spec_example(self):
-        assert walk_count(0.5, 1.0, 100, kappa=8.0) == 148
+        assert walk_count(0.5, 1.0, 100) == 148
 
     def test_inverse_t_scaling_above_alpha(self):
         # with t >= alpha, w ~ 1/t
@@ -118,12 +118,12 @@ class TestClassify:
         t = self._tally(g, [30, 0, 12], [0, 30, 0], 100)
         part = Tripartition(g)
         threshold_classify(g, 0.2, t, part)
-        assert part.side_of(0) == EVEN
-        assert part.side_of(1) == 0  # |est| = 0.15 below threshold
-        assert part.side_of(2) == 0
+        assert part.side[0] == EVEN
+        assert part.side[1] == 0  # |est| = 0.15 below threshold
+        assert part.side[2] == 0
         threshold_classify(g, 0.1, t, part)
-        assert part.side_of(1) == ODD
-        assert part.side_of(2) == EVEN
+        assert part.side[1] == ODD
+        assert part.side[2] == EVEN
 
     def test_idempotent(self):
         g = make_graph(2, [(0, 1, 1)])
@@ -140,7 +140,7 @@ class TestClassify:
         part.classify(0, ODD)
         t = self._tally(g, [100, 0], [0, 0], 100)
         threshold_classify(g, 0.5, t, part)
-        assert part.side_of(0) == ODD
+        assert part.side[0] == ODD
 
 
 class TestFindThreshold:

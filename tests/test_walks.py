@@ -146,26 +146,32 @@ class TestSignedEstimate:
 
 class TestExactDistribution:
     def test_single_edge_one_step(self, single_edge):
-        d = exact_walk_distribution(single_edge, 0, 1)
-        assert np.allclose(d.p, [0.5, 0.5])
-        assert np.allclose(d.s, [0.5, -0.5])
+        p, s = exact_walk_distribution(single_edge, 0, 1)
+        assert np.allclose(p, [0.5, 0.5])
+        assert np.allclose(s, [0.5, -0.5])
 
     def test_zero_length_indicator(self, triangle):
-        d = exact_walk_distribution(triangle, 1, 0)
-        assert np.array_equal(d.p, [0.0, 1.0, 0.0])
-        assert np.array_equal(d.s, [0.0, 1.0, 0.0])
+        p, s = exact_walk_distribution(triangle, 1, 0)
+        assert np.array_equal(p, [0.0, 1.0, 0.0])
+        assert np.array_equal(s, [0.0, 1.0, 0.0])
+
+    def test_degree_zero_start_stays_put(self):
+        g = make_graph(3, [(0, 1, 1)])
+        for l in (0, 1, 5):
+            p, s = exact_walk_distribution(g, 2, l)
+            assert np.array_equal(p, [0.0, 0.0, 1.0])
+            assert np.array_equal(s, [0.0, 0.0, 1.0])
 
     def test_conservation(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = random_graph(15, 0.3, rng, weighted=True)
             start = int(np.argmax(g.degrees))
-            d = exact_walk_distribution(g, start, 20, record_per_length=True)
             for l in range(21):
-                p = d.prob(l)
+                p, s = exact_walk_distribution(g, start, l)
                 assert abs(float(p.sum()) - 1.0) < 1e-12
                 assert np.all(p >= -1e-15)
-                assert np.all(p + 1e-15 >= np.abs(d.signed(l)))
+                assert np.all(p + 1e-15 >= np.abs(s))
 
     def test_laplacian_power_identity(self):
         rng = np.random.default_rng(6)
@@ -173,12 +179,12 @@ class TestExactDistribution:
             g = random_graph(int(rng.integers(4, 40)), 0.3, rng,
                              weighted=(trial % 2 == 0))
             starts = [v for v in range(g.n) if g.degrees[v] > 0][:4]
-            for s in starts:
-                d = exact_walk_distribution(g, s, 12, record_per_length=True)
+            for v in starts:
                 for l in (0, 3, 7, 12):
-                    assert np.abs(
-                        d.signed_vector(g, l) - power_laplacian_vector(g, s, l)
-                    ).max() < 1e-9
+                    _, s = exact_walk_distribution(g, v, l)
+                    scaled = np.divide(s, np.sqrt(g.degrees), out=np.zeros(g.n),
+                                       where=g.degrees > 0)
+                    assert np.abs(scaled - power_laplacian_vector(g, v, l)).max() < 1e-9
 
     def test_sampling_consistency(self):
         # max_j |signed_estimates[j] - s(j)/d_j| small for w = 1e6 walks
@@ -189,10 +195,10 @@ class TestExactDistribution:
             g = random_graph(int(rng.integers(6, 61)), 0.15, rng)
             start = int(np.argmax(g.degrees))
             ell = 5
-            d = exact_walk_distribution(g, start, ell)
+            _, s = exact_walk_distribution(g, start, ell)
             exact = np.zeros(g.n)
             mask = g.degrees > 0
-            exact[mask] = d.s[mask] / g.degrees[mask]
+            exact[mask] = s[mask] / g.degrees[mask]
             t = run_walks(g, start, WalkConfig(length=ell, walks=1_000_000,
                                                seed=1000 + i))
             err = np.abs(signed_estimates(t, g) - exact).max()
@@ -209,7 +215,6 @@ class TestExactDistribution:
             g = random_graph(int(rng.integers(6, 31)), 0.25, rng, weighted=True)
             start = int(np.argmax(g.degrees))
             ell = 5
-            d = exact_walk_distribution(g, start, ell, record_per_length=True)
             walks = 200_000
             final = run_walks(g, start, WalkConfig(length=ell, walks=walks,
                                                    seed=500 + i))
@@ -220,7 +225,7 @@ class TestExactDistribution:
             observed += [(per.counts_at(l), l) for l in range(ell + 1)]
             err = 0.0
             for (ev, od), l in observed:
-                p, s = d.prob(l), d.signed(l)
+                p, s = exact_walk_distribution(g, start, l)
                 err = max(err, np.abs(ev / walks - (p + s) / 2).max(),
                           np.abs(od / walks - (p - s) / 2).max())
             if err > 0.005:
