@@ -12,17 +12,11 @@ from .errors import InvalidParamsError, ResourceError
 from .graph import WeightedGraph, _rows, _write_text, cut_value
 
 BRUTE_FORCE_MAX_N = 22
-# gen_planted takes about 0.6 us and 200 bytes of peak memory per edge (one
-# core of a 2-core Xeon, n = 100k and 500k at degree 8; most of both goes to
-# building the graph), so larger targets are refused.
+# gen_planted takes about 0.45 us and 140 bytes of peak memory per edge (one
+# core of a 2-core Xeon, n = 100k and 500k at degree 8; building the graph
+# sets the peak), so larger targets are refused.
 PLANTED_EDGE_CAP = 5_000_000
 _MASK_CHUNK = 1 << 14
-# gen_planted replays the generator's scalar draws this many raw words at a
-# time; a rejected integer draw redoes the rest of its block.
-_BLOCK_WORDS = 1 << 12
-_DOUBLE_SHIFT = np.uint64(11)  # random() keeps a word's top 53 bits
-_HALF = np.uint64(32)
-_LOW = np.uint64(0xFFFFFFFF)
 # greedy_cut places waves below this size one vertex at a time: a wave's
 # fixed numpy cost is about that of eight per-vertex decisions.
 _SCALAR_WAVE = 8
@@ -148,8 +142,8 @@ def gen_planted(
 
     Half the vertices are assigned to each side; edges are sampled with
     endpoints crossing the planted cut with probability 1 - target_eps and
-    falling inside one side otherwise, resampling duplicates, until
-    n * avg_degree / 2 distinct unit-weight edges exist.  Refuses a target
+    falling inside one side otherwise, and the first n * avg_degree / 2
+    distinct ones drawn are kept as unit-weight edges.  Refuses a target
     above PLANTED_EDGE_CAP edges with ResourceError.
     """
     if n < 4 or n % 2 != 0:
@@ -169,7 +163,7 @@ def gen_planted(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB1A5)))
     perm = rng.permutation(n)
     left = perm[: n // 2]
-    keys = _planted_keys(rng.bit_generator, perm, 1.0 - target_eps, target_edges)
+    keys = _planted_keys(rng, perm, 1.0 - target_eps, target_edges)
     lo, hi = np.divmod(keys, n)
     graph = WeightedGraph.from_arrays(n, lo, hi, np.ones(lo.size))
     left_set = frozenset(int(v) for v in left)
@@ -183,161 +177,34 @@ def gen_planted(
     )
 
 
-def _planted_keys(bitgen, perm: np.ndarray, cross_below: float, target_edges: int) -> np.ndarray:
-    """Keys lo * n + hi of the edges the scalar draw loop
+def _planted_keys(rng: np.random.Generator, perm: np.ndarray, cross_below: float,
+                  target_edges: int) -> np.ndarray:
+    """Keys lo * n + hi of the first target_edges distinct edges drawn, sorted.
 
-        while len(edges) < target_edges:
-            if rng.random() < cross_below:
-                u, v = left[rng.integers(k)], right[rng.integers(k)]
-            else:
-                pool = left if rng.random() < 0.5 else right
-                u, v = pool[rng.integers(k)], pool[rng.integers(k)]
-                if u == v:
-                    continue
-            edges.add(key(u, v))
-
-    would add, with left and right the halves of perm and rng the
-    generator of bitgen, replayed from its raw 64-bit words.
-
-    random() is (w >> 11) * 2**-53 of one word w, and integers(k) is
-    Lemire's (x * k) >> 32 of a 32-bit half x: the low half of a fresh word
-    first, the high half kept for the next integer draw.  Whether a half is
-    kept when a trial starts or not, the trial takes 2 words, or 3 when it
-    draws a second double, so trial starts form a chain of steps of 2 and 3
-    over the words.  Only a rejected x, whose x * k mod 2**32 is below
-    2**32 mod k, takes one more half; that trial is replayed by itself.
+    left and right are the halves of perm.  A trial crosses the cut with
+    probability cross_below; otherwise both ends fall in one side, chosen by
+    a fair coin, and a loop is dropped.  Trials are iid, so drawing them in
+    batches does not change the law of which edges come first.  Each batch
+    is a little over the target, so one suffices unless the target is a
+    large share of the pairs, and no batch takes more memory than the first.
     """
-    k = perm.size // 2
-    uk = np.uint64(k)
-    reject_below = (1 << 32) % k
-    state = bitgen.state
-    kept = int(state["uinteger"]) if state["has_uint32"] else None
-    seen = np.empty(0, dtype=np.int64)  # distinct keys as of the last count, sorted
-    drawn, n_drawn = [], 0  # each block's keys since then, in trial order
-    words = np.empty(0, dtype=np.uint64)
-    p = 0  # the next trial's first word
+    n, k = perm.size, perm.size // 2
+    size = target_edges + target_edges // 256 + 64
+    seen = np.empty(0, dtype=np.int64)  # distinct keys of earlier batches, sorted
     while True:
-        words = np.concatenate((words[p:], bitgen.random_raw(_BLOCK_WORDS)))
-        same = _doubles(words) >= cross_below  # as a trial's first draw
-        last = words.size - 3  # the last start whose trial fits unless rejected
-        # The first same-side start at or after each word, in steps of 2.
-        next_same = np.where(same, np.arange(words.size), words.size)
-        for parity in (0, 1):
-            run = next_same[parity::2]
-            run[:] = np.minimum.accumulate(run[::-1])[::-1]
-        batch = []
-        p = 0
-        while True:
-            starts, after = _trial_starts(next_same, p, last)
-            two = same[starts]  # same-side trials draw a second double
-            ints = words[starts + 1 + two]  # the word the integer halves come from
-            if kept is None:
-                x1, x2 = ints & _LOW, ints >> _HALF
-            else:  # the kept half is the high one of the previous trial's ints
-                x1, x2 = words[starts - 1] >> _HALF, ints & _LOW
-                x1[:1] = kept
-            m1, m2 = x1 * uk, x2 * uk
-            bad = ((m1 & _LOW) < reject_below) | ((m2 & _LOW) < reject_below)
-            r = int(np.argmax(bad)) if bad.any() else starts.size
-            right_pool = two[:r] & (_doubles(words[starts[:r] + 1]) >= 0.5)
-            pu = (m1[:r] >> _HALF).astype(np.int64) + k * right_pool
-            pv = (m2[:r] >> _HALF).astype(np.int64) + k * (~two[:r] | right_pool)
-            batch.append(_edge_keys(perm, pu, pv))
-            if r == starts.size:
-                if kept is not None and r:
-                    kept = int(ints[-1] >> _HALF)
-                p = after
-                break
-            if kept is not None:
-                kept = int(x1[r])  # as trial r starts
-            replayed = _replay_trial(words, int(starts[r]), kept, k, cross_below, reject_below)
-            if replayed is None:  # it runs past the block: redo it in the next
-                p = int(starts[r])
-                break
-            pu, pv, p, kept = replayed
-            batch.append(_edge_keys(perm, np.array([pu]), np.array([pv])))
-        drawn.append(np.concatenate(batch))
-        n_drawn += drawn[-1].size
-        if seen.size + n_drawn < target_edges:
-            continue  # too few to finish even if all are new
-        # Short of the target before this block, so all of those keys count.
-        seen = np.sort(np.concatenate([seen] + drawn[:-1]))  # faster than np.unique's hashing
-        seen = np.concatenate((seen[:1], seen[1:][seen[1:] != seen[:-1]]))
-        fresh, first = np.unique(drawn[-1], return_index=True)
-        fresh_new = np.append(seen, -1)[np.searchsorted(seen, fresh)] != fresh
-        first = np.sort(first[fresh_new])
-        need = target_edges - seen.size
-        if first.size >= need:
-            return np.concatenate((seen, drawn[-1][first[:need]]))
-        seen = np.sort(np.concatenate((seen, fresh[fresh_new])))
-        drawn, n_drawn = [], 0
-
-
-def _doubles(words):
-    """Generator.random() of each raw word."""
-    return (words >> _DOUBLE_SHIFT) * 2.0 ** -53
-
-
-def _trial_starts(next_same: np.ndarray, p: int, last: int) -> tuple[np.ndarray, int]:
-    """Trial starts from word p up to word last, and the start after them.
-
-    A same-side start q is followed by q + 3, any other start by 2 on, so
-    the starts are runs of step 2, each ending at a same-side start.
-    """
-    firsts, ends = [], []
-    while p <= last:
-        q = int(next_same[p])
-        if q > last:
-            q = last - (last - p) % 2
-            firsts.append(p)
-            ends.append(q)
-            p = q + 2
-            break
-        firsts.append(p)
-        ends.append(q)
-        p = q + 3
-    firsts = np.array(firsts, dtype=np.int64)
-    counts = (np.array(ends, dtype=np.int64) - firsts) // 2 + 1
-    offsets = np.repeat(firsts - 2 * (np.cumsum(counts) - counts), counts)
-    return offsets + 2 * np.arange(offsets.size), p
-
-
-def _replay_trial(words: np.ndarray, p: int, kept: int | None, k: int,
-                  cross_below: float, reject_below: int) -> tuple | None:
-    """The trial at word p drawn one scalar step at a time, rejections included.
-
-    Returns the positions in perm of u and v, the next trial's first word
-    and the half then kept, or None if the trial needs words past the block.
-    """
-    def integer():
-        nonlocal p, kept
-        while True:
-            if kept is None:
-                if p == words.size:
-                    return None
-                w = int(words[p])
-                p += 1
-                x, kept = w & 0xFFFFFFFF, w >> 32
-            else:
-                x, kept = kept, None
-            if x * k & 0xFFFFFFFF >= reject_below:
-                return x * k >> 32
-
-    if _doubles(words[p]) < cross_below:
-        pu, pv = 0, k
-        p += 1
-    else:
-        pu = pv = k if _doubles(words[p + 1]) >= 0.5 else 0
-        p += 2
-    i = integer()
-    j = integer() if i is not None else None
-    if j is None:
-        return None
-    return pu + i, pv + j, p, kept
-
-
-def _edge_keys(perm: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Keys lo * n + hi of the edges perm[pu] - perm[pv], skipping loops."""
-    keep = pu != pv
-    u, v = perm[pu[keep]], perm[pv[keep]]
-    return np.minimum(u, v) * perm.size + np.maximum(u, v)
+        # Below cross_below crosses the cut; the rest of [0, 1) splits evenly
+        # between a left and a right same-side trial.
+        r = rng.random(size)
+        right = r >= (1.0 + cross_below) / 2.0
+        pu = rng.integers(k, size=size) + k * right
+        pv = rng.integers(k, size=size) + k * (right | (r < cross_below))
+        keep = pu != pv
+        u, v = perm[pu[keep]], perm[pv[keep]]
+        # Earlier batches' keys come first, so each key's first index is its
+        # first trial.
+        keys, first = np.unique(np.concatenate((seen, np.minimum(u, v) * n + np.maximum(u, v))),
+                                return_index=True)
+        if keys.size >= target_edges:
+            last = np.partition(first, target_edges - 1)[target_edges - 1]
+            return keys[first <= last]
+        seen = keys

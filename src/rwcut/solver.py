@@ -121,6 +121,9 @@ class _Ctx:
         if self.step_budget > STEP_CAP:
             raise ResourceError(
                 f"find_step_budget = {self.step_budget} exceeds cap {STEP_CAP}")
+        if self.probes is not None and not (
+                isinstance(self.probes, (int, np.integer)) and self.probes >= 1):
+            raise InvalidParamsError(f"probes = {self.probes!r} must be an integer of at least 1")
 
     def params(self, g: WeightedGraph, eps: float, mu: float,
                alpha: float = 1.0) -> AlgoParams:
@@ -129,7 +132,7 @@ class _Ctx:
 
     def probe_count(self, n: int) -> int:
         if self.probes is not None:
-            return max(1, self.probes)
+            return self.probes
         return max(2, min(8, math.ceil(math.log2(max(n, 2)))))
 
 

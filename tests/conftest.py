@@ -13,6 +13,17 @@ from rwcut.graph import WeightedGraph, dump_graph
 PACKAGE_ROOT = str(Path(rwcut.__file__).resolve().parents[1])
 
 
+def planted_file(n, target_eps, avg_degree, seed):
+    """Path of the committed edge list planted_<n>_<eps>_<deg>_<seed>.el.
+
+    Each holds the instance gen_planted(n, target_eps, avg_degree, seed)
+    gave while it drew its trials one scalar call at a time, so digests
+    recorded on those instances do not depend on how gen_planted draws.
+    """
+    name = f"planted_{n}_{target_eps}_{avg_degree}_{seed}.el"
+    return Path(__file__).resolve().parent / "data" / name
+
+
 def cli_env():
     """The environment for a `python -m rwcut.cli` child process.
 

@@ -7,8 +7,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from rwcut import bench
 from rwcut.bench import (
@@ -163,9 +164,9 @@ class TestGreedyWaves:
         assert 12 not in _reference_greedy(_near_tie_copies(8))
 
     @pytest.mark.parametrize("args, digest", [
-        ((60, 0.05, 6, 9), "7dd8c8a05644dcf955a4d62927e0f03ec9e90ce033609b14aa5096725b8340f0"),
-        ((1000, 0.05, 8, 1), "546af6ba157b9c49c2dbcc73968fc216895726f0125f0f0c0016de236b375281"),
-        ((500, 0.2, 3, 4), "da455715da8b38065e53aa4933813a657478ae74d4a939dd840587a89351c96b"),
+        ((60, 0.05, 6, 9), "b9337e268dde4bf08224467aaa8a47a0a6861ecd6aaa8d32b345cf76af460435"),
+        ((1000, 0.05, 8, 1), "6c14a470d64c1cdf95e075d9c69efb20cb6ed46513f4f66f7d9c8279e7c42b6b"),
+        ((500, 0.2, 3, 4), "bb82b14a3a85c67369dd66dba6fd6c685ef004fea2caa511ed3a0efca64160f6"),
     ])
     def test_planted_partitions_pinned(self, args, digest):
         left = greedy_cut(gen_planted(*args).graph)
@@ -194,35 +195,6 @@ class TestRandomCut:
         assert a == b
 
 
-def _scalar_loop_keys(rng, perm, target_eps, target_edges):
-    """The edge keys gen_planted drew one scalar rng call at a time."""
-    n = perm.size
-    left = perm[: n // 2]
-    right = perm[n // 2:]
-    edges = set()  # keys lo * n + hi
-    while len(edges) < target_edges:
-        if rng.random() < 1.0 - target_eps:
-            u = int(left[rng.integers(left.size)])
-            v = int(right[rng.integers(right.size)])
-        else:
-            pool = left if rng.random() < 0.5 else right
-            u = int(pool[rng.integers(pool.size)])
-            v = int(pool[rng.integers(pool.size)])
-            if u == v:
-                continue
-        edges.add(u * n + v if u < v else v * n + u)
-    return edges
-
-
-def _reference_gen_planted(n, target_eps, avg_degree, seed):
-    """gen_planted's graph as the scalar draw loop builds it."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xB1A5)))
-    perm = rng.permutation(n)
-    edges = _scalar_loop_keys(rng, perm, target_eps, int(round(n * avg_degree / 2.0)))
-    lo, hi = np.divmod(np.fromiter(edges, dtype=np.int64, count=len(edges)), n)
-    return WeightedGraph.from_arrays(n, lo, hi, np.ones(lo.size))
-
-
 @st.composite
 def _planted_args(draw):
     """Small instances, up to half of all vertex pairs, so that eps = 0
@@ -233,50 +205,54 @@ def _planted_args(draw):
     return n, target_eps, avg_degree, draw(st.integers(0, 2**32 - 1))
 
 
-class TestGenPlantedReplay:
-    @settings(max_examples=200, deadline=None)
-    @given(_planted_args())
-    def test_matches_scalar_loop(self, args):
-        assert gen_planted(*args).graph == _reference_gen_planted(*args)
-
-    @pytest.mark.parametrize("args", [
-        (4, 0.0, 1, 1),
-        (40, 0.3, 30, 1),
-        (40, 0.3, 30, 2),
-        (1000, 0.05, 8, 1),
-        (100_000, 0.05, 8, 1),
-        (100_000, 0.05, 8, 101000),
-    ], ids=["smallest", "near-complete-1", "near-complete-2", "1k-kept-half",
-            "100k-rejections", "100k-rejections-kept-half"])
-    def test_matches_scalar_loop_on(self, args):
-        assert gen_planted(*args).graph == _reference_gen_planted(*args)
-
-    @pytest.mark.parametrize("block, past_end", [(3, 2), (bench._BLOCK_WORDS, 0)])
-    def test_rejections_replayed(self, block, past_end):
-        # For k = 2,096,129 one 32-bit half in about 2,050 is rejected, so
-        # 4,000 edges see a few rejections.  Blocks of 3 words put every
-        # trial at a block's end: with seed 2, two rejected trials run past
-        # it and are redone in the next block.
-        k = 2_096_129
-        rng = np.random.default_rng(2)
-        perm = rng.permutation(2 * k)
-        replay = np.random.default_rng()
-        replay.bit_generator.state = rng.bit_generator.state
-        replay_trial, outcomes = bench._replay_trial, []
-
-        def counted(*args):
-            outcomes.append(replay_trial(*args))
-            return outcomes[-1]
-
-        with mock.patch.object(bench, "_BLOCK_WORDS", block), \
-                mock.patch.object(bench, "_replay_trial", counted):
-            keys = bench._planted_keys(replay.bit_generator, perm, 0.5, 4000)
-        assert set(keys.tolist()) == _scalar_loop_keys(rng, perm, 0.5, 4000)
-        assert len(outcomes) > past_end
-        assert sum(o is None for o in outcomes) == past_end
-
-
 class TestGenPlanted:
+    @settings(max_examples=100, deadline=None)
+    @given(_planted_args())
+    @example((40, 0.0, 20, 3))  # every crossing pair
+    @example((40, 0.0, 10, 3))
+    @example((100, 0.3, 99, 5))  # the complete graph
+    def test_instance_shape(self, args):
+        n, target_eps, avg_degree, _seed = args
+        inst = gen_planted(*args)
+        u, v, w = inst.graph.edge_arrays()
+        assert u.size == round(n * avg_degree / 2)
+        assert (w == 1.0).all()  # no duplicate draw was merged
+        assert len(inst.left) == n // 2
+        if target_eps == 0.0:
+            side = np.isin(np.arange(n), sorted(inst.left))
+            assert (side[u] != side[v]).all()
+        assert inst.planted_value == cut_value(inst.graph, inst.left)
+
+    def test_two_edge_law(self):
+        # On 4 vertices with eps 0.3, a trial crosses with probability 0.7,
+        # spread over 4 crossing pairs, and is a loop with probability 0.15.
+        # Per kept trial a given crossing pair comes with probability c and
+        # each of the two same-side pairs with s; the first two distinct
+        # pairs drawn are both crossing (XX), one crossing and the left or
+        # right pair (LX, RX), or both same-side pairs (LR).
+        c, s = 0.175 / 0.85, 0.075 / 0.85
+        expected = {
+            "XX": 4 * c * 3 * c / (1 - c),
+            "LX": s * 4 * c / (1 - s) + 4 * c * s / (1 - c),
+            "RX": s * 4 * c / (1 - s) + 4 * c * s / (1 - c),
+            "LR": 2 * s * s / (1 - s),
+        }
+        assert sum(expected.values()) == pytest.approx(1.0)
+        seeds = 5000
+        counts = dict.fromkeys(expected, 0)
+        for seed in range(seeds):
+            inst = gen_planted(4, 0.3, 1, seed)
+            u, v, _w = inst.graph.edge_arrays()
+            kinds = []
+            for a, b in zip(u.tolist(), v.tolist()):
+                if (a in inst.left) != (b in inst.left):
+                    kinds.append("X")
+                else:
+                    kinds.append("L" if a in inst.left else "R")
+            counts["".join(sorted(kinds))] += 1
+        observed = [counts[key] for key in expected]
+        assert stats.chisquare(observed, [seeds * p for p in expected.values()]).pvalue > 1e-3
+
     def test_eps_zero_is_bipartite(self):
         inst = gen_planted(16, 0.0, 3, seed=0)
         assert inst.planted_value == 1.0
@@ -332,11 +308,11 @@ class TestGenPlanted:
         assert g2 == inst.graph
 
     @pytest.mark.parametrize("args, digest", [
-        ((60, 0.05, 6, 9), "30c826c1e8bef23b1957f6be67832da86f06030cb88552b66aec206244949426"),
-        ((1000, 0.05, 8, 1), "99fee29a6a194dc66905708a5b9d437017dba5e4009eeb2d9c9124cc63a635b9"),
-        ((500, 0.2, 3, 4), "bd9b6409b8336de025e49177d80ad3da5cff083bbd8f7ba56a0299b83a8cfe2f"),
+        ((60, 0.05, 6, 9), "eee35e3cd8c7539c6b8cf87e2526bfc425d235d9db8f0ace72f36c05f0322d08"),
+        ((1000, 0.05, 8, 1), "b7fdb43d9ccec9eb031045030517522fea2a2475c30e2eaef4a7644d7218dbd2"),
+        ((500, 0.2, 3, 4), "933e1347753317bf893f36107f17703b0467a640e8ece7742fbec43e990c8be7"),
         ((100_000, 0.05, 8, 101000),
-         "3d0192afd2c769cb87ad0a56287e30867c0f89fd33c8dd5c9c31da951518fdce"),
+         "de96144b53f6284f41a7fe50fba2d373b9d6c52d65821156340c140f25fd537d"),
     ])
     def test_instances_pinned(self, args, digest):
         text = dump_text(gen_planted(*args).graph)

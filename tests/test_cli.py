@@ -11,7 +11,7 @@ import pytest
 from rwcut import bench, solver
 from rwcut.cli import build_parser, main
 
-from conftest import cli_env, make_graph, run_cli
+from conftest import cli_env, make_graph, planted_file, run_cli
 from rwcut.bench import gen_planted
 from rwcut.graph import dump_graph
 
@@ -80,9 +80,8 @@ class TestSolve:
         lines = proc.stdout.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["algorithm"] == "simple"
 
-    def test_reps_share_one_greedy(self, tmp_path, capsys):
-        path = tmp_path / "planted.el"
-        dump_graph(gen_planted(200, 0.05, 8, seed=1).graph, str(path))
+    def test_reps_share_one_greedy(self, capsys):
+        path = planted_file(200, 0.05, 8, 1)
         greedy_cut, sizes = bench.greedy_cut, []
 
         def counted(g):

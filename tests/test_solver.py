@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rwcut import solver
 from rwcut.bench import brute_force_maxcut, gen_planted, greedy_cut
 from rwcut.errors import InvalidParamsError
-from rwcut.graph import WeightedGraph, cut_value
+from rwcut.graph import WeightedGraph, cut_value, load_graph
 from rwcut.solver import (
     _EPS_S_GRID,
     _adversary_lp,
@@ -27,7 +27,7 @@ from rwcut.solver import (
     z_star,
 )
 
-from conftest import complete_bipartite, random_graph
+from conftest import complete_bipartite, planted_file, random_graph
 
 SIGMA0 = 0.22815
 
@@ -258,6 +258,11 @@ class TestBalanceSolve:
     def test_invalid_params_propagate(self, triangle):
         with pytest.raises(InvalidParamsError):
             balance_solve(triangle, 3.0, 0.5, seed=0)
+        for probes in (0, -3, 2.5, "2"):
+            with pytest.raises(InvalidParamsError, match="probes"):
+                simple_solve(triangle, 1.0, seed=0, probes=probes)
+            with pytest.raises(InvalidParamsError, match="probes"):
+                balance_solve(triangle, 2.0, 0.25, seed=0, probes=probes)
 
     def test_report_value_matches_partition(self):
         inst = gen_planted(120, 0.05, 6, seed=4)
@@ -280,8 +285,9 @@ class TestBalanceSolve:
         assert len(blocks) > 1000
 
 
-# SHA-256 of to_json() for fixed seeds, recorded before the solvers' levels
-# became loops; a change here is a change of fixed-seed output.
+# SHA-256 of to_json() for fixed seeds on the committed planted files,
+# recorded before the solvers' levels became loops; a change here is a change
+# of fixed-seed output.
 GOLDEN_REPORTS = {
     ((60, 0.05, 6, 9), 42, "simple"):
         "6a5dae7983ea8c48507e9484947c0e4e66777d706b7587a2498cd03bcda87d96",
@@ -305,7 +311,7 @@ GOLDEN_REPORTS = {
 @pytest.mark.parametrize("planted", [(60, 0.05, 6, 9), (1000, 0.05, 8, 101000)],
                          ids=["n60", "n1000"])
 def test_golden_reports(planted):
-    g = gen_planted(*planted).graph
+    g = load_graph(str(planted_file(*planted)))
     for seed in (42, 7):
         reports = {
             "simple": simple_solve(g, 1.0, seed=seed),
