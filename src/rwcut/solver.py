@@ -21,12 +21,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bench import BRUTE_FORCE_MAX_N, brute_force_maxcut, greedy_cut
-from .errors import InvalidParamsError, ResourceError
+from .errors import InvalidParamsError
 from .graph import EVEN, ODD, WeightedGraph, cut_value, orient, sample_vertex_by_degree
 from .localcut import PSI_MAX, LowConductanceCut, cut_or_bound
-from .threshold import (GAMMA, SIGMA0, STEP_BUDGET, AlgoParams, find_threshold,
-                        sigma_fn, sigma_inv, soto_fn)
-from .walks import STEP_CAP
+from .threshold import (GAMMA, SIGMA0, STEP_BUDGET, AlgoParams, check_step_budget,
+                        find_threshold, sigma_fn, sigma_inv, soto_fn)
 
 SMALL_N_FLOOR = 8
 SMALL_WEIGHT_FLOOR = 16.0
@@ -110,17 +109,15 @@ class _Ctx:
 
     step_budget: int
     probes: int | None
+    cutbound_step_budget: int | None = None
     walks: int = 0
     levels: list = field(default_factory=list)
 
     def __post_init__(self):
-        # Checked before any work, so that a floor-size graph refuses it too.
-        if not self.step_budget >= 1:
-            raise InvalidParamsError(
-                f"find_step_budget = {self.step_budget} must be at least 1")
-        if self.step_budget > STEP_CAP:
-            raise ResourceError(
-                f"find_step_budget = {self.step_budget} exceeds cap {STEP_CAP}")
+        # Checked before any work, so that a floor-size graph refuses them too.
+        check_step_budget("find_step_budget", self.step_budget)
+        if self.cutbound_step_budget is not None:
+            check_step_budget("cutbound_step_budget", self.cutbound_step_budget)
         if self.probes is not None and not (
                 isinstance(self.probes, (int, np.integer)) and self.probes >= 1):
             raise InvalidParamsError(f"probes = {self.probes!r} must be an integer of at least 1")
@@ -331,8 +328,7 @@ def balance_params(b: float, mu1: float) -> tuple[float, float]:
 
 
 def _balance_levels(g: WeightedGraph, tau: float, mu1: float, mu2: float,
-                    eps1: float, rng: np.random.Generator, ctx: _Ctx,
-                    cutbound_step_budget: int | None) -> np.ndarray:
+                    eps1: float, rng: np.random.Generator, ctx: _Ctx) -> np.ndarray:
     """Peel blocks level by level, then stitch them; returns the side array.
 
     A level either peels a low-conductance block, solves it with the
@@ -359,7 +355,7 @@ def _balance_levels(g: WeightedGraph, tau: float, mu1: float, mu2: float,
                   for _ in range(ctx.probe_count(sub.n))]
         for start in starts:
             res = cut_or_bound(sub, start, tau, zeta, seed=int(rng.integers(2**62)),
-                               max_walk_steps=cutbound_step_budget)
+                               max_walk_steps=ctx.cutbound_step_budget)
             ctx.walks += res.walks
             if isinstance(res, LowConductanceCut):
                 break
@@ -439,12 +435,12 @@ def balance_solve(
         eps1 = eps_bar(mu1)
     if not (0.0 < eps1 < 1.0):
         raise InvalidParamsError("eps1 must lie in (0, 1)")
-    ctx = _Ctx(find_step_budget, probes)
+    ctx = _Ctx(find_step_budget, probes, cutbound_step_budget)
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="balance",
                            seed=seed, n=0, m=0.0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xBA1A)))
-    side = _balance_levels(g, tau, mu1, mu2, eps1, rng, ctx, cutbound_step_budget)
+    side = _balance_levels(g, tau, mu1, mu2, eps1, rng, ctx)
     return _finish(g, side, cut_value(g, np.flatnonzero(side == EVEN)), ctx,
                    "balance", seed)
 
@@ -512,12 +508,25 @@ def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
     the X = 0 cell exceeds 1/2 (never for eps >= eps1).  A row is linear in X
     but for one kink, over a grid prefix of feasible X, so only the 4 columns
     from one left of its last feasible X and of its kink are scored, with the
-    grid's formula.  Rounding puts an unscored cell lower only on pieces made
-    flat by H = 1/2, where the trivial bound wins anyway.
+    grid's formula.
+
+    Rounding can reorder a row's cells only on a flat piece: a cell's error
+    is below E = 2^-50 (2 + 1/eps1), Z's numerator being divided by eps1, so
+    a piece changing by more than 2E per column is monotone and the windows
+    hold its minimum.  Rows with a piece changing by at most tol = 64 E per
+    column are scored at every column where the windows leave the LP above
+    1/2.  After the kink the slope is H - 1/2, so a flat piece there lies
+    within 128 tol of 1/2 and a window scores one of its cells if it has
+    any; such rows need full scoring only where the LP is at most 1/2 + 128 tol.
     """
     x = np.linspace(0.0, 1.0 / (1.0 + chi), 121)
     es = _EPS_S_GRID[:, None, None]
     gain = (h_block + chi / 2.0)[:, None, None]
+    tol = 2.0**-44 * (2.0 + 1.0 / eps1)
+    # X-slopes before the kink, where Z = (eps - eps_S X) / eps1, and after it, where Y = 0.
+    before = gain[:, 0, 0] - h1 * (1.0 + chi) + _EPS_S_GRID * ((h1 - 0.5) / eps1)
+    flat_before = np.flatnonzero(np.abs(before) <= tol / x[1])
+    flat_after = np.flatnonzero(np.abs(h_block - 0.5) <= tol / x[1])
 
     def score(eps, x_es, a, blk):
         z = np.clip(np.minimum(a, (eps - x_es) / eps1), 0.0, 1.0)
@@ -538,6 +547,11 @@ def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
             xc = np.take(x, lo.astype(np.intp)[..., None] + np.arange(4))
             value = score(e[..., None, None], es * xc, 1.0 - (1.0 + chi) * xc, gain * xc)
             low[at] = np.minimum(low[at], value.min(axis=(1, 2, 3)))
+        for rows, top in ((flat_before, np.inf), (flat_after, 0.5 + 128.0 * tol)):
+            for i in np.flatnonzero((low > 0.5) & (low <= top)) if rows.size else ():
+                value = score(eps[i], _EPS_S_GRID[rows, None] * x, 1.0 - (1.0 + chi) * x,
+                              gain[rows, 0] * x)
+                low[i] = min(low[i], value.min())
         return low / (1.0 - eps)
 
     return ratios

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParamsError
+from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, ODD, Tripartition, UNCLASSIFIED, WeightedGraph
-from .walks import LENGTH_CAP, WalkAccumulator, WalkTally, signed_estimates
+from .walks import LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally, signed_estimates
 
 SIGMA0 = 0.22815
 C_VOL = 1.0  # constant of the classified-volume floor
@@ -75,6 +75,14 @@ def walk_count(t: float, alpha: float, n: int) -> int:
     return int(math.ceil(KAPPA * math.log(n) * max(alpha, t) / (t * t)))
 
 
+def check_step_budget(name: str, budget) -> None:
+    """Refuse a walk-step budget that is not an integer from 1 to STEP_CAP."""
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise InvalidParamsError(f"{name} = {budget!r} must be an integer of at least 1")
+    if budget > STEP_CAP:
+        raise ResourceError(f"{name} = {budget} exceeds cap {STEP_CAP}")
+
+
 @dataclass
 class AlgoParams:
     """The scalar inputs of one threshold search plus derived quantities.
@@ -106,6 +114,7 @@ class AlgoParams:
             raise InvalidParamsError("graph must have positive total weight")
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidParamsError("alpha must lie in (0, 1]")
+        check_step_budget("step_budget", self.step_budget)
         self.eps_prime = -math.log1p(-self.eps)
         raw = self.mu * math.log(4.0 * self.m / DELTA**2) / (
             2.0 * (DELTA + self.eps_prime)

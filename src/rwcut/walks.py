@@ -37,6 +37,7 @@ BLOCK_WALKS = 4096
 # Guards against walk requests sized by outside input.
 LENGTH_CAP = 200
 STEP_CAP = 1_000_000_000
+_NO_CELLS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -92,15 +93,8 @@ def _start_vertex(g: WeightedGraph, start) -> int:
     return int(start)
 
 
-def _run_block(
-    g: WeightedGraph,
-    start: int,
-    length: int,
-    seed: int,
-    block_index: int,
-    count: int,
-    record: bool,
-) -> np.ndarray:
+def _run_block(g: WeightedGraph, start: int, length: int, seed: int, block_index: int,
+               count: int, record: bool) -> np.ndarray:
     """Sample one block of walks and return the tally cell of each observation.
 
     A tally has shape (2, rows, n): parity (even, odd), observed length and
@@ -143,14 +137,19 @@ def _run_block(
     return cells.ravel()
 
 
-def _add_blocks(g: WeightedGraph, start: int, length: int, seed: int,
-                blocks: list[tuple[int, int]], record: bool,
-                counts: np.ndarray) -> None:
-    """Run (block index, walk count) blocks, adding each block's observations
-    into the (2, rows, n) tally counts."""
+def _grow(g: WeightedGraph, start: int, length: int, seed: int, record: bool,
+          counts: np.ndarray, have: int, walks: int, tail: np.ndarray) -> np.ndarray:
+    """Grow counts, a (2, rows, n) tally of the first `have` walks, to that of
+    the first `walks`.  The cells of its partial last block, tail, are taken
+    back out and that block is redrawn; returns the new tail's cells."""
     cells_of = counts.reshape(-1)
-    for index, count in blocks:
-        np.add.at(cells_of, _run_block(g, start, length, seed, index, count, record), 1)
+    np.subtract.at(cells_of, tail, 1)
+    full, rest = divmod(walks, BLOCK_WALKS)
+    for index in range(have // BLOCK_WALKS, full):
+        np.add.at(cells_of, _run_block(g, start, length, seed, index, BLOCK_WALKS, record), 1)
+    tail = _run_block(g, start, length, seed, full, rest, record) if rest else _NO_CELLS
+    np.add.at(cells_of, tail, 1)
+    return tail
 
 
 def run_walks(
@@ -164,22 +163,13 @@ def run_walks(
     """
     cfg.validate()
     start = _start_vertex(g, start)
-    blocks = [(i, min(BLOCK_WALKS, cfg.walks - i * BLOCK_WALKS))
-              for i in range(-(-cfg.walks // BLOCK_WALKS))]
-    rows = cfg.length + 1 if cfg.record_per_length else 1
-    counts = np.zeros((2, rows, g.n), dtype=np.int64)
-    _add_blocks(g, start, cfg.length, cfg.seed, blocks, cfg.record_per_length,
-                counts)
-    if not cfg.record_per_length:
-        counts = counts[:, 0]
-    return WalkTally(
-        n=g.n,
-        length=cfg.length,
-        walks=cfg.walks,
-        even=counts[0],
-        odd=counts[1],
-        record_per_length=cfg.record_per_length,
-    )
+    # Laid out as (2, rows, n): rows = 1 is the same memory as (2, n).
+    shape = (2, cfg.length + 1, g.n) if cfg.record_per_length else (2, g.n)
+    counts = np.zeros(shape, dtype=np.int64)
+    _grow(g, start, cfg.length, cfg.seed, cfg.record_per_length, counts,
+          0, cfg.walks, _NO_CELLS)
+    return WalkTally(n=g.n, length=cfg.length, walks=cfg.walks, even=counts[0],
+                     odd=counts[1], record_per_length=cfg.record_per_length)
 
 
 class WalkAccumulator:
@@ -187,7 +177,7 @@ class WalkAccumulator:
 
     Completed blocks are kept; only the trailing partial block is redrawn
     when the target grows.  The tally after ``extend_to(w)`` equals the
-    tally of ``run_walks`` with ``walks=w`` exactly.
+    tally of ``run_walks`` with ``walks=w`` exactly, under the same caps.
     """
 
     def __init__(self, g: WeightedGraph, start: int, length: int, seed: int):
@@ -197,41 +187,29 @@ class WalkAccumulator:
         self.seed = seed
         self.walks = 0
         self.steps_sampled = 0
-        self._full_blocks = 0
-        self._full = np.zeros((2, 1, g.n), dtype=np.int64)
-        self._tail = np.zeros((2, 1, g.n), dtype=np.int64)
+        self._counts = np.zeros((2, g.n), dtype=np.int64)
+        self._tail = _NO_CELLS
 
     def projected_steps(self, walks: int) -> int:
         """Sampled steps an extend_to(walks) call would add."""
         if walks <= self.walks:
             return 0
-        target_full, tail = divmod(walks, BLOCK_WALKS)
-        new_full = max(0, target_full - self._full_blocks) * BLOCK_WALKS
-        return (new_full + tail) * max(self.length, 1)
+        new_full = walks // BLOCK_WALKS - self.walks // BLOCK_WALKS
+        return (new_full * BLOCK_WALKS + walks % BLOCK_WALKS) * max(self.length, 1)
 
     def extend_to(self, walks: int) -> None:
         if walks <= self.walks:
             return
-        target_full, tail = divmod(walks, BLOCK_WALKS)
-        full = [(bi, BLOCK_WALKS) for bi in range(self._full_blocks, target_full)]
-        _add_blocks(self.g, self.start, self.length, self.seed, full, False,
-                    self._full)
-        self._tail = np.zeros_like(self._full)
-        _add_blocks(self.g, self.start, self.length, self.seed,
-                    [(target_full, tail)] if tail else [], False, self._tail)
-        self._full_blocks = target_full
-        self.steps_sampled += (len(full) * BLOCK_WALKS + tail) * max(self.length, 1)
+        WalkConfig(length=self.length, walks=walks, seed=self.seed).validate()
+        self._tail = _grow(self.g, self.start, self.length, self.seed, False,
+                           self._counts, self.walks, walks, self._tail)
+        self.steps_sampled += self.projected_steps(walks)
         self.walks = walks
 
     def tally(self) -> WalkTally:
-        counts = self._full[:, 0] + self._tail[:, 0]
-        return WalkTally(
-            n=self.g.n,
-            length=self.length,
-            walks=self.walks,
-            even=counts[0],
-            odd=counts[1],
-        )
+        """The pool's counts, copied so that later top-ups leave them as they are."""
+        even, odd = self._counts.copy()
+        return WalkTally(n=self.g.n, length=self.length, walks=self.walks, even=even, odd=odd)
 
 
 def signed_estimates(tally: WalkTally, g: WeightedGraph) -> np.ndarray:

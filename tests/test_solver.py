@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rwcut import solver
 from rwcut.bench import brute_force_maxcut, gen_planted, greedy_cut
-from rwcut.errors import InvalidParamsError
+from rwcut.errors import InvalidParamsError, ResourceError
 from rwcut.graph import WeightedGraph, cut_value, load_graph
 from rwcut.solver import (
     _EPS_S_GRID,
@@ -26,6 +26,7 @@ from rwcut.solver import (
     tradeoff_objective,
     z_star,
 )
+from rwcut.walks import STEP_CAP
 
 from conftest import complete_bipartite, planted_file, random_graph
 
@@ -263,6 +264,21 @@ class TestBalanceSolve:
                 simple_solve(triangle, 1.0, seed=0, probes=probes)
             with pytest.raises(InvalidParamsError, match="probes"):
                 balance_solve(triangle, 2.0, 0.25, seed=0, probes=probes)
+        # Both walk budgets are checked before any work, on a floor-size graph
+        # and on one the walks would run on.
+        g200 = load_graph(planted_file(200, 0.05, 8, 1))
+        for g in (triangle, g200):
+            for budget in (0, -5, 2.5, "x"):
+                with pytest.raises(InvalidParamsError, match="cutbound_step_budget"):
+                    balance_solve(g, 2.0, 0.25, seed=0, cutbound_step_budget=budget)
+                with pytest.raises(InvalidParamsError, match="find_step_budget"):
+                    simple_solve(g, 1.0, seed=0, find_step_budget=budget)
+                with pytest.raises(InvalidParamsError, match="find_step_budget"):
+                    balance_solve(g, 2.0, 0.25, seed=0, find_step_budget=budget)
+            with pytest.raises(ResourceError, match="cutbound_step_budget"):
+                balance_solve(g, 2.0, 0.25, seed=0, cutbound_step_budget=STEP_CAP + 1)
+        rep = balance_solve(triangle, 2.0, 0.25, seed=0, cutbound_step_budget=np.int64(5_000))
+        assert rep.cut_value == pytest.approx(2.0 / 3.0)
 
     def test_report_value_matches_partition(self):
         inst = gen_planted(120, 0.05, 6, seed=4)
@@ -467,6 +483,9 @@ class TestTradeoff:
     @example(eps1=0.117, chi=0.0, h1=0.72,
              h_block=np.linspace(0.651, 0.807, 121).tolist(),
              eps=[float(0.117 - (0.117 - _EPS_S_GRID[1]) * _x_column(0.0, 35))])
+    # Rows 0 and 120 are flat in X before their kink, so rounding puts the
+    # dense minimum at a column no window scores.
+    @example(eps1=0.5, chi=0.0, h1=1.0, h_block=[1.0] + [0.5] * 120, eps=[1e-6])
     def test_adversary_lp_matches_dense_grid(self, eps1, chi, h1, h_block, eps):
         # Any H values in [1/2, 1], not only those of h_fn.
         _check_against_dense(eps1, chi, h1, np.array(h_block), np.array(eps))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwcut.bench import gen_planted
-from rwcut.errors import InvalidInputError, InvalidParamsError
+from rwcut.errors import InvalidInputError, InvalidParamsError, ResourceError
 from rwcut.graph import EVEN, ODD, Tripartition, cut_metrics
 from rwcut.threshold import (
     C_VOL,
@@ -19,7 +19,7 @@ from rwcut.threshold import (
     threshold_classify,
     walk_count,
 )
-from rwcut.walks import WalkTally
+from rwcut.walks import STEP_CAP, WalkTally
 
 from conftest import complete_bipartite, make_graph, random_graph
 
@@ -105,6 +105,18 @@ class TestAlgoParams:
             AlgoParams(eps=1.2, mu=1.0, m=10.0)
         with pytest.raises(InvalidParamsError):
             AlgoParams(eps=0.1, mu=-1.0, m=10.0)
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, "x", None])
+    def test_step_budget_refused(self, budget):
+        with pytest.raises(InvalidParamsError,
+                           match="step_budget = .* must be an integer of at least 1"):
+            AlgoParams(eps=0.1, mu=1.0, m=10.0, step_budget=budget)
+
+    def test_step_budget_cap(self):
+        with pytest.raises(ResourceError, match="exceeds cap"):
+            AlgoParams(eps=0.1, mu=1.0, m=10.0, step_budget=STEP_CAP + 1)
+        p = AlgoParams(eps=0.1, mu=1.0, m=10.0, step_budget=np.int64(STEP_CAP))
+        assert p.step_budget == STEP_CAP
 
 
 class TestClassify:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwcut.errors import InvalidInputError, ResourceError
 from rwcut.spectral import power_laplacian_vector
@@ -119,6 +121,41 @@ class TestAccumulator:
         before = acc.steps_sampled
         acc.extend_to(20)  # tail redraw: 20 more walks of length 4
         assert acc.steps_sampled == before + 80
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(2, 12), weighted=st.booleans(), length=st.integers(0, 12),
+           graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
+    def test_growth_matches_fresh_runs(self, n, weighted, length, graph_seed, seed):
+        g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
+        acc = WalkAccumulator(g, 0, length, seed)
+        earlier = []
+        for target in (1, 37, 4095, 4096, 4097, 8192, 8193):
+            acc.extend_to(target)
+            got = acc.tally()
+            fresh = run_walks(g, 0, WalkConfig(length=length, walks=target, seed=seed))
+            assert got.walks == target
+            assert np.array_equal(got.even, fresh.even)
+            assert np.array_equal(got.odd, fresh.odd)
+            earlier.append((got, fresh))
+        for got, fresh in earlier:  # later top-ups leave earlier tallies alone
+            assert np.array_equal(got.even, fresh.even)
+            assert np.array_equal(got.odd, fresh.odd)
+
+    def test_no_op_at_or_below_pool_size(self, single_edge):
+        acc = WalkAccumulator(single_edge, 0, 3, seed=4)
+        acc.extend_to(50)
+        before = acc.tally()
+        for walks in (50, 10, 0):
+            acc.extend_to(walks)
+            assert (acc.walks, acc.steps_sampled) == (50, 150)
+            assert np.array_equal(acc.tally().even, before.even)
+
+    @pytest.mark.parametrize("length, walks", [(201, 1), (100_000, 3), (100, 10**12)])
+    def test_caps_enforced(self, single_edge, length, walks):
+        acc = WalkAccumulator(single_edge, 0, length, seed=1)
+        with pytest.raises(ResourceError):
+            acc.extend_to(walks)
+        assert (acc.walks, acc.steps_sampled) == (0, 0)
 
 
 class TestSignedEstimate:
