@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, WeightedGraph, conductance, prefix_cut_metrics
+from .threshold import check_step_budget
 from .walks import LENGTH_CAP, WalkConfig, lazy_step, run_walks
 
 PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
@@ -142,6 +143,8 @@ def cut_or_bound(
     psi = zeta * tau
     if psi > PSI_MAX:
         raise InvalidParamsError(f"zeta * tau = {psi:g} exceeds {PSI_MAX}")
+    if max_walk_steps is not None:
+        check_step_budget("max_walk_steps", max_walk_steps)
     m = g.total_weight
     alpha = m**-tau
     length = math.log(m) / zeta

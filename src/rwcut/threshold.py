@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, ODD, Tripartition, UNCLASSIFIED, WeightedGraph
-from .walks import LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally, signed_estimates
+from .walks import (LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally, signed_estimates,
+                    topup_steps)
 
 SIGMA0 = 0.22815
 C_VOL = 1.0  # constant of the classified-volume floor
@@ -169,6 +170,26 @@ def _inverse_power(m: float, e: float) -> float:
     return m ** -e if e * -math.log(m) < _LOG_POWER_MAX else math.inf
 
 
+def _rounds(g: WeightedGraph, params: AlgoParams, t_min: float) -> list[tuple[float, int]]:
+    """(t_r, walk_count(t_r)) for each round r the step budget allows.
+
+    Every round is charged topup_steps, as the pool charges it, so the
+    rounds are known before any walk is drawn.
+    """
+    rounds = []
+    have = steps = 0
+    t = 1.0
+    while t >= t_min:
+        needed = walk_count(t, params.alpha, max(g.n, 2))
+        steps += topup_steps(have, needed, params.ell)
+        if steps > params.step_budget:
+            break
+        rounds.append((t, needed))
+        have = max(have, needed)
+        t = (1.0 - GAMMA) ** len(rounds)
+    return rounds
+
+
 def find_threshold(
     g: WeightedGraph, start: int, params: AlgoParams, seed: int
 ) -> FindResult:
@@ -190,12 +211,9 @@ def find_threshold(
     t_min = GAMMA * _inverse_power(m, 1.0 + params.mu / 2.0)
     vol_scale = C_VOL * _inverse_power(m, 1.0 + params.mu)
     log_n = math.log(max(g.n, 2))
-    r = 0
-    t = 1.0
-    while t >= t_min:
-        needed = walk_count(t, params.alpha, max(g.n, 2))
-        if acc.steps_sampled + acc.projected_steps(needed) > params.step_budget:
-            break
+    rounds = _rounds(g, params, t_min)
+    acc.plan(needed for _, needed in rounds)
+    for r, (t, needed) in enumerate(rounds, start=1):
         acc.extend_to(needed)
         threshold_classify(g, t, acc.tally(), part)
         vol_floor = vol_scale / (t * t * log_n)
@@ -204,14 +222,7 @@ def find_threshold(
             and part.cut >= quality_floor * part.inc
             and part.classified_volume >= vol_floor
         ):
-            return FindResult(
-                part=part,
-                threshold=t,
-                rounds=r + 1,
-                walks=acc.walks,
-                steps=acc.steps_sampled,
-            )
-        r += 1
-        t = (1.0 - GAMMA) ** r
-    return FindResult(part=None, threshold=None, rounds=r, walks=acc.walks,
+            return FindResult(part=part, threshold=t, rounds=r, walks=acc.walks,
+                              steps=acc.steps_sampled)
+    return FindResult(part=None, threshold=None, rounds=len(rounds), walks=acc.walks,
                       steps=acc.steps_sampled)

@@ -18,10 +18,15 @@ and each hop takes its neighbour from the row's alias table
 
 Reproducibility: walks are generated, in the calling thread, in fixed
 blocks of ``BLOCK_WALKS``.  Block ``i`` draws all of its randomness from a
-generator seeded by ``(seed, i)``, so the tally for a given (graph, start,
-length, seed, walk_count) is bit-identical however the blocks are grouped
-into calls.  A trailing partial block draws for exactly its own walk count,
-which keeps the tally a pure function of the requested walk total.
+generator seeded by ``(seed, i)``: its hop counts, then its hop uniforms in
+one call, hop by hop over its ranked walks.  Several blocks may share one
+hop loop, which ranks all their walks together and gathers each hop's
+uniforms from the blocks' draws; each walk still takes its own uniforms, so
+a block's observations are the same whatever blocks it is drawn with.  The
+tally for a given (graph, start, length, seed, walk_count) is therefore
+bit-identical however the blocks are grouped into calls.  A trailing partial
+block draws for exactly its own walk count, which keeps the tally a pure
+function of the requested walk total.
 """
 
 from __future__ import annotations
@@ -93,63 +98,108 @@ def _start_vertex(g: WeightedGraph, start) -> int:
     return int(start)
 
 
-def _run_block(g: WeightedGraph, start: int, length: int, seed: int, block_index: int,
-               count: int, record: bool) -> np.ndarray:
-    """Sample one block of walks and return the tally cell of each observation.
+def _run_blocks(g: WeightedGraph, start: int, length: int, seed: int,
+                blocks: list[tuple[int, int]], record: bool) -> list[np.ndarray]:
+    """Sample walk blocks, given as (block index, walk count) pairs, in one
+    hop loop; return the tally cells of each block's observations.
 
     A tally has shape (2, rows, n): parity (even, odd), observed length and
     vertex.  It has rows = length + 1 when record is set, one observation
     per walk and length; otherwise rows = 1 and each walk is observed once,
     at the final length.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(block_index)))
-    )
-    if record:
-        hops = np.zeros((length + 1, count), dtype=np.int64)
-        np.cumsum(rng.integers(0, 2, (length, count)), axis=0, out=hops[1:])
-    else:
-        hops = rng.binomial(length, 0.5, (1, count))
-    if g.degrees[start] <= 0.0:
-        hops[:] = 0
+    counts = [count for _, count in blocks]
+    hops, draws = [], []
+    for index, count in blocks:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(index)))
+        )
+        if record:
+            h = np.zeros((length + 1, count), dtype=np.int64)
+            np.cumsum(rng.integers(0, 2, (length, count)), axis=0, out=h[1:])
+        else:
+            h = rng.binomial(length, 0.5, (1, count))
+        if g.degrees[start] <= 0.0:
+            h[:] = 0
+        hops.append(h)
+        # One uniform per hop, hop by hop over the block's walks ranked as below.
+        draws.append(rng.random(int(h[-1].sum())))
+    hops = hops[0] if len(blocks) == 1 else np.concatenate(hops, axis=1)
     # Rank walks by descending total hops, so the walks making hop h are a
     # prefix of the ranking.
     order = np.argsort(-hops[-1], kind="stable")
-    rank = np.empty(count, dtype=np.int64)
-    rank[order] = np.arange(count)
     total = hops[-1][order]
+    movers = np.searchsorted(-total, -np.arange(1, int(total[0]) + 1), "right")
+    ends = np.cumsum(movers)
+    uniforms = draws[0] if len(blocks) == 1 else _gather(counts, draws, order, total, movers)
     cnt, prob, alias = g.alias_table()
-    path = np.empty((int(total[0]) + 1, count), dtype=np.int64)
+    path = np.empty((movers.size + 1, order.size), dtype=np.int64)
     path[0] = start
-    movers = np.searchsorted(-total, -np.arange(1, path.shape[0]), "right")
-    for h, k in enumerate(movers, start=1):
+    for h, (k, end) in enumerate(zip(movers, ends), start=1):
         v = path[h - 1, :k]
-        x = rng.random(k) * cnt[v]
+        x = uniforms[end - k:end] * cnt[v]
         col = x.astype(np.int64)
         j = g.indptr[v] + col
         if prob is None:
             path[h, :k] = g.nbr[j]
         else:
             path[h, :k] = np.where(x - col < prob[j], g.nbr[j], alias[j])
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
     rows = hops.shape[0]
     cells = path[hops, rank]
     cells += ((hops & 1) * rows + np.arange(rows)[:, None]) * g.n
-    return cells.ravel()
+    return [c.ravel() for c in np.split(cells, np.cumsum(counts)[:-1], axis=1)]
+
+
+def _gather(counts: list[int], draws: list[np.ndarray], order: np.ndarray,
+            total: np.ndarray, movers: np.ndarray) -> np.ndarray:
+    """The blocks' hop uniforms, each block's walks counting `counts` and its
+    uniforms drawn as `draws`, laid out hop by hop over `order`: the joint
+    ranking of the walks, whose hop counts are `total`."""
+    blocks, hmax = len(counts), movers.size
+    block = np.repeat(np.arange(blocks), counts)[order]
+    # The joint ranking is stable, so it ranks each block's walks as the
+    # block does alone: own is a walk's rank within its block.
+    grouped = np.argsort(block, kind="stable")
+    own = np.empty(order.size, dtype=np.int64)
+    own[grouped] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # moving[b, h]: the walks of block b that make hop h + 1.
+    hist = np.bincount(block * (hmax + 1) + total, minlength=blocks * (hmax + 1))
+    moving = np.cumsum(hist.reshape(blocks, hmax + 1)[:, :0:-1], axis=1)[:, ::-1]
+    first = np.cumsum([0] + [d.size for d in draws[:-1]])
+    hop_start = (first[:, None] + np.cumsum(moving, axis=1) - moving).T.copy()
+    src = np.take(hop_start, block, axis=1) + own
+    return np.concatenate(draws)[src[np.arange(order.size) < movers[:, None]]]
 
 
 def _grow(g: WeightedGraph, start: int, length: int, seed: int, record: bool,
-          counts: np.ndarray, have: int, walks: int, tail: np.ndarray) -> np.ndarray:
+          counts: np.ndarray, have: int, walks: int, tail: np.ndarray,
+          new_tail: np.ndarray | None = None) -> np.ndarray:
     """Grow counts, a (2, rows, n) tally of the first `have` walks, to that of
     the first `walks`.  The cells of its partial last block, tail, are taken
-    back out and that block is redrawn; returns the new tail's cells."""
+    back out and that block is redrawn, or given as new_tail; returns the
+    new tail's cells."""
     cells_of = counts.reshape(-1)
     np.subtract.at(cells_of, tail, 1)
     full, rest = divmod(walks, BLOCK_WALKS)
     for index in range(have // BLOCK_WALKS, full):
-        np.add.at(cells_of, _run_block(g, start, length, seed, index, BLOCK_WALKS, record), 1)
-    tail = _run_block(g, start, length, seed, full, rest, record) if rest else _NO_CELLS
-    np.add.at(cells_of, tail, 1)
-    return tail
+        (block,) = _run_blocks(g, start, length, seed, [(index, BLOCK_WALKS)], record)
+        np.add.at(cells_of, block, 1)
+    if new_tail is None:
+        new_tail = (_run_blocks(g, start, length, seed, [(full, rest)], record)[0]
+                    if rest else _NO_CELLS)
+    np.add.at(cells_of, new_tail, 1)
+    return new_tail
+
+
+def topup_steps(have: int, walks: int, length: int) -> int:
+    """Sampled steps charged for growing a pool of `have` walks of `length`
+    to `walks`: its new full blocks and its redrawn partial last block."""
+    if walks <= have:
+        return 0
+    new_full = walks // BLOCK_WALKS - have // BLOCK_WALKS
+    return (new_full * BLOCK_WALKS + walks % BLOCK_WALKS) * max(length, 1)
 
 
 def run_walks(
@@ -178,6 +228,11 @@ class WalkAccumulator:
     Completed blocks are kept; only the trailing partial block is redrawn
     when the target grows.  The tally after ``extend_to(w)`` equals the
     tally of ``run_walks`` with ``walks=w`` exactly, under the same caps.
+
+    Once ``plan`` has named the sizes later top-ups will ask for, a top-up
+    draws its partial block together with those of the planned sizes after
+    it, up to BLOCK_WALKS walks in one hop loop, and keeps them for their
+    own top-ups.  Tallies and ``steps_sampled`` are the same as without it.
     """
 
     def __init__(self, g: WeightedGraph, start: int, length: int, seed: int):
@@ -189,22 +244,44 @@ class WalkAccumulator:
         self.steps_sampled = 0
         self._counts = np.zeros((2, g.n), dtype=np.int64)
         self._tail = _NO_CELLS
+        self._plan: list[int] = []
+        self._ahead: dict[int, np.ndarray] = {}  # drawn tails of planned sizes
+
+    def plan(self, sizes) -> None:
+        """Name the pool sizes that the coming extend_to calls will ask for."""
+        self._plan = sorted(set(sizes))
 
     def projected_steps(self, walks: int) -> int:
         """Sampled steps an extend_to(walks) call would add."""
-        if walks <= self.walks:
-            return 0
-        new_full = walks // BLOCK_WALKS - self.walks // BLOCK_WALKS
-        return (new_full * BLOCK_WALKS + walks % BLOCK_WALKS) * max(self.length, 1)
+        return topup_steps(self.walks, walks, self.length)
 
     def extend_to(self, walks: int) -> None:
         if walks <= self.walks:
             return
         WalkConfig(length=self.length, walks=walks, seed=self.seed).validate()
         self._tail = _grow(self.g, self.start, self.length, self.seed, False,
-                           self._counts, self.walks, walks, self._tail)
+                           self._counts, self.walks, walks, self._tail,
+                           self._tail_of(walks))
         self.steps_sampled += self.projected_steps(walks)
         self.walks = walks
+
+    def _tail_of(self, walks: int) -> np.ndarray:
+        """The cells of the partial last block of a pool of `walks`: drawn
+        with an earlier top-up, or now with those of the next planned sizes."""
+        if walks in self._ahead:
+            return self._ahead.pop(walks)
+        if not walks % BLOCK_WALKS:
+            return _NO_CELLS
+        sizes, drawn = [], 0
+        for w in [walks] + [w for w in self._plan if w > walks and w % BLOCK_WALKS]:
+            drawn += w % BLOCK_WALKS
+            if drawn > BLOCK_WALKS:
+                break
+            sizes.append(w)
+        cells = _run_blocks(self.g, self.start, self.length, self.seed,
+                            [divmod(w, BLOCK_WALKS) for w in sizes], False)
+        self._ahead = dict(zip(sizes[1:], cells[1:]))
+        return cells[0]
 
     def tally(self) -> WalkTally:
         """The pool's counts, copied so that later top-ups leave them as they are."""

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rwcut.errors import InvalidInputError, InvalidParamsError
-from rwcut.graph import conductance
+from rwcut.errors import InvalidInputError, InvalidParamsError, ResourceError
+from rwcut.graph import conductance, load_graph
 from rwcut.localcut import (
     LowConductanceCut,
     ProbabilityBound,
@@ -15,7 +15,7 @@ from rwcut.localcut import (
 )
 from rwcut.walks import exact_walk_distribution
 
-from conftest import complete_graph, dumbbell, random_graph
+from conftest import complete_graph, dumbbell, planted_file, random_graph
 
 
 def _phi_forward(phi):
@@ -155,6 +155,14 @@ class TestCutOrBound:
     def test_walk_step_cap_below_one_refused(self, cap):
         with pytest.raises(InvalidParamsError, match="max_walk_steps"):
             cut_or_bound(dumbbell(5), 0, tau=0.25, zeta=0.5, seed=1, max_walk_steps=cap)
+
+    @pytest.mark.parametrize("cap, error", [("x", InvalidParamsError),
+                                            (2000.5, InvalidParamsError),
+                                            (10**12, ResourceError)])
+    def test_walk_step_cap_checked_as_a_step_budget(self, cap, error):
+        g = load_graph(planted_file(200, 0.05, 8, 1))
+        with pytest.raises(error, match="max_walk_steps"):
+            cut_or_bound(g, 0, tau=0.25, zeta=0.45, seed=1, max_walk_steps=cap)
 
     def test_walk_step_cap_of_one_walk(self):
         res = cut_or_bound(dumbbell(5), 0, tau=0.25, zeta=0.5, seed=1, max_walk_steps=8)

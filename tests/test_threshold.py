@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwcut import walks
 from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, InvalidParamsError, ResourceError
-from rwcut.graph import EVEN, ODD, Tripartition, cut_metrics
+from rwcut.graph import EVEN, ODD, Tripartition, cut_metrics, load_graph
 from rwcut.threshold import (
     C_VOL,
+    GAMMA,
     SIGMA0,
     AlgoParams,
+    FindResult,
     find_threshold,
     sigma_fn,
     sigma_inv,
@@ -19,9 +22,9 @@ from rwcut.threshold import (
     threshold_classify,
     walk_count,
 )
-from rwcut.walks import STEP_CAP, WalkTally
+from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkAccumulator, WalkTally
 
-from conftest import complete_bipartite, make_graph, random_graph
+from conftest import complete_bipartite, cycle_graph, make_graph, planted_file, random_graph
 
 
 class TestSigma:
@@ -223,3 +226,87 @@ class TestFindThreshold:
                 wins += 1
                 assert res.part.cut >= soto_fn(params.sigma) * res.part.inc - 1e-9
         assert wins >= 4
+
+
+def reference_find(g, start, params, seed):
+    """find_threshold as a loop that checks the budget and tops up an
+    unplanned pool round by round; kept as the reference for the search."""
+    m = g.total_weight
+    quality_floor = soto_fn(params.sigma)
+    acc = WalkAccumulator(g, start, params.ell, seed)
+    part = Tripartition(g)
+    t_min = GAMMA * m ** -(1.0 + params.mu / 2.0)
+    r, t = 0, 1.0
+    while t >= t_min:
+        needed = walk_count(t, params.alpha, max(g.n, 2))
+        if acc.steps_sampled + acc.projected_steps(needed) > params.step_budget:
+            break
+        acc.extend_to(needed)
+        threshold_classify(g, t, acc.tally(), part)
+        vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * math.log(max(g.n, 2)))
+        if (part.classified_count > 0 and part.cut >= quality_floor * part.inc
+                and part.classified_volume >= vol_floor):
+            return FindResult(part, t, r + 1, acc.walks, acc.steps_sampled)
+        r += 1
+        t = (1.0 - GAMMA) ** r
+    return FindResult(None, None, r, acc.walks, acc.steps_sampled)
+
+
+class TestAgainstReference:
+    """find_threshold draws the rounds' pools ahead; every result stays that
+    of the round-by-round loop, and at most one block of walks goes unused."""
+
+    @staticmethod
+    def _drawn(monkeypatch, search, *args):
+        """search(*args) and the number of walks it drew."""
+        drawn = []
+        kernel = walks._run_blocks
+
+        def counting(g, start, length, seed, blocks, record):
+            drawn.extend(count for _, count in blocks)
+            return kernel(g, start, length, seed, blocks, record)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(walks, "_run_blocks", counting)
+            res = search(*args)
+        return res, sum(drawn)
+
+    def _check(self, monkeypatch, g, start, params, seed):
+        """The search's result, checked against the reference, and the walks
+        it drew beyond the reference's."""
+        got, drawn = self._drawn(monkeypatch, find_threshold, g, start, params, seed)
+        ref, ref_drawn = self._drawn(monkeypatch, reference_find, g, start, params, seed)
+        assert (got.threshold, got.rounds, got.walks, got.steps) == (
+            ref.threshold, ref.rounds, ref.walks, ref.steps)
+        assert got.success == ref.success
+        if got.success:
+            assert np.array_equal(got.part.side, ref.part.side)
+            assert 0 <= drawn - ref_drawn <= BLOCK_WALKS
+        else:  # every planned round ran: nothing drawn ahead is unused
+            assert drawn == ref_drawn
+        return got, drawn - ref_drawn
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_at_bench_budget(self, monkeypatch, seed):
+        g = gen_planted(300, 0.05, 8, seed=seed).graph
+        params = AlgoParams.for_graph(g, 0.05, 1.0, step_budget=150_000)
+        for start in (0, 17, 150):
+            self._check(monkeypatch, g, start, params, seed)
+
+    def test_bipartite_succeeds_early(self, monkeypatch):
+        ahead = []
+        for g in (complete_bipartite(7, 7), complete_bipartite(3, 3), cycle_graph(8)):
+            params = AlgoParams.for_graph(g, 0.05, 1.0, step_budget=40_000_000)
+            for seed in range(4):
+                res, unused = self._check(monkeypatch, g, seed % g.n, params, seed)
+                assert res.success
+                ahead.append(unused)
+        assert max(ahead) > 0  # some search stopped with tails drawn ahead
+
+    @pytest.mark.parametrize("start, seed", [(0, 7), (31, 8)])
+    def test_pools_cross_a_block_boundary(self, monkeypatch, start, seed):
+        g = load_graph(planted_file(200, 0.05, 8, 1))
+        # ell = 19 here, so the pool passes 25 blocks before the budget ends it.
+        params = AlgoParams.for_graph(g, 0.05, 0.25, step_budget=4_000_000)
+        res, _ = self._check(monkeypatch, g, start, params, seed)
+        assert res.walks > 2 * BLOCK_WALKS

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwcut import walks
 from rwcut.errors import InvalidInputError, ResourceError
+from rwcut.graph import WeightedGraph
 from rwcut.spectral import power_laplacian_vector
 from rwcut.walks import (
+    BLOCK_WALKS,
     WalkAccumulator,
     WalkConfig,
     WalkTally,
@@ -156,6 +159,77 @@ class TestAccumulator:
         with pytest.raises(ResourceError):
             acc.extend_to(walks)
         assert (acc.walks, acc.steps_sampled) == (0, 0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(2, 12), weighted=st.booleans(), length=st.integers(0, 12),
+           graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63),
+           sizes=st.lists(st.integers(1, 3 * BLOCK_WALKS), min_size=1, max_size=8))
+    def test_planned_growth_matches_fresh_runs(self, n, weighted, length, graph_seed,
+                                               seed, sizes):
+        g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
+        acc = WalkAccumulator(g, 0, length, seed)
+        acc.plan(sizes)
+        have = steps = 0
+        for target in sorted(sizes):
+            acc.extend_to(target)
+            fresh = run_walks(g, 0, WalkConfig(length=length, walks=target, seed=seed))
+            assert np.array_equal(acc.tally().even, fresh.even)
+            assert np.array_equal(acc.tally().odd, fresh.odd)
+            steps += walks.topup_steps(have, target, length)
+            have = target
+            assert acc.steps_sampled == steps
+
+    def test_plan_draws_at_most_a_block_ahead(self, single_edge, monkeypatch):
+        drawn = []
+        kernel = walks._run_blocks
+
+        def counting(g, start, length, seed, blocks, record):
+            drawn.append([count for _, count in blocks])
+            return kernel(g, start, length, seed, blocks, record)
+
+        monkeypatch.setattr(walks, "_run_blocks", counting)
+        acc = WalkAccumulator(single_edge, 0, 5, seed=3)
+        acc.plan([1000, 2000, 3000, 5000])
+        acc.extend_to(1000)
+        assert drawn == [[1000, 2000]]  # 3000 more would pass BLOCK_WALKS
+        acc.extend_to(2000)
+        assert len(drawn) == 1
+        acc.extend_to(3000)
+        assert drawn[1:] == [[3000, 5000 - BLOCK_WALKS]]
+        acc.extend_to(5000)
+        assert drawn[2:] == [[BLOCK_WALKS]]  # a full block, drawn alone
+
+
+class TestJointDraws:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12), weighted=st.booleans(), isolated_start=st.booleans(),
+           record=st.booleans(), length=st.integers(0, 60),
+           blocks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, BLOCK_WALKS)),
+                           min_size=1, max_size=4),
+           graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
+    def test_blocks_drawn_together_match_lone_draws(self, n, weighted, isolated_start,
+                                                    record, length, blocks,
+                                                    graph_seed, seed):
+        g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
+        # Vertex n has no edge: a walk from it never moves.
+        g = WeightedGraph.from_arrays(n + 1, *g.edge_arrays())
+        start = n if isolated_start else 0
+        joint = walks._run_blocks(g, start, length, seed, blocks, record)
+        assert len(joint) == len(blocks)
+        for cells, block in zip(joint, blocks):
+            (alone,) = walks._run_blocks(g, start, length, seed, [block], record)
+            assert np.array_equal(cells, alone)
+
+    def test_both_neighbour_draws_covered(self):
+        rng = np.random.default_rng(5)
+        unit = random_graph(8, 0.4, rng)
+        weighted = make_graph(8, [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0), (2, 3, 1.0)])
+        assert unit.alias_table()[1] is None and weighted.alias_table()[1] is not None
+        blocks = [(0, 300), (2, BLOCK_WALKS), (0, 7)]
+        for g in (unit, weighted):
+            joint = walks._run_blocks(g, 0, 9, 4, blocks, True)
+            for cells, block in zip(joint, blocks):
+                assert np.array_equal(cells, walks._run_blocks(g, 0, 9, 4, [block], True)[0])
 
 
 class TestSignedEstimate:
