@@ -582,8 +582,16 @@ def balance_tradeoff(b: float) -> TradeoffPoint:
     """
     mu1_lo = max(0.0, b - 2.0)
     mu1_hi = min(b - 1.0, 2.0 * b - 3.0)
-    if mu1_hi <= mu1_lo:
-        raise InvalidParamsError(f"no valid mu1 region for b = {b:g}")
+    span = mu1_hi - mu1_lo
+    # The refined windows keep this far inside the region, however narrow.
+    # tau and mu2 move monotonically with mu1, so where both ends of that
+    # range give a valid (tau, mu2), so does every mu1 searched.
+    margin = min(1e-9, span / 100.0)
+    try:
+        balance_params(b, mu1_lo + margin)
+        balance_params(b, mu1_hi - margin)
+    except InvalidParamsError:
+        raise InvalidParamsError(f"no valid mu1 region for b = {b!r}") from None
 
     def eps1_cap(mu1: float) -> float:
         tau, _ = balance_params(b, mu1)
@@ -593,7 +601,6 @@ def balance_tradeoff(b: float) -> TradeoffPoint:
         tau, mu2 = balance_params(b, mu1)
         return tradeoff_objective(eps1, mu1, mu2, tau)
 
-    span = mu1_hi - mu1_lo
     mu1_win = (mu1_lo + 0.02 * span, mu1_hi - 0.02 * span)
     eps1_frac_win = (0.02, 1.0)  # fraction of the per-mu1 cap
     best = None
@@ -611,8 +618,8 @@ def balance_tradeoff(b: float) -> TradeoffPoint:
         mu1_h = (mu1_win[1] - mu1_win[0]) / points
         frac_h = (eps1_frac_win[1] - eps1_frac_win[0]) / points
         mu1_win = (
-            max(mu1_lo + 1e-9, mu1_c - mu1_h),
-            min(mu1_hi - 1e-9, mu1_c + mu1_h),
+            max(mu1_lo + margin, mu1_c - mu1_h),
+            min(mu1_hi - margin, mu1_c + mu1_h),
         )
         eps1_frac_win = (max(1e-4, frac_c - frac_h), min(1.0, frac_c + frac_h))
     ratio, mu1, eps1, _ = best

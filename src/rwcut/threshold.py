@@ -195,7 +195,8 @@ def find_threshold(
 ) -> FindResult:
     """Descend thresholds t_r = (1-GAMMA)^r looking for a good tripartition.
 
-    At each round the shared walk pool is topped up to walk_count(t_r) and
+    The walk pool is planned with the walk counts of the rounds the step
+    budget allows.  At each round it is topped up to walk_count(t_r) and
     classification re-runs; success requires cut >= soto(sigma) * inc
     together with classified volume at least C_VOL / (t_r^2 m^{1+mu} ln n).
     Returns a failed result after the last threshold, or earlier if the
@@ -205,14 +206,13 @@ def find_threshold(
         raise InvalidInputError("graph has no edges")
     m = g.total_weight
     quality_floor = soto_fn(params.sigma)
-    acc = WalkAccumulator(g, start, params.ell, seed)
     part = Tripartition(g)
     # Powers of 1/m underflow to 0 for a huge mu, where powers of m overflow.
     t_min = GAMMA * _inverse_power(m, 1.0 + params.mu / 2.0)
     vol_scale = C_VOL * _inverse_power(m, 1.0 + params.mu)
     log_n = math.log(max(g.n, 2))
     rounds = _rounds(g, params, t_min)
-    acc.plan(needed for _, needed in rounds)
+    acc = WalkAccumulator(g, start, params.ell, seed, [needed for _, needed in rounds])
     for r, (t, needed) in enumerate(rounds, start=1):
         acc.extend_to(needed)
         threshold_classify(g, t, acc.tally(), part)

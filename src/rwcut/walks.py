@@ -26,7 +26,8 @@ a block's observations are the same whatever blocks it is drawn with.  The
 tally for a given (graph, start, length, seed, walk_count) is therefore
 bit-identical however the blocks are grouped into calls.  A trailing partial
 block draws for exactly its own walk count, which keeps the tally a pure
-function of the requested walk total.
+function of the requested walk total, and a search's pool draws each full
+block and the partial last block of each planned size once.
 """
 
 from __future__ import annotations
@@ -173,29 +174,9 @@ def _gather(counts: list[int], draws: list[np.ndarray], order: np.ndarray,
     return np.concatenate(draws)[src[np.arange(order.size) < movers[:, None]]]
 
 
-def _grow(g: WeightedGraph, start: int, length: int, seed: int, record: bool,
-          counts: np.ndarray, have: int, walks: int, tail: np.ndarray,
-          new_tail: np.ndarray | None = None) -> np.ndarray:
-    """Grow counts, a (2, rows, n) tally of the first `have` walks, to that of
-    the first `walks`.  The cells of its partial last block, tail, are taken
-    back out and that block is redrawn, or given as new_tail; returns the
-    new tail's cells."""
-    cells_of = counts.reshape(-1)
-    np.subtract.at(cells_of, tail, 1)
-    full, rest = divmod(walks, BLOCK_WALKS)
-    for index in range(have // BLOCK_WALKS, full):
-        (block,) = _run_blocks(g, start, length, seed, [(index, BLOCK_WALKS)], record)
-        np.add.at(cells_of, block, 1)
-    if new_tail is None:
-        new_tail = (_run_blocks(g, start, length, seed, [(full, rest)], record)[0]
-                    if rest else _NO_CELLS)
-    np.add.at(cells_of, new_tail, 1)
-    return new_tail
-
-
 def topup_steps(have: int, walks: int, length: int) -> int:
     """Sampled steps charged for growing a pool of `have` walks of `length`
-    to `walks`: its new full blocks and its redrawn partial last block."""
+    to `walks`: its new full blocks and the partial last block of `walks`."""
     if walks <= have:
         return 0
     new_full = walks // BLOCK_WALKS - have // BLOCK_WALKS
@@ -216,76 +197,68 @@ def run_walks(
     # Laid out as (2, rows, n): rows = 1 is the same memory as (2, n).
     shape = (2, cfg.length + 1, g.n) if cfg.record_per_length else (2, g.n)
     counts = np.zeros(shape, dtype=np.int64)
-    _grow(g, start, cfg.length, cfg.seed, cfg.record_per_length, counts,
-          0, cfg.walks, _NO_CELLS)
+    blocks = [(index, BLOCK_WALKS) for index in range(cfg.walks // BLOCK_WALKS)]
+    if cfg.walks % BLOCK_WALKS:
+        blocks.append(divmod(cfg.walks, BLOCK_WALKS))
+    for block in blocks:  # one hop loop per block bounds its path array
+        (cells,) = _run_blocks(g, start, cfg.length, cfg.seed, [block], cfg.record_per_length)
+        np.add.at(counts.reshape(-1), cells, 1)
     return WalkTally(n=g.n, length=cfg.length, walks=cfg.walks, even=counts[0],
                      odd=counts[1], record_per_length=cfg.record_per_length)
 
 
 class WalkAccumulator:
-    """Monotone walk pool supporting cheap top-ups across threshold rounds.
+    """Walk pool of a threshold search, grown through the sizes it plans.
 
-    Completed blocks are kept; only the trailing partial block is redrawn
-    when the target grows.  The tally after ``extend_to(w)`` equals the
-    tally of ``run_walks`` with ``walks=w`` exactly, under the same caps.
-
-    Once ``plan`` has named the sizes later top-ups will ask for, a top-up
-    draws its partial block together with those of the planned sizes after
-    it, up to BLOCK_WALKS walks in one hop loop, and keeps them for their
-    own top-ups.  Tallies and ``steps_sampled`` are the same as without it.
+    sizes names every pool size the search may ask for; it may repeat a
+    size.  The tally after ``extend_to(w)`` equals the tally of ``run_walks``
+    with ``walks=w`` exactly, under the same caps.  The pool keeps the counts
+    of its full blocks.  The partial last block of a planned size is drawn
+    in one hop loop together with those of the next planned sizes, up to
+    BLOCK_WALKS walks, and kept until the pool grows past them.
     """
 
-    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int):
+    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int, sizes):
         self.g = g
         self.start = _start_vertex(g, start)
         self.length = length
         self.seed = seed
         self.walks = 0
         self.steps_sampled = 0
-        self._counts = np.zeros((2, g.n), dtype=np.int64)
-        self._tail = _NO_CELLS
-        self._plan: list[int] = []
-        self._ahead: dict[int, np.ndarray] = {}  # drawn tails of planned sizes
-
-    def plan(self, sizes) -> None:
-        """Name the pool sizes that the coming extend_to calls will ask for."""
-        self._plan = sorted(set(sizes))
-
-    def projected_steps(self, walks: int) -> int:
-        """Sampled steps an extend_to(walks) call would add."""
-        return topup_steps(self.walks, walks, self.length)
+        self._sizes = sorted(set(sizes))
+        self._full = np.zeros((2, g.n), dtype=np.int64)  # counts of the full blocks
+        self._partial: dict[int, np.ndarray] = {}  # drawn partial blocks by pool size
 
     def extend_to(self, walks: int) -> None:
+        """Grow the pool to `walks`, a planned size; a no-op at or below its size."""
         if walks <= self.walks:
             return
         WalkConfig(length=self.length, walks=walks, seed=self.seed).validate()
-        self._tail = _grow(self.g, self.start, self.length, self.seed, False,
-                           self._counts, self.walks, walks, self._tail,
-                           self._tail_of(walks))
-        self.steps_sampled += self.projected_steps(walks)
+        if walks not in self._sizes:
+            raise InvalidInputError(f"pool size {walks} is not planned")
+        for index in range(self.walks // BLOCK_WALKS, walks // BLOCK_WALKS):
+            (cells,) = _run_blocks(self.g, self.start, self.length, self.seed,
+                                   [(index, BLOCK_WALKS)], False)
+            np.add.at(self._full.reshape(-1), cells, 1)
+        if walks % BLOCK_WALKS and walks not in self._partial:
+            sizes, drawn = [], 0
+            for w in self._sizes:
+                if w >= walks and w % BLOCK_WALKS:
+                    drawn += w % BLOCK_WALKS
+                    if drawn > BLOCK_WALKS:
+                        break
+                    sizes.append(w)
+            cells = _run_blocks(self.g, self.start, self.length, self.seed,
+                                [divmod(w, BLOCK_WALKS) for w in sizes], False)
+            self._partial = dict(zip(sizes, cells))
+        self.steps_sampled += topup_steps(self.walks, walks, self.length)
         self.walks = walks
 
-    def _tail_of(self, walks: int) -> np.ndarray:
-        """The cells of the partial last block of a pool of `walks`: drawn
-        with an earlier top-up, or now with those of the next planned sizes."""
-        if walks in self._ahead:
-            return self._ahead.pop(walks)
-        if not walks % BLOCK_WALKS:
-            return _NO_CELLS
-        sizes, drawn = [], 0
-        for w in [walks] + [w for w in self._plan if w > walks and w % BLOCK_WALKS]:
-            drawn += w % BLOCK_WALKS
-            if drawn > BLOCK_WALKS:
-                break
-            sizes.append(w)
-        cells = _run_blocks(self.g, self.start, self.length, self.seed,
-                            [divmod(w, BLOCK_WALKS) for w in sizes], False)
-        self._ahead = dict(zip(sizes[1:], cells[1:]))
-        return cells[0]
-
     def tally(self) -> WalkTally:
-        """The pool's counts, copied so that later top-ups leave them as they are."""
-        even, odd = self._counts.copy()
+        """The pool's counts as a fresh array, which later top-ups leave as it is."""
+        counts = self._full.copy()
+        np.add.at(counts.reshape(-1), self._partial.get(self.walks, _NO_CELLS), 1)
+        even, odd = counts
         return WalkTally(n=self.g.n, length=self.length, walks=self.walks, even=even, odd=odd)
 
 

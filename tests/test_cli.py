@@ -186,6 +186,9 @@ class TestTradeoff:
         (["--b", "1.8", "--b", "2.4"], "b,source,mu1,tau,mu2,eps1,ratio\n"
          "1.8,balance,0.274026,0.474026,0.687671,0.018671,0.509514\n"
          "2.4,simple,0.400000,0.000000,0.400000,0.000000,0.547711\n"),
+        # b keeps the digits that tell it from 1.5, which the command refuses.
+        (["--b", "1.5000001"], "b,source,mu1,tau,mu2,eps1,ratio\n"
+         "1.5000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"),
     ])
     def test_stdout_pinned(self, args, stdout):
         proc = run_cli(["tradeoff", *args])
@@ -268,6 +271,9 @@ class TestHostileInput:
           "--seed", "1"], None, 1),
         # A side followed by a NUL, which numpy's text field would drop.
         (["eval", "--in", "{graph}", "--partition", "{part}"], "0 L\x00\n1 R\n2 R\n", 1),
+        # 1.5 + 2**-51: mu2 rounds to 0 at the top of the searched mu1 range,
+        # so b is refused before any integration.
+        (["tradeoff", "--b", "1.5000000000000004"], None, 2),
     ])
     def test_one_line_error_and_exit_code(self, triangle_file, tmp_path,
                                           args, partition, code):

@@ -442,6 +442,20 @@ class TestTradeoff:
         assert (p.b.hex(), p.source, *(v.hex() for v in (
             p.mu1, p.tau, p.mu2, p.eps1, p.ratio))) == expected
 
+    @pytest.mark.parametrize("b", [1.5 + 1e-7, 1.5 + 1e-9, 1.5 + 1e-10,
+                                   1.5 + 2**-51, 1.5 + 2**-52])
+    def test_narrow_mu1_region(self, b):
+        # The mu1 region (0, 2b - 3) is at most 2e-7 wide here: the search
+        # stays inside it, or refuses b where the float ends of its range do
+        # not give a positive tau and mu2.
+        try:
+            p = best_tradeoff(b)
+        except InvalidParamsError as exc:
+            assert str(exc) == f"no valid mu1 region for b = {b!r}"
+        else:
+            balance_params(b, p.mu1)
+            assert p.ratio >= 0.5
+
     @settings(max_examples=40, deadline=None)
     @given(
         mu1=st.floats(0.01, 1.5),

@@ -22,7 +22,7 @@ from rwcut.threshold import (
     threshold_classify,
     walk_count,
 )
-from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkAccumulator, WalkTally
+from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkConfig, WalkTally, run_walks, topup_steps
 
 from conftest import complete_bipartite, cycle_graph, make_graph, planted_file, random_graph
 
@@ -229,36 +229,38 @@ class TestFindThreshold:
 
 
 def reference_find(g, start, params, seed):
-    """find_threshold as a loop that checks the budget and tops up an
-    unplanned pool round by round; kept as the reference for the search."""
+    """find_threshold as a loop that checks the budget round by round and
+    draws each round's pool afresh with run_walks; kept as the reference for
+    the search."""
     m = g.total_weight
     quality_floor = soto_fn(params.sigma)
-    acc = WalkAccumulator(g, start, params.ell, seed)
     part = Tripartition(g)
     t_min = GAMMA * m ** -(1.0 + params.mu / 2.0)
-    r, t = 0, 1.0
+    r, t, pool, steps = 0, 1.0, 0, 0
     while t >= t_min:
         needed = walk_count(t, params.alpha, max(g.n, 2))
-        if acc.steps_sampled + acc.projected_steps(needed) > params.step_budget:
+        charge = topup_steps(pool, needed, params.ell)
+        if steps + charge > params.step_budget:
             break
-        acc.extend_to(needed)
-        threshold_classify(g, t, acc.tally(), part)
+        pool, steps = max(pool, needed), steps + charge
+        tally = run_walks(g, start, WalkConfig(length=params.ell, walks=pool, seed=seed))
+        threshold_classify(g, t, tally, part)
         vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * math.log(max(g.n, 2)))
         if (part.classified_count > 0 and part.cut >= quality_floor * part.inc
                 and part.classified_volume >= vol_floor):
-            return FindResult(part, t, r + 1, acc.walks, acc.steps_sampled)
+            return FindResult(part, t, r + 1, pool, steps)
         r += 1
         t = (1.0 - GAMMA) ** r
-    return FindResult(None, None, r, acc.walks, acc.steps_sampled)
+    return FindResult(None, None, r, pool, steps)
 
 
 class TestAgainstReference:
     """find_threshold draws the rounds' pools ahead; every result stays that
     of the round-by-round loop, and at most one block of walks goes unused."""
 
-    @staticmethod
-    def _drawn(monkeypatch, search, *args):
-        """search(*args) and the number of walks it drew."""
+    def _check(self, monkeypatch, g, start, params, seed):
+        """The search's result, checked against the reference, and the walks
+        it drew beyond those the reference was charged for."""
         drawn = []
         kernel = walks._run_blocks
 
@@ -268,23 +270,20 @@ class TestAgainstReference:
 
         with monkeypatch.context() as patch:
             patch.setattr(walks, "_run_blocks", counting)
-            res = search(*args)
-        return res, sum(drawn)
-
-    def _check(self, monkeypatch, g, start, params, seed):
-        """The search's result, checked against the reference, and the walks
-        it drew beyond the reference's."""
-        got, drawn = self._drawn(monkeypatch, find_threshold, g, start, params, seed)
-        ref, ref_drawn = self._drawn(monkeypatch, reference_find, g, start, params, seed)
+            got = find_threshold(g, start, params, seed)
+        ref = reference_find(g, start, params, seed)
+        # run_walks redraws the full blocks every round, so the reference's
+        # drawn walks are counted from its charged steps.
+        ref_drawn = ref.steps // params.ell
         assert (got.threshold, got.rounds, got.walks, got.steps) == (
             ref.threshold, ref.rounds, ref.walks, ref.steps)
         assert got.success == ref.success
         if got.success:
             assert np.array_equal(got.part.side, ref.part.side)
-            assert 0 <= drawn - ref_drawn <= BLOCK_WALKS
+            assert 0 <= sum(drawn) - ref_drawn <= BLOCK_WALKS
         else:  # every planned round ran: nothing drawn ahead is unused
-            assert drawn == ref_drawn
-        return got, drawn - ref_drawn
+            assert sum(drawn) == ref_drawn
+        return got, sum(drawn) - ref_drawn
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_planted_at_bench_budget(self, monkeypatch, seed):

@@ -7,6 +7,7 @@ from rwcut import walks
 from rwcut.errors import InvalidInputError, ResourceError
 from rwcut.graph import WeightedGraph
 from rwcut.spectral import power_laplacian_vector
+from rwcut.threshold import AlgoParams, find_threshold
 from rwcut.walks import (
     BLOCK_WALKS,
     WalkAccumulator,
@@ -78,7 +79,7 @@ class TestRunWalks:
         with pytest.raises(InvalidInputError, match="not an integer in"):
             run_walks(single_edge, start, WalkConfig(length=1, walks=1, seed=0))
         with pytest.raises(InvalidInputError, match="not an integer in"):
-            WalkAccumulator(single_edge, start, 1, seed=0)
+            WalkAccumulator(single_edge, start, 1, 0, [1])
         with pytest.raises(InvalidInputError, match="not an integer in"):
             exact_walk_distribution(single_edge, start, 1)
 
@@ -87,7 +88,7 @@ class TestRunWalks:
         a = run_walks(single_edge, np.int32(1), cfg)
         b = run_walks(single_edge, 1, cfg)
         assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
-        acc = WalkAccumulator(single_edge, np.int64(1), 3, seed=2)
+        acc = WalkAccumulator(single_edge, np.int64(1), 3, 2, [50])
         acc.extend_to(50)
         assert np.array_equal(acc.tally().even, b.even)
 
@@ -108,8 +109,9 @@ class TestRunWalks:
 
 class TestAccumulator:
     def test_topup_matches_fresh_run(self, single_edge):
-        acc = WalkAccumulator(single_edge, 0, 6, seed=11)
-        for target in (37, 120, 4096, 5000, 9000):
+        targets = (37, 120, 4096, 5000, 9000)
+        acc = WalkAccumulator(single_edge, 0, 6, 11, targets)
+        for target in targets:
             acc.extend_to(target)
             fresh = run_walks(single_edge, 0,
                               WalkConfig(length=6, walks=target, seed=11))
@@ -118,11 +120,11 @@ class TestAccumulator:
             assert np.array_equal(got.odd, fresh.odd)
 
     def test_steps_accounting(self, single_edge):
-        acc = WalkAccumulator(single_edge, 0, 4, seed=1)
+        acc = WalkAccumulator(single_edge, 0, 4, 1, [10, 20])
         acc.extend_to(10)
         assert acc.steps_sampled == 40
         before = acc.steps_sampled
-        acc.extend_to(20)  # tail redraw: 20 more walks of length 4
+        acc.extend_to(20)  # a partial block of 20 walks of length 4
         assert acc.steps_sampled == before + 80
 
     @settings(max_examples=12, deadline=None)
@@ -130,9 +132,10 @@ class TestAccumulator:
            graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
     def test_growth_matches_fresh_runs(self, n, weighted, length, graph_seed, seed):
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
-        acc = WalkAccumulator(g, 0, length, seed)
+        targets = (1, 37, 4095, 4096, 4097, 8192, 8193)
+        acc = WalkAccumulator(g, 0, length, seed, targets)
         earlier = []
-        for target in (1, 37, 4095, 4096, 4097, 8192, 8193):
+        for target in targets:
             acc.extend_to(target)
             got = acc.tally()
             fresh = run_walks(g, 0, WalkConfig(length=length, walks=target, seed=seed))
@@ -145,7 +148,7 @@ class TestAccumulator:
             assert np.array_equal(got.odd, fresh.odd)
 
     def test_no_op_at_or_below_pool_size(self, single_edge):
-        acc = WalkAccumulator(single_edge, 0, 3, seed=4)
+        acc = WalkAccumulator(single_edge, 0, 3, 4, [50])
         acc.extend_to(50)
         before = acc.tally()
         for walks in (50, 10, 0):
@@ -155,7 +158,7 @@ class TestAccumulator:
 
     @pytest.mark.parametrize("length, walks", [(201, 1), (100_000, 3), (100, 10**12)])
     def test_caps_enforced(self, single_edge, length, walks):
-        acc = WalkAccumulator(single_edge, 0, length, seed=1)
+        acc = WalkAccumulator(single_edge, 0, length, 1, [walks])
         with pytest.raises(ResourceError):
             acc.extend_to(walks)
         assert (acc.walks, acc.steps_sampled) == (0, 0)
@@ -167,8 +170,7 @@ class TestAccumulator:
     def test_planned_growth_matches_fresh_runs(self, n, weighted, length, graph_seed,
                                                seed, sizes):
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
-        acc = WalkAccumulator(g, 0, length, seed)
-        acc.plan(sizes)
+        acc = WalkAccumulator(g, 0, length, seed, sizes)
         have = steps = 0
         for target in sorted(sizes):
             acc.extend_to(target)
@@ -179,7 +181,9 @@ class TestAccumulator:
             have = target
             assert acc.steps_sampled == steps
 
-    def test_plan_draws_at_most_a_block_ahead(self, single_edge, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch):
+        """The walk counts of every _run_blocks call from now on."""
         drawn = []
         kernel = walks._run_blocks
 
@@ -188,8 +192,11 @@ class TestAccumulator:
             return kernel(g, start, length, seed, blocks, record)
 
         monkeypatch.setattr(walks, "_run_blocks", counting)
-        acc = WalkAccumulator(single_edge, 0, 5, seed=3)
-        acc.plan([1000, 2000, 3000, 5000])
+        return drawn
+
+    def test_plan_draws_at_most_a_block_ahead(self, single_edge, monkeypatch):
+        drawn = self._counting(monkeypatch)
+        acc = WalkAccumulator(single_edge, 0, 5, 3, [1000, 2000, 3000, 5000])
         acc.extend_to(1000)
         assert drawn == [[1000, 2000]]  # 3000 more would pass BLOCK_WALKS
         acc.extend_to(2000)
@@ -198,6 +205,32 @@ class TestAccumulator:
         assert drawn[1:] == [[3000, 5000 - BLOCK_WALKS]]
         acc.extend_to(5000)
         assert drawn[2:] == [[BLOCK_WALKS]]  # a full block, drawn alone
+
+    def test_unplanned_size_refused_before_any_draw(self, single_edge, monkeypatch):
+        drawn = self._counting(monkeypatch)
+        acc = WalkAccumulator(single_edge, 0, 5, 3, [1000, 5000, 5000])
+        for size in (999, 1001, 4096, 6000):
+            with pytest.raises(InvalidInputError, match="not planned"):
+                acc.extend_to(size)
+        assert (drawn, acc.walks, acc.steps_sampled) == ([], 0, 0)
+        acc.extend_to(5000)
+        with pytest.raises(InvalidInputError, match="not planned"):
+            acc.extend_to(5001)
+        # A repeated size's partial block is drawn once.
+        assert (drawn, acc.walks) == ([[BLOCK_WALKS], [5000 - BLOCK_WALKS]], 5000)
+
+    def test_empty_plan_draws_nothing(self, single_edge, monkeypatch):
+        drawn = self._counting(monkeypatch)
+        acc = WalkAccumulator(single_edge, 0, 5, 3, [])
+        acc.extend_to(0)
+        with pytest.raises(InvalidInputError, match="not planned"):
+            acc.extend_to(1)
+        assert (drawn, acc.walks, acc.steps_sampled) == ([], 0, 0)
+        assert acc.tally().even.sum() == acc.tally().odd.sum() == 0
+        # A step budget below the first round plans no round.
+        params = AlgoParams.for_graph(single_edge, 0.05, 1.0, step_budget=1)
+        res = find_threshold(single_edge, 0, params, seed=3)
+        assert (res.rounds, res.walks, res.steps, drawn) == (0, 0, 0, [])
 
 
 class TestJointDraws:
