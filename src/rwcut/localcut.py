@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, WeightedGraph, conductance, prefix_cut_metrics
 from .threshold import check_step_budget
-from .walks import LENGTH_CAP, WalkConfig, lazy_step, run_walks
+from .walks import LENGTH_CAP, WalkConfig, lazy_step, per_length_counts
 
 PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
 
@@ -126,13 +126,19 @@ def cut_or_bound(
 ) -> CutOrBoundResult:
     """Find a low conductance cut near start or certify spread-out walks.
 
-    With alpha = m^-tau and walk length ceil(ln m / zeta), runs enough
-    walks to resolve probabilities near alpha, then for every intermediate
-    length sweeps prefixes of the empirical count/degree ordering (padded
-    with zero-count vertices) for a prefix of conductance below phi, where
-    phi solves the chord-decay equation at psi = zeta * tau.  If no sweep
-    finds one, declares max_j p_j / (2 d_j) <= alpha_bound, a fixed multiple
-    of alpha, p being the exact final-length distribution.
+    With alpha = m^-tau and walk length ceil(ln m / zeta), takes enough
+    walks to resolve probabilities near alpha, then for each length from 0
+    up sweeps prefixes of the empirical count/degree ordering (padded with
+    zero-count vertices, lowest ids first) for a prefix of conductance below
+    phi, where phi solves the chord-decay equation at psi = zeta * tau, and
+    returns the first such prefix.  The counts come one length at a time
+    from ``per_length_counts``: with at most n walks, the walks are simulated
+    only as far as the lengths swept so far, so a cut found at a short
+    length never draws the longer hops; with more, the dense per-length
+    tally is recorded first.  Either way the result is that of sweeping a
+    tally of every length.  If no sweep finds a cut, declares
+    max_j p_j / (2 d_j) <= alpha_bound, a fixed multiple of alpha, p being
+    the exact final-length distribution.
     """
     if g.total_weight <= 0.0:
         raise InvalidInputError("graph has no edges")
@@ -161,10 +167,8 @@ def cut_or_bound(
         w = min(w, max_walk_steps // ell)
     b = int(math.ceil(ell / (2.0 * (1.0 - 2.0 * phi) * alpha)))
     cfg = WalkConfig(length=ell, walks=w, record_per_length=True, seed=seed)
-    tally = run_walks(g, start, cfg)
     two_m = 2.0 * m
-    for l in range(ell + 1):
-        ev, od = tally.counts_at(l)
+    for l, (ev, od) in enumerate(per_length_counts(g, start, cfg)):
         # Reached vertices come first, so the zero-count padding comes last,
         # lowest ids first.
         candidates = sweep_order(g, ev + od)[: min(b, g.n)]

@@ -18,21 +18,31 @@ and each hop takes its neighbour from the row's alias table
 
 Reproducibility: walks are generated, in the calling thread, in fixed
 blocks of ``BLOCK_WALKS``.  Block ``i`` draws all of its randomness from a
-generator seeded by ``(seed, i)``: its hop counts, then its hop uniforms in
-one call, hop by hop over its ranked walks.  Several blocks may share one
-hop loop, which ranks all their walks together and gathers each hop's
-uniforms from the blocks' draws; each walk still takes its own uniforms, so
-a block's observations are the same whatever blocks it is drawn with.  The
-tally for a given (graph, start, length, seed, walk_count) is therefore
-bit-identical however the blocks are grouped into calls.  A trailing partial
-block draws for exactly its own walk count, which keeps the tally a pure
-function of the requested walk total, and a search's pool draws each full
-block and the partial last block of each planned size once.
+generator seeded by ``(seed, i)``: its hop counts, then its hop uniforms,
+hop by hop over its ranked walks.  Several blocks may share one hop loop,
+which ranks all their walks together and gathers each hop's uniforms from
+the blocks' draws; each walk still takes its own uniforms, so a block's
+observations are the same whatever blocks it is drawn with.  The tally for
+a given (graph, start, length, seed, walk_count) is therefore bit-identical
+however the blocks are grouped into calls.  A trailing partial block draws
+for exactly its own walk count, which keeps the tally a pure function of
+the requested walk total, and a search's pool draws each full block and the
+partial last block of each planned size once.
+
+Per-length counts can also be read one length at a time
+(``per_length_counts``).  With at most n walks, all blocks stay resident,
+and a block draws its hop uniforms only as far as the lengths read so far
+need: ``random(a)`` then ``random(b)`` takes the same numbers as
+``random(a + b)``, so each row equals the recorded tally's, and a reader that
+stops at a short length never draws the longer hops.  The hop counts and
+paths of at most n walks take no more room than the dense tally.  With more
+walks, the dense tally is recorded block by block, as ``run_walks`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,58 +109,108 @@ def _start_vertex(g: WeightedGraph, start) -> int:
     return int(start)
 
 
-def _run_blocks(g: WeightedGraph, start: int, length: int, seed: int,
-                blocks: list[tuple[int, int]], record: bool) -> list[np.ndarray]:
-    """Sample walk blocks, given as (block index, walk count) pairs, in one
-    hop loop; return the tally cells of each block's observations.
+def _block_hops(g: WeightedGraph, start: int, length: int, seed: int, index: int,
+                count: int, record: bool) -> tuple[np.random.Generator, np.ndarray]:
+    """Block `index`'s generator, after it has drawn the hop counts of its
+    `count` walks, and those counts.
 
-    A tally has shape (2, rows, n): parity (even, odd), observed length and
-    vertex.  It has rows = length + 1 when record is set, one observation
-    per walk and length; otherwise rows = 1 and each walk is observed once,
-    at the final length.
+    With record set, row l of the counts is each walk's hops after l steps,
+    the running sum of one fair coin per step; otherwise the one row is the
+    final Bin(length, 1/2) count.  A walk from a degree-0 vertex makes no hop.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(index)))
+    )
+    if record:
+        coins = rng.integers(0, 2, (length, count))
+        h = np.empty((length + 1, count), dtype=np.int64)
+        h[0] = 0
+        for l in range(length):  # row adds: a cumsum's integers, several times faster
+            np.add(h[l], coins[l], out=h[l + 1])
+    else:
+        h = rng.binomial(length, 0.5, (1, count))
+    if g.degrees[start] <= 0.0:
+        h[:] = 0
+    return rng, h
+
+
+def _ranking(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walks ranked by descending hop count `total`, ties by index, and
+    movers[h - 1], the number of walks making hop h: a prefix of the ranking."""
+    # Hop counts never exceed LENGTH_CAP, so int16 keys are exact, and numpy
+    # sorts them stably by radix.
+    order = np.argsort(-total.astype(np.int16), kind="stable")
+    ranked = total[order]
+    return order, np.searchsorted(-ranked, -np.arange(1, int(ranked[0]) + 1), "right")
+
+
+def _hop(g: WeightedGraph, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A neighbour of each vertex of v, drawn with one uniform of u each
+    from the row's alias table."""
+    cnt, prob, alias = g.alias_table()
+    x = u * cnt[v]
+    col = x.astype(np.int64)
+    j = g.indptr[v] + col
+    if prob is None:
+        return g.nbr[j]
+    return np.where(x - col < prob[j], g.nbr[j], alias[j])
+
+
+def _run_blocks(g: WeightedGraph, start: int, length: int, seed: int,
+                blocks: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Sample walk blocks, given as (block index, walk count) pairs, in one
+    hop loop; return, per block, the final-length tally cell of each walk:
+    parity * n + vertex, parity 0 for even and 1 for odd.
     """
     counts = [count for _, count in blocks]
     hops, draws = [], []
     for index, count in blocks:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(index)))
-        )
-        if record:
-            h = np.zeros((length + 1, count), dtype=np.int64)
-            np.cumsum(rng.integers(0, 2, (length, count)), axis=0, out=h[1:])
-        else:
-            h = rng.binomial(length, 0.5, (1, count))
-        if g.degrees[start] <= 0.0:
-            h[:] = 0
-        hops.append(h)
+        rng, h = _block_hops(g, start, length, seed, index, count, False)
+        hops.append(h[0])
         # One uniform per hop, hop by hop over the block's walks ranked as below.
-        draws.append(rng.random(int(h[-1].sum())))
-    hops = hops[0] if len(blocks) == 1 else np.concatenate(hops, axis=1)
-    # Rank walks by descending total hops, so the walks making hop h are a
-    # prefix of the ranking.
-    order = np.argsort(-hops[-1], kind="stable")
-    total = hops[-1][order]
-    movers = np.searchsorted(-total, -np.arange(1, int(total[0]) + 1), "right")
+        draws.append(rng.random(int(h.sum())))
+    hops = hops[0] if len(blocks) == 1 else np.concatenate(hops)
+    order, movers = _ranking(hops)
+    total = hops[order]
     ends = np.cumsum(movers)
     uniforms = draws[0] if len(blocks) == 1 else _gather(counts, draws, order, total, movers)
-    cnt, prob, alias = g.alias_table()
-    path = np.empty((movers.size + 1, order.size), dtype=np.int64)
-    path[0] = start
-    for h, (k, end) in enumerate(zip(movers, ends), start=1):
-        v = path[h - 1, :k]
-        x = uniforms[end - k:end] * cnt[v]
-        col = x.astype(np.int64)
-        j = g.indptr[v] + col
-        if prob is None:
-            path[h, :k] = g.nbr[j]
-        else:
-            path[h, :k] = np.where(x - col < prob[j], g.nbr[j], alias[j])
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    rows = hops.shape[0]
-    cells = path[hops, rank]
-    cells += ((hops & 1) * rows + np.arange(rows)[:, None]) * g.n
-    return [c.ravel() for c in np.split(cells, np.cumsum(counts)[:-1], axis=1)]
+    v = np.full(order.size, start, dtype=np.int64)  # ranked walks' vertices
+    for k, end in zip(movers, ends):
+        v[:k] = _hop(g, v[:k], uniforms[end - k:end])
+    cells = np.empty(order.size, dtype=np.int64)
+    cells[order] = v + (total & 1) * g.n
+    return np.split(cells, np.cumsum(counts)[:-1])
+
+
+class _RecordedBlock:
+    """One block of walks observed at every length, whose hops are drawn
+    only as far as the lengths read so far need.
+
+    The block draws its coins first and then its hop uniforms, hop by hop
+    over its ranked walks; drawing them one hop at a time takes the same
+    numbers as one call would (``random(a)`` then ``random(b)`` equals
+    ``random(a + b)``).
+    """
+
+    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int,
+                 index: int, count: int):
+        self.g = g
+        self.rng, hops = _block_hops(g, start, length, seed, index, count, True)
+        order, self.movers = _ranking(hops[-1])
+        self.hops = hops[:, order]  # columns in rank order
+        # path[h, r]: the vertex of the walk ranked r after h hops.
+        self.path = np.empty((self.movers.size + 1, count), dtype=np.int64)
+        self.path[0] = start
+        self.drawn = 0  # hops simulated so far
+
+    def at(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each walk's hop parity and vertex after l steps, in rank order."""
+        h = self.hops[l]
+        for hop in range(self.drawn + 1, int(h.max()) + 1):
+            k = self.movers[hop - 1]
+            self.path[hop, :k] = _hop(self.g, self.path[hop - 1, :k], self.rng.random(k))
+            self.drawn = hop
+        return h & 1, self.path[h, np.arange(h.size)]
 
 
 def _gather(counts: list[int], draws: list[np.ndarray], order: np.ndarray,
@@ -174,6 +234,14 @@ def _gather(counts: list[int], draws: list[np.ndarray], order: np.ndarray,
     return np.concatenate(draws)[src[np.arange(order.size) < movers[:, None]]]
 
 
+def _blocks(walks: int) -> list[tuple[int, int]]:
+    """(block index, walk count) of the blocks that make up `walks` walks."""
+    blocks = [(index, BLOCK_WALKS) for index in range(walks // BLOCK_WALKS)]
+    if walks % BLOCK_WALKS:
+        blocks.append(divmod(walks, BLOCK_WALKS))
+    return blocks
+
+
 def topup_steps(have: int, walks: int, length: int) -> int:
     """Sampled steps charged for growing a pool of `have` walks of `length`
     to `walks`: its new full blocks and the partial last block of `walks`."""
@@ -194,17 +262,48 @@ def run_walks(
     """
     cfg.validate()
     start = _start_vertex(g, start)
-    # Laid out as (2, rows, n): rows = 1 is the same memory as (2, n).
-    shape = (2, cfg.length + 1, g.n) if cfg.record_per_length else (2, g.n)
-    counts = np.zeros(shape, dtype=np.int64)
-    blocks = [(index, BLOCK_WALKS) for index in range(cfg.walks // BLOCK_WALKS)]
-    if cfg.walks % BLOCK_WALKS:
-        blocks.append(divmod(cfg.walks, BLOCK_WALKS))
-    for block in blocks:  # one hop loop per block bounds its path array
-        (cells,) = _run_blocks(g, start, cfg.length, cfg.seed, [block], cfg.record_per_length)
-        np.add.at(counts.reshape(-1), cells, 1)
+    record, rows = cfg.record_per_length, cfg.length + 1
+    counts = np.zeros((2, rows, g.n) if record else (2, g.n), dtype=np.int64)
+    flat = counts.reshape(-1)
+    for index, count in _blocks(cfg.walks):  # one block at a time bounds its state
+        if not record:
+            (cells,) = _run_blocks(g, start, cfg.length, cfg.seed, [(index, count)])
+            np.add.at(flat, cells, 1)
+            continue
+        block = _RecordedBlock(g, start, cfg.length, cfg.seed, index, count)
+        for l in range(rows):
+            parity, vertex = block.at(l)
+            np.add.at(flat, (parity * rows + l) * g.n + vertex, 1)
     return WalkTally(n=g.n, length=cfg.length, walks=cfg.walks, even=counts[0],
-                     odd=counts[1], record_per_length=cfg.record_per_length)
+                     odd=counts[1], record_per_length=record)
+
+
+def per_length_counts(g: WeightedGraph, start: int,
+                      cfg: WalkConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (even, odd) counts of cfg's walks after 0, 1, ..., cfg.length
+    steps: row by row, the tally ``run_walks`` records for cfg with
+    record_per_length set.
+
+    With at most n walks, every block stays resident and a length draws only
+    the hops it needs, so a consumer that stops early never draws the rest;
+    the blocks' hop counts and paths then take no more room than the dense
+    (2, length + 1, n) tally.  With more walks, that tally is the smaller
+    state, and it is recorded block by block before the first row is yielded.
+    """
+    cfg = replace(cfg, record_per_length=True)
+    cfg.validate()
+    start = _start_vertex(g, start)
+    if cfg.walks > g.n:
+        tally = run_walks(g, start, cfg)
+        yield from zip(tally.even, tally.odd)
+        return
+    blocks = [_RecordedBlock(g, start, cfg.length, cfg.seed, index, count)
+              for index, count in _blocks(cfg.walks)]
+    for l in range(cfg.length + 1):
+        parity, vertex = zip(*(b.at(l) for b in blocks))
+        cells = np.concatenate(parity) * g.n + np.concatenate(vertex)
+        counts = np.bincount(cells, minlength=2 * g.n)
+        yield counts[:g.n], counts[g.n:]
 
 
 class WalkAccumulator:
@@ -238,7 +337,7 @@ class WalkAccumulator:
             raise InvalidInputError(f"pool size {walks} is not planned")
         for index in range(self.walks // BLOCK_WALKS, walks // BLOCK_WALKS):
             (cells,) = _run_blocks(self.g, self.start, self.length, self.seed,
-                                   [(index, BLOCK_WALKS)], False)
+                                   [(index, BLOCK_WALKS)])
             np.add.at(self._full.reshape(-1), cells, 1)
         if walks % BLOCK_WALKS and walks not in self._partial:
             sizes, drawn = [], 0
@@ -249,7 +348,7 @@ class WalkAccumulator:
                         break
                     sizes.append(w)
             cells = _run_blocks(self.g, self.start, self.length, self.seed,
-                                [divmod(w, BLOCK_WALKS) for w in sizes], False)
+                                [divmod(w, BLOCK_WALKS) for w in sizes])
             self._partial = dict(zip(sizes, cells))
         self.steps_sampled += topup_steps(self.walks, walks, self.length)
         self.walks = walks

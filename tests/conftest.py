@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rwcut
@@ -68,6 +69,13 @@ def random_graph(n, p, rng, weighted=False, ensure_edge=True):
     if ensure_edge and not edges:
         edges = [(0, 1, 1.0)]
     return WeightedGraph.from_edges(n, edges)
+
+
+def reweighted(g, seed):
+    """g with its edge weights redrawn from [0.1, 2.1)."""
+    u, v, _ = g.edge_arrays()
+    w = 0.1 + 2.0 * np.random.default_rng(seed).random(u.size)
+    return WeightedGraph.from_arrays(g.n, u, v, w)
 
 
 def dumbbell(k, bridges=1):

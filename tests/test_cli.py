@@ -189,11 +189,29 @@ class TestTradeoff:
         # b keeps the digits that tell it from 1.5, which the command refuses.
         (["--b", "1.5000001"], "b,source,mu1,tau,mu2,eps1,ratio\n"
          "1.5000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"),
+        # Two b whose integrals miss their tolerance, around one that does not.
+        (["--b", "1.5000001", "--b", "2", "--b", "1.5000000001"],
+         "b,source,mu1,tau,mu2,eps1,ratio\n"
+         "1.5000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"
+         "2,balance,0.179307,0.179307,4.577016,0.031129,0.515837\n"
+         "1.5000000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"),
     ])
     def test_stdout_pinned(self, args, stdout):
         proc = run_cli(["tradeoff", *args])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == stdout
+
+    @pytest.mark.parametrize("args, inexact", [
+        ([], []),
+        (["--b", "1.5000001", "--b", "2", "--b", "1.5000000001"],
+         ["1.5000001", "1.5000000001"]),
+    ])
+    def test_one_warning_line_per_inexact_b(self, args, inexact):
+        proc = run_cli(["tradeoff", *args])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"warning: b = {b}: quad missed its tolerance; the ratio may be inexact"
+            for b in inexact]
 
 
 class TestHostileInput:

@@ -1,10 +1,14 @@
+import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, InvalidParamsError, ResourceError
-from rwcut.graph import conductance, load_graph
+from rwcut.graph import WeightedGraph, conductance, load_graph
 from rwcut.localcut import (
     LowConductanceCut,
     ProbabilityBound,
@@ -15,7 +19,7 @@ from rwcut.localcut import (
 )
 from rwcut.walks import exact_walk_distribution
 
-from conftest import complete_graph, dumbbell, planted_file, random_graph
+from conftest import complete_graph, dumbbell, planted_file, random_graph, reweighted
 
 
 def _phi_forward(phi):
@@ -192,6 +196,22 @@ class TestCutOrBound:
                                                res.length)
                 assert float((p / (2 * g.degrees)).max()) <= res.alpha_bound
 
+    def test_capped_probe_holds_less_than_a_dense_tally(self):
+        # On planted-100k the capped probe finds its cut within two steps, so
+        # its walk state must stay below the (2, 32, n) int64 tally that
+        # drawing every length up front would fill.
+        g = gen_planted(100_000, 0.05, 8, 1).graph
+        g.alias_table()  # built once per graph, not per probe
+        tracemalloc.start()
+        try:
+            res = cut_or_bound(g, 0, 0.25, 0.45, seed=1, max_walk_steps=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, LowConductanceCut) and res.length <= 2
+        assert res.walks == 2_000_000 // 31
+        assert peak < 2 * 32 * g.n * 8
+
     def test_empirical_curve_sandwich(self):
         # (1-d)I - d*a*x <= I_hat <= (1+d)I + d*a*x with d = 1/ell, for the
         # same walk budget cut_or_bound uses
@@ -228,3 +248,61 @@ class TestCutOrBound:
             if not ok:
                 bad += 1
         assert bad <= 1  # >= 95% of seeds
+
+
+def _capped(g, zeta, walks):
+    """A max_walk_steps that buys cut_or_bound exactly `walks` walks."""
+    return walks * max(1, math.ceil(math.log(g.total_weight) / zeta))
+
+
+def _canonical(res):
+    """repr of a probe result with its vertex set sorted."""
+    fields = dataclasses.asdict(res)
+    if "vertices" in fields:
+        fields["vertices"] = sorted(fields["vertices"])
+    return f"{type(res).__name__}{fields!r}"
+
+
+class TestPinnedProbes:
+    """Probe results pinned on the per-walk kernel, before probes drew lazily."""
+
+    def test_results_pinned(self):
+        p200 = load_graph(planted_file(200, 0.05, 8, 1))
+        p1k = load_graph(planted_file(1000, 0.05, 8, 101000))
+        p10k = gen_planted(10_000, 0.05, 8, 1).graph
+        frac10k = reweighted(p10k, 1)
+        frac60 = reweighted(random_graph(60, 0.12, np.random.default_rng(1)), 1)
+        k50 = complete_graph(50)
+        # The last vertex of each has no edge: every walk from it stays put.
+        bell = WeightedGraph.from_arrays(11, *dumbbell(5).edge_arrays())
+        k12 = WeightedGraph.from_arrays(13, *complete_graph(12).edge_arrays())
+        blocks3 = 3 * 4096 - 5
+        cases = [  # graph, start, tau, zeta, seed, max_walk_steps
+            (dumbbell(20), 5, 0.25, 0.5, 4, None),
+            (k50, 0, 0.15, 0.21, 4, _capped(k50, 0.21, 2000)),
+            (k50, 0, 0.15, 0.21, 4, _capped(k50, 0.21, 40)),
+            (p200, 0, 0.1, 0.45, 3, None),
+            (p200, 1, 0.1, 0.45, 3, None),
+            (p200, 1, 0.1, 0.45, 3, _capped(p200, 0.45, 150)),
+            (p1k, 0, 0.25, 0.45, 1, 100_000),
+            (p10k, 0, 0.25, 0.45, 1, _capped(p10k, 0.45, blocks3)),
+            (frac10k, 0, 0.25, 0.45, 1, _capped(frac10k, 0.45, 9000)),
+            (frac10k, 1, 0.1, 0.45, 1, _capped(frac10k, 0.45, blocks3)),
+            (frac60, 9, 0.05, 0.45, 2, None),
+            (frac60, 7, 0.05, 0.45, 2, None),
+            (frac60, 9, 0.05, 0.45, 2, _capped(frac60, 0.45, 55)),
+            (bell, 10, 0.25, 0.5, 1, None),
+            (bell, 10, 0.25, 0.5, 1, _capped(bell, 0.5, 11)),
+            (k12, 12, 0.15, 0.21, 1, None),
+            (k12, 12, 0.15, 0.21, 1, _capped(k12, 0.21, 13)),
+        ]
+        text, seen = [], set()
+        for g, start, tau, zeta, seed, cap in cases:
+            res = cut_or_bound(g, start, tau, zeta, seed=seed, max_walk_steps=cap)
+            text.append(_canonical(res))
+            seen.add((type(res), res.walks <= g.n))
+        # Both result kinds on both sides of the walks <= n rule.
+        assert seen == {(k, s) for k in (LowConductanceCut, ProbabilityBound)
+                        for s in (False, True)}
+        digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+        assert digest == "d4786bd5283fffe036061dda86a3b4be2d26a7607150042a5dd60c7454b49ab1"

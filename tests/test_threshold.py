@@ -264,9 +264,9 @@ class TestAgainstReference:
         drawn = []
         kernel = walks._run_blocks
 
-        def counting(g, start, length, seed, blocks, record):
+        def counting(g, start, length, seed, blocks):
             drawn.extend(count for _, count in blocks)
-            return kernel(g, start, length, seed, blocks, record)
+            return kernel(g, start, length, seed, blocks)
 
         with monkeypatch.context() as patch:
             patch.setattr(walks, "_run_blocks", counting)

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwcut import walks
+from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, ResourceError
-from rwcut.graph import WeightedGraph
+from rwcut.graph import WeightedGraph, load_graph
 from rwcut.spectral import power_laplacian_vector
 from rwcut.threshold import AlgoParams, find_threshold
 from rwcut.walks import (
@@ -18,7 +21,7 @@ from rwcut.walks import (
     signed_estimates,
 )
 
-from conftest import make_graph, random_graph
+from conftest import dumbbell, make_graph, planted_file, random_graph, reweighted
 
 
 class TestRunWalks:
@@ -187,9 +190,9 @@ class TestAccumulator:
         drawn = []
         kernel = walks._run_blocks
 
-        def counting(g, start, length, seed, blocks, record):
+        def counting(g, start, length, seed, blocks):
             drawn.append([count for _, count in blocks])
-            return kernel(g, start, length, seed, blocks, record)
+            return kernel(g, start, length, seed, blocks)
 
         monkeypatch.setattr(walks, "_run_blocks", counting)
         return drawn
@@ -236,21 +239,20 @@ class TestAccumulator:
 class TestJointDraws:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 12), weighted=st.booleans(), isolated_start=st.booleans(),
-           record=st.booleans(), length=st.integers(0, 60),
+           length=st.integers(0, 60),
            blocks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, BLOCK_WALKS)),
                            min_size=1, max_size=4),
            graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
     def test_blocks_drawn_together_match_lone_draws(self, n, weighted, isolated_start,
-                                                    record, length, blocks,
-                                                    graph_seed, seed):
+                                                    length, blocks, graph_seed, seed):
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
         # Vertex n has no edge: a walk from it never moves.
         g = WeightedGraph.from_arrays(n + 1, *g.edge_arrays())
         start = n if isolated_start else 0
-        joint = walks._run_blocks(g, start, length, seed, blocks, record)
+        joint = walks._run_blocks(g, start, length, seed, blocks)
         assert len(joint) == len(blocks)
         for cells, block in zip(joint, blocks):
-            (alone,) = walks._run_blocks(g, start, length, seed, [block], record)
+            (alone,) = walks._run_blocks(g, start, length, seed, [block])
             assert np.array_equal(cells, alone)
 
     def test_both_neighbour_draws_covered(self):
@@ -260,9 +262,65 @@ class TestJointDraws:
         assert unit.alias_table()[1] is None and weighted.alias_table()[1] is not None
         blocks = [(0, 300), (2, BLOCK_WALKS), (0, 7)]
         for g in (unit, weighted):
-            joint = walks._run_blocks(g, 0, 9, 4, blocks, True)
+            joint = walks._run_blocks(g, 0, 9, 4, blocks)
             for cells, block in zip(joint, blocks):
-                assert np.array_equal(cells, walks._run_blocks(g, 0, 9, 4, [block], True)[0])
+                assert np.array_equal(cells, walks._run_blocks(g, 0, 9, 4, [block])[0])
+
+
+def _sparse_graph(n, weighted, seed):
+    """About 2n random edges on n vertices, plus vertex n with none."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n, (2, 2 * n))
+    keep = u != v
+    u, v = np.append(u[keep], 0), np.append(v[keep], 1)
+    w = 0.1 + 2.0 * rng.random(u.size) if weighted else np.ones(u.size)
+    return WeightedGraph.from_arrays(n + 1, u, v, w)
+
+
+class TestPerLengthCounts:
+    def test_tallies_pinned(self):
+        # Recorded on the per-walk kernel before probes drew lazily.
+        p200 = load_graph(planted_file(200, 0.05, 8, 1))
+        p1k = load_graph(planted_file(1000, 0.05, 8, 101000))
+        frac10k = reweighted(gen_planted(10_000, 0.05, 8, 1).graph, 1)
+        # Vertex 10 has no edge: every walk from it stays put.
+        bell = WeightedGraph.from_arrays(11, *dumbbell(5).edge_arrays())
+        cases = [  # graph, start, length, walks, seed
+            (random_graph(40, 0.15, np.random.default_rng(3), weighted=True), 0, 7,
+             3 * BLOCK_WALKS + 17, 5),
+            (p200, 1, 15, 150, 3),
+            (p200, 3, 0, 7, 1),
+            (p1k, 0, 19, 5000, 1),
+            (frac10k, 0, 24, 9000, 2),
+            (bell, 10, 4, 11, 1),
+            (bell, 10, 4, 5000, 1),
+        ]
+        digest = hashlib.sha256()
+        for g, start, length, count, seed in cases:
+            t = run_walks(g, start, WalkConfig(length=length, walks=count, seed=seed,
+                                               record_per_length=True))
+            digest.update(t.even.tobytes() + t.odd.tobytes())
+        assert digest.hexdigest() == (
+            "5a5f3f728943eed95a4de568d95bff8449ae2e62f09a9078cc38c9400f848f1f")
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 9000), count=st.integers(1, 9000), length=st.integers(0, 40),
+           weighted=st.booleans(), isolated_start=st.booleans(),
+           graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
+    @example(n=9000, count=3 * BLOCK_WALKS - 5, length=30, weighted=True,
+             isolated_start=False, graph_seed=1, seed=2)
+    @example(n=50, count=BLOCK_WALKS + 1, length=12, weighted=False,
+             isolated_start=False, graph_seed=1, seed=2)
+    def test_rows_equal_recorded_tally(self, n, count, length, weighted, isolated_start,
+                                       graph_seed, seed):
+        g = _sparse_graph(n, weighted, graph_seed)
+        start = n if isolated_start else 0
+        cfg = WalkConfig(length=length, walks=count, seed=seed, record_per_length=True)
+        t = run_walks(g, start, cfg)
+        rows = list(walks.per_length_counts(g, start, cfg))
+        assert len(rows) == length + 1
+        for l, (ev, od) in enumerate(rows):
+            assert np.array_equal(ev, t.even[l]) and np.array_equal(od, t.odd[l])
 
 
 class TestSignedEstimate:
