@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mu1", type=float, default=0.25)
     ps.add_argument("--eps1", type=float, default=None)
     ps.add_argument("--find-steps", type=int, default=STEP_BUDGET,
-                    help="sampled-step budget per threshold search")
+                    help="walk-step budget that plans each threshold search's "
+                         "rounds; the steps drawn never exceed it")
     ps.add_argument("--reps", type=int, default=1)
     ps.set_defaults(func=cmd_solve)
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, ODD, Tripartition, UNCLASSIFIED, WeightedGraph
-from .walks import (LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally, signed_estimates,
-                    topup_steps)
+from .walks import (BLOCK_WALKS, LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally,
+                    signed_estimates)
 
 SIGMA0 = 0.22815
 C_VOL = 1.0  # constant of the classified-volume floor
@@ -93,8 +93,9 @@ class AlgoParams:
     eps_prime = -ln(1-eps), the walk length ell (from DELTA, at most
     LENGTH_CAP), and sigma.
 
-    step_budget caps the sampled walk-steps one threshold search may spend;
-    the search reports failure once the schedule would exceed it.
+    step_budget plans one threshold search: it runs the rounds whose
+    charges (topup_steps) fit in the budget and reports failure after the
+    last, and the walk steps it draws never exceed the budget.
     """
 
     eps: float
@@ -144,14 +145,16 @@ def threshold_classify(
     free = part.side == UNCLASSIFIED
     even = np.flatnonzero(free & (est > t))
     odd = np.flatnonzero(free & (est < -t))
-    part.classify(np.concatenate((even, odd)),
-                  np.repeat([EVEN, ODD], [even.size, odd.size]))
+    if even.size or odd.size:
+        part.classify(np.concatenate((even, odd)),
+                      np.repeat([EVEN, ODD], [even.size, odd.size]))
     return part
 
 
 @dataclass
 class FindResult:
-    """Outcome of one threshold search; part is None on failure."""
+    """Outcome of one threshold search; part is None on failure.  walks is
+    the final pool's size and steps the walk steps drawn."""
 
     part: Tripartition | None
     threshold: float | None
@@ -170,11 +173,22 @@ def _inverse_power(m: float, e: float) -> float:
     return m ** -e if e * -math.log(m) < _LOG_POWER_MAX else math.inf
 
 
+def topup_steps(have: int, walks: int, length: int) -> int:
+    """Sampled steps charged for growing a pool of `have` walks of `length`
+    to `walks`: its new full blocks and the partial last block of `walks`."""
+    if walks <= have:
+        return 0
+    new_full = walks // BLOCK_WALKS - have // BLOCK_WALKS
+    return (new_full * BLOCK_WALKS + walks % BLOCK_WALKS) * max(length, 1)
+
+
 def _rounds(g: WeightedGraph, params: AlgoParams, t_min: float) -> list[tuple[float, int]]:
     """(t_r, walk_count(t_r)) for each round r the step budget allows.
 
-    Every round is charged topup_steps, as the pool charges it, so the
-    rounds are known before any walk is drawn.
+    Every round is charged topup_steps, so the rounds are known before any
+    walk is drawn.  The charges sum to at least the last round's walks, and
+    the pool draws no more than those, so the steps drawn stay within the
+    budget.
     """
     rounds = []
     have = steps = 0

@@ -19,15 +19,13 @@ and each hop takes its neighbour from the row's alias table
 Reproducibility: walks are generated, in the calling thread, in fixed
 blocks of ``BLOCK_WALKS``.  Block ``i`` draws all of its randomness from a
 generator seeded by ``(seed, i)``: its hop counts, then its hop uniforms,
-hop by hop over its ranked walks.  Several blocks may share one hop loop,
-which ranks all their walks together and gathers each hop's uniforms from
-the blocks' draws; each walk still takes its own uniforms, so a block's
-observations are the same whatever blocks it is drawn with.  The tally for
-a given (graph, start, length, seed, walk_count) is therefore bit-identical
-however the blocks are grouped into calls.  A trailing partial block draws
-for exactly its own walk count, which keeps the tally a pure function of
-the requested walk total, and a search's pool draws each full block and the
-partial last block of each planned size once.
+hop by hop over its ranked walks.  A ``run_walks`` tally is therefore a
+pure function of (graph, start, length, seed, walk_count); a trailing
+partial block draws for exactly its own walk count.  A threshold search's
+pool draws each block once, at the most walks any of its planned sizes
+takes from that block, and a pool of w walks is the first w walks of those
+draws: w iid walks, the pools nested as they grow, and a pure function of
+(graph, start, length, seed, planned sizes, w).
 
 Per-length counts can also be read one length at a time
 (``per_length_counts``).  With at most n walks, all blocks stay resident,
@@ -53,7 +51,6 @@ BLOCK_WALKS = 4096
 # Guards against walk requests sized by outside input.
 LENGTH_CAP = 200
 STEP_CAP = 1_000_000_000
-_NO_CELLS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -156,30 +153,24 @@ def _hop(g: WeightedGraph, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(x - col < prob[j], g.nbr[j], alias[j])
 
 
-def _run_blocks(g: WeightedGraph, start: int, length: int, seed: int,
-                blocks: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Sample walk blocks, given as (block index, walk count) pairs, in one
-    hop loop; return, per block, the final-length tally cell of each walk:
-    parity * n + vertex, parity 0 for even and 1 for odd.
+def _run_block(g: WeightedGraph, start: int, length: int, seed: int, index: int,
+               count: int) -> np.ndarray:
+    """Sample block `index` of `count` walks; return the final-length tally
+    cell of each walk: parity * n + vertex, parity 0 for even and 1 for odd.
     """
-    counts = [count for _, count in blocks]
-    hops, draws = [], []
-    for index, count in blocks:
-        rng, h = _block_hops(g, start, length, seed, index, count, False)
-        hops.append(h[0])
-        # One uniform per hop, hop by hop over the block's walks ranked as below.
-        draws.append(rng.random(int(h.sum())))
-    hops = hops[0] if len(blocks) == 1 else np.concatenate(hops)
+    rng, h = _block_hops(g, start, length, seed, index, count, False)
+    hops = h[0]
+    # One uniform per hop, hop by hop over the block's walks ranked as below.
+    uniforms = rng.random(int(hops.sum()))
     order, movers = _ranking(hops)
-    total = hops[order]
-    ends = np.cumsum(movers)
-    uniforms = draws[0] if len(blocks) == 1 else _gather(counts, draws, order, total, movers)
-    v = np.full(order.size, start, dtype=np.int64)  # ranked walks' vertices
-    for k, end in zip(movers, ends):
-        v[:k] = _hop(g, v[:k], uniforms[end - k:end])
-    cells = np.empty(order.size, dtype=np.int64)
-    cells[order] = v + (total & 1) * g.n
-    return np.split(cells, np.cumsum(counts)[:-1])
+    v = np.full(count, start, dtype=np.int64)  # ranked walks' vertices
+    used = 0
+    for k in movers:
+        v[:k] = _hop(g, v[:k], uniforms[used:used + k])
+        used += k
+    cells = np.empty(count, dtype=np.int64)
+    cells[order] = v + (hops[order] & 1) * g.n
+    return cells
 
 
 class _RecordedBlock:
@@ -213,42 +204,12 @@ class _RecordedBlock:
         return h & 1, self.path[h, np.arange(h.size)]
 
 
-def _gather(counts: list[int], draws: list[np.ndarray], order: np.ndarray,
-            total: np.ndarray, movers: np.ndarray) -> np.ndarray:
-    """The blocks' hop uniforms, each block's walks counting `counts` and its
-    uniforms drawn as `draws`, laid out hop by hop over `order`: the joint
-    ranking of the walks, whose hop counts are `total`."""
-    blocks, hmax = len(counts), movers.size
-    block = np.repeat(np.arange(blocks), counts)[order]
-    # The joint ranking is stable, so it ranks each block's walks as the
-    # block does alone: own is a walk's rank within its block.
-    grouped = np.argsort(block, kind="stable")
-    own = np.empty(order.size, dtype=np.int64)
-    own[grouped] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    # moving[b, h]: the walks of block b that make hop h + 1.
-    hist = np.bincount(block * (hmax + 1) + total, minlength=blocks * (hmax + 1))
-    moving = np.cumsum(hist.reshape(blocks, hmax + 1)[:, :0:-1], axis=1)[:, ::-1]
-    first = np.cumsum([0] + [d.size for d in draws[:-1]])
-    hop_start = (first[:, None] + np.cumsum(moving, axis=1) - moving).T.copy()
-    src = np.take(hop_start, block, axis=1) + own
-    return np.concatenate(draws)[src[np.arange(order.size) < movers[:, None]]]
-
-
 def _blocks(walks: int) -> list[tuple[int, int]]:
     """(block index, walk count) of the blocks that make up `walks` walks."""
     blocks = [(index, BLOCK_WALKS) for index in range(walks // BLOCK_WALKS)]
     if walks % BLOCK_WALKS:
         blocks.append(divmod(walks, BLOCK_WALKS))
     return blocks
-
-
-def topup_steps(have: int, walks: int, length: int) -> int:
-    """Sampled steps charged for growing a pool of `have` walks of `length`
-    to `walks`: its new full blocks and the partial last block of `walks`."""
-    if walks <= have:
-        return 0
-    new_full = walks // BLOCK_WALKS - have // BLOCK_WALKS
-    return (new_full * BLOCK_WALKS + walks % BLOCK_WALKS) * max(length, 1)
 
 
 def run_walks(
@@ -267,8 +228,7 @@ def run_walks(
     flat = counts.reshape(-1)
     for index, count in _blocks(cfg.walks):  # one block at a time bounds its state
         if not record:
-            (cells,) = _run_blocks(g, start, cfg.length, cfg.seed, [(index, count)])
-            np.add.at(flat, cells, 1)
+            np.add.at(flat, _run_block(g, start, cfg.length, cfg.seed, index, count), 1)
             continue
         block = _RecordedBlock(g, start, cfg.length, cfg.seed, index, count)
         for l in range(rows):
@@ -310,11 +270,12 @@ class WalkAccumulator:
     """Walk pool of a threshold search, grown through the sizes it plans.
 
     sizes names every pool size the search may ask for; it may repeat a
-    size.  The tally after ``extend_to(w)`` equals the tally of ``run_walks``
-    with ``walks=w`` exactly, under the same caps.  The pool keeps the counts
-    of its full blocks.  The partial last block of a planned size is drawn
-    in one hop loop together with those of the next planned sizes, up to
-    BLOCK_WALKS walks, and kept until the pool grows past them.
+    size.  Block i is drawn once, when the pool first reaches it, at the
+    most walks a planned size takes from it: min(BLOCK_WALKS, max(sizes) -
+    i * BLOCK_WALKS).  The pool of w walks is the first w walks of those
+    draws, so each pool holds w iid walks and contains every smaller one.
+    steps_sampled counts the steps drawn; they never exceed max(sizes)
+    walks' worth.  The caps of ``run_walks`` apply to the walks drawn.
     """
 
     def __init__(self, g: WeightedGraph, start: int, length: int, seed: int, sizes):
@@ -324,40 +285,34 @@ class WalkAccumulator:
         self.seed = seed
         self.walks = 0
         self.steps_sampled = 0
-        self._sizes = sorted(set(sizes))
-        self._full = np.zeros((2, g.n), dtype=np.int64)  # counts of the full blocks
-        self._partial: dict[int, np.ndarray] = {}  # drawn partial blocks by pool size
+        self._sizes = set(sizes)
+        self._top = max(self._sizes, default=0)
+        self._counts = np.zeros((2, g.n), dtype=np.int64)  # the pool's counts
+        self._block: np.ndarray | None = None  # cells of the last block drawn
 
     def extend_to(self, walks: int) -> None:
         """Grow the pool to `walks`, a planned size; a no-op at or below its size."""
         if walks <= self.walks:
             return
-        WalkConfig(length=self.length, walks=walks, seed=self.seed).validate()
         if walks not in self._sizes:
             raise InvalidInputError(f"pool size {walks} is not planned")
-        for index in range(self.walks // BLOCK_WALKS, walks // BLOCK_WALKS):
-            (cells,) = _run_blocks(self.g, self.start, self.length, self.seed,
-                                   [(index, BLOCK_WALKS)])
-            np.add.at(self._full.reshape(-1), cells, 1)
-        if walks % BLOCK_WALKS and walks not in self._partial:
-            sizes, drawn = [], 0
-            for w in self._sizes:
-                if w >= walks and w % BLOCK_WALKS:
-                    drawn += w % BLOCK_WALKS
-                    if drawn > BLOCK_WALKS:
-                        break
-                    sizes.append(w)
-            cells = _run_blocks(self.g, self.start, self.length, self.seed,
-                                [divmod(w, BLOCK_WALKS) for w in sizes])
-            self._partial = dict(zip(sizes, cells))
-        self.steps_sampled += topup_steps(self.walks, walks, self.length)
+        blocks = -(-walks // BLOCK_WALKS)
+        drawn = min(blocks * BLOCK_WALKS, self._top)
+        WalkConfig(length=self.length, walks=drawn, seed=self.seed).validate()
+        for index in range(self.walks // BLOCK_WALKS, blocks):
+            first = index * BLOCK_WALKS
+            if self.walks <= first:  # the pool reaches this block now
+                count = min(BLOCK_WALKS, self._top - first)
+                self._block = _run_block(self.g, self.start, self.length, self.seed,
+                                         index, count)
+                self.steps_sampled += count * max(self.length, 1)
+            np.add.at(self._counts.reshape(-1),
+                      self._block[max(self.walks - first, 0):walks - first], 1)
         self.walks = walks
 
     def tally(self) -> WalkTally:
         """The pool's counts as a fresh array, which later top-ups leave as it is."""
-        counts = self._full.copy()
-        np.add.at(counts.reshape(-1), self._partial.get(self.walks, _NO_CELLS), 1)
-        even, odd = counts
+        even, odd = self._counts.copy()
         return WalkTally(n=self.g.n, length=self.length, walks=self.walks, even=even, odd=odd)
 
 

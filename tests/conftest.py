@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rwcut
+from rwcut import walks
 from rwcut.graph import WeightedGraph, dump_graph
 
 # Directory holding the `rwcut` package this suite imported.
@@ -104,6 +105,18 @@ def complete_bipartite(a, b):
 
 def cycle_graph(n):
     return WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def planned_pool(g, start, length, seed, sizes, w):
+    """(even, odd) counts of a threshold search's pool of w walks, drawn
+    afresh: the first w walks of blocks (seed, i), each drawn at the most
+    walks any planned size in sizes takes from it."""
+    top, block = max(sizes), walks.BLOCK_WALKS
+    cells = np.concatenate([
+        walks._run_block(g, start, length, seed, i, min(block, top - i * block))
+        for i in range(-(-w // block))])
+    counts = np.bincount(cells[:w], minlength=2 * g.n)
+    return counts[:g.n], counts[g.n:]
 
 
 @pytest.fixture

@@ -20,11 +20,13 @@ from rwcut.threshold import (
     sigma_inv,
     soto_fn,
     threshold_classify,
+    topup_steps,
     walk_count,
 )
-from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkConfig, WalkTally, run_walks, topup_steps
+from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkTally
 
-from conftest import complete_bipartite, cycle_graph, make_graph, planted_file, random_graph
+from conftest import (complete_bipartite, cycle_graph, make_graph, planned_pool,
+                      planted_file, random_graph)
 
 
 class TestSigma:
@@ -213,6 +215,21 @@ class TestFindThreshold:
         assert not res.success
         assert (res.rounds, res.walks, res.steps) == (0, 0, 0)
 
+    def test_steps_never_exceed_budget(self):
+        # An early success has drawn its last block at its planned count, so
+        # it may hold steps the rounds it ran were not charged; the plan's
+        # total charge still bounds them.
+        ahead = 0
+        for g in (complete_bipartite(3, 3), cycle_graph(8),
+                  gen_planted(300, 0.05, 8, seed=1).graph):
+            for budget in (300, 3_000, 30_000, 300_000, 400_000, 3_000_000):
+                params = AlgoParams.for_graph(g, 0.05, 1.0, step_budget=budget)
+                for seed in range(3):
+                    res = find_threshold(g, seed, params, seed)
+                    assert res.walks * params.ell <= res.steps <= budget
+                    ahead += res.success and res.steps > res.walks * params.ell
+        assert ahead > 0
+
     def test_planted_quality_small(self):
         # majority of seeds succeed with the quality floor satisfied
         inst = gen_planted(20, 0.02, 5, seed=11)
@@ -229,61 +246,65 @@ class TestFindThreshold:
 
 
 def reference_find(g, start, params, seed):
-    """find_threshold as a loop that checks the budget round by round and
-    draws each round's pool afresh with run_walks; kept as the reference for
-    the search."""
+    """find_threshold as plain loops: one charges each round's top-up to the
+    budget as the thresholds descend, the next runs the rounds that fit,
+    drawing each round's pool afresh as the first walks of the planned
+    blocks; kept as the reference for the search."""
     m = g.total_weight
-    quality_floor = soto_fn(params.sigma)
-    part = Tripartition(g)
     t_min = GAMMA * m ** -(1.0 + params.mu / 2.0)
-    r, t, pool, steps = 0, 1.0, 0, 0
+    planned, t, pool, steps = [], 1.0, 0, 0
     while t >= t_min:
         needed = walk_count(t, params.alpha, max(g.n, 2))
         charge = topup_steps(pool, needed, params.ell)
         if steps + charge > params.step_budget:
             break
         pool, steps = max(pool, needed), steps + charge
-        tally = run_walks(g, start, WalkConfig(length=params.ell, walks=pool, seed=seed))
-        threshold_classify(g, t, tally, part)
+        planned.append((t, pool))
+        t = (1.0 - GAMMA) ** len(planned)
+    sizes = [w for _, w in planned]
+    quality_floor = soto_fn(params.sigma)
+    part = Tripartition(g)
+    for r, (t, w) in enumerate(planned, start=1):
+        even, odd = planned_pool(g, start, params.ell, seed, sizes, w)
+        threshold_classify(g, t, WalkTally(g.n, params.ell, w, even, odd), part)
         vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * math.log(max(g.n, 2)))
         if (part.classified_count > 0 and part.cut >= quality_floor * part.inc
                 and part.classified_volume >= vol_floor):
-            return FindResult(part, t, r + 1, pool, steps)
-        r += 1
-        t = (1.0 - GAMMA) ** r
-    return FindResult(None, None, r, pool, steps)
+            return FindResult(part, t, r, w, steps)
+    return FindResult(None, None, len(planned), pool, steps)
 
 
 class TestAgainstReference:
-    """find_threshold draws the rounds' pools ahead; every result stays that
-    of the round-by-round loop, and at most one block of walks goes unused."""
+    """find_threshold draws each block of its pool once, ahead of the rounds
+    that use it; every result stays that of the round-by-round loop, and an
+    early stop leaves fewer than one block of walks unused."""
 
     def _check(self, monkeypatch, g, start, params, seed):
         """The search's result, checked against the reference, and the walks
-        it drew beyond those the reference was charged for."""
+        it drew beyond its final pool."""
         drawn = []
-        kernel = walks._run_blocks
+        kernel = walks._run_block
 
-        def counting(g, start, length, seed, blocks):
-            drawn.extend(count for _, count in blocks)
-            return kernel(g, start, length, seed, blocks)
+        def counting(g, start, length, seed, index, count):
+            drawn.append(count)
+            return kernel(g, start, length, seed, index, count)
 
         with monkeypatch.context() as patch:
-            patch.setattr(walks, "_run_blocks", counting)
+            patch.setattr(walks, "_run_block", counting)
             got = find_threshold(g, start, params, seed)
         ref = reference_find(g, start, params, seed)
-        # run_walks redraws the full blocks every round, so the reference's
-        # drawn walks are counted from its charged steps.
-        ref_drawn = ref.steps // params.ell
-        assert (got.threshold, got.rounds, got.walks, got.steps) == (
-            ref.threshold, ref.rounds, ref.walks, ref.steps)
+        assert (got.threshold, got.rounds, got.walks) == (
+            ref.threshold, ref.rounds, ref.walks)
         assert got.success == ref.success
+        # ref.steps is the plan's charge, which bounds the steps drawn.
+        assert got.steps == sum(drawn) * params.ell <= ref.steps <= params.step_budget
+        unused = sum(drawn) - got.walks
         if got.success:
             assert np.array_equal(got.part.side, ref.part.side)
-            assert 0 <= sum(drawn) - ref_drawn <= BLOCK_WALKS
+            assert 0 <= unused <= BLOCK_WALKS - 1
         else:  # every planned round ran: nothing drawn ahead is unused
-            assert sum(drawn) == ref_drawn
-        return got, sum(drawn) - ref_drawn
+            assert unused == 0
+        return got, unused
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_planted_at_bench_budget(self, monkeypatch, seed):
@@ -300,7 +321,7 @@ class TestAgainstReference:
                 res, unused = self._check(monkeypatch, g, seed % g.n, params, seed)
                 assert res.success
                 ahead.append(unused)
-        assert max(ahead) > 0  # some search stopped with tails drawn ahead
+        assert max(ahead) > 0  # some search stopped with walks drawn ahead
 
     @pytest.mark.parametrize("start, seed", [(0, 7), (31, 8)])
     def test_pools_cross_a_block_boundary(self, monkeypatch, start, seed):

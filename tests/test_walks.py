@@ -21,7 +21,8 @@ from rwcut.walks import (
     signed_estimates,
 )
 
-from conftest import dumbbell, make_graph, planted_file, random_graph, reweighted
+from conftest import (dumbbell, make_graph, planned_pool, planted_file, random_graph,
+                      reweighted)
 
 
 class TestRunWalks:
@@ -116,19 +117,36 @@ class TestAccumulator:
         acc = WalkAccumulator(single_edge, 0, 6, 11, targets)
         for target in targets:
             acc.extend_to(target)
-            fresh = run_walks(single_edge, 0,
-                              WalkConfig(length=6, walks=target, seed=11))
+            even, odd = planned_pool(single_edge, 0, 6, 11, targets, target)
             got = acc.tally()
-            assert np.array_equal(got.even, fresh.even)
-            assert np.array_equal(got.odd, fresh.odd)
+            assert np.array_equal(got.even, even)
+            assert np.array_equal(got.odd, odd)
+
+    def test_pool_is_a_prefix_of_the_planned_blocks(self):
+        g = random_graph(9, 0.4, np.random.default_rng(4), weighted=True)
+        sizes = (300, 4096, 4200, 2 * BLOCK_WALKS + 7)
+        # Each block drawn once, at the most walks a planned size takes from it.
+        cells = np.concatenate([walks._run_block(g, 0, 7, 5, index, count)
+                                for index, count in ((0, 4096), (1, 4096), (2, 7))])
+        acc = WalkAccumulator(g, 0, 7, 5, sizes)
+        for w in sizes:
+            acc.extend_to(w)
+            counts = np.bincount(cells[:w], minlength=2 * g.n)
+            assert np.array_equal(acc.tally().even, counts[:g.n])
+            assert np.array_equal(acc.tally().odd, counts[g.n:])
+        # A pool inside its first block is that block's first w walks: it
+        # equals run_walks only when w is the block's planned count.
+        acc = WalkAccumulator(g, 0, 7, 5, [300])
+        acc.extend_to(300)
+        fresh = run_walks(g, 0, WalkConfig(length=7, walks=300, seed=5))
+        assert np.array_equal(acc.tally().even, fresh.even)
 
     def test_steps_accounting(self, single_edge):
         acc = WalkAccumulator(single_edge, 0, 4, 1, [10, 20])
-        acc.extend_to(10)
-        assert acc.steps_sampled == 40
-        before = acc.steps_sampled
-        acc.extend_to(20)  # a partial block of 20 walks of length 4
-        assert acc.steps_sampled == before + 80
+        acc.extend_to(10)  # block 0 drawn at its planned 20 walks of length 4
+        assert acc.steps_sampled == 80
+        acc.extend_to(20)  # taken from that draw
+        assert acc.steps_sampled == 80
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(2, 12), weighted=st.booleans(), length=st.integers(0, 12),
@@ -141,14 +159,13 @@ class TestAccumulator:
         for target in targets:
             acc.extend_to(target)
             got = acc.tally()
-            fresh = run_walks(g, 0, WalkConfig(length=length, walks=target, seed=seed))
+            even, odd = planned_pool(g, 0, length, seed, targets, target)
             assert got.walks == target
-            assert np.array_equal(got.even, fresh.even)
-            assert np.array_equal(got.odd, fresh.odd)
-            earlier.append((got, fresh))
-        for got, fresh in earlier:  # later top-ups leave earlier tallies alone
-            assert np.array_equal(got.even, fresh.even)
-            assert np.array_equal(got.odd, fresh.odd)
+            assert np.array_equal(got.even, even)
+            assert np.array_equal(got.odd, odd)
+            earlier.append((got, even))
+        for got, even in earlier:  # later top-ups leave earlier tallies alone
+            assert np.array_equal(got.even, even)
 
     def test_no_op_at_or_below_pool_size(self, single_edge):
         acc = WalkAccumulator(single_edge, 0, 3, 4, [50])
@@ -174,40 +191,39 @@ class TestAccumulator:
                                                seed, sizes):
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
         acc = WalkAccumulator(g, 0, length, seed, sizes)
-        have = steps = 0
         for target in sorted(sizes):
             acc.extend_to(target)
-            fresh = run_walks(g, 0, WalkConfig(length=length, walks=target, seed=seed))
-            assert np.array_equal(acc.tally().even, fresh.even)
-            assert np.array_equal(acc.tally().odd, fresh.odd)
-            steps += walks.topup_steps(have, target, length)
-            have = target
-            assert acc.steps_sampled == steps
+            even, odd = planned_pool(g, 0, length, seed, sizes, target)
+            assert np.array_equal(acc.tally().even, even)
+            assert np.array_equal(acc.tally().odd, odd)
+            # The steps drawn: every block the pool reaches, at its planned count.
+            drawn = min(-(-target // BLOCK_WALKS) * BLOCK_WALKS, max(sizes))
+            assert acc.steps_sampled == drawn * max(length, 1)
 
     @staticmethod
     def _counting(monkeypatch):
-        """The walk counts of every _run_blocks call from now on."""
+        """The walk count of every _run_block call from now on."""
         drawn = []
-        kernel = walks._run_blocks
+        kernel = walks._run_block
 
-        def counting(g, start, length, seed, blocks):
-            drawn.append([count for _, count in blocks])
-            return kernel(g, start, length, seed, blocks)
+        def counting(g, start, length, seed, index, count):
+            drawn.append(count)
+            return kernel(g, start, length, seed, index, count)
 
-        monkeypatch.setattr(walks, "_run_blocks", counting)
+        monkeypatch.setattr(walks, "_run_block", counting)
         return drawn
 
     def test_plan_draws_at_most_a_block_ahead(self, single_edge, monkeypatch):
         drawn = self._counting(monkeypatch)
         acc = WalkAccumulator(single_edge, 0, 5, 3, [1000, 2000, 3000, 5000])
         acc.extend_to(1000)
-        assert drawn == [[1000, 2000]]  # 3000 more would pass BLOCK_WALKS
+        assert drawn == [BLOCK_WALKS]  # 5000 walks take all of block 0
         acc.extend_to(2000)
-        assert len(drawn) == 1
         acc.extend_to(3000)
-        assert drawn[1:] == [[3000, 5000 - BLOCK_WALKS]]
+        assert len(drawn) == 1
         acc.extend_to(5000)
-        assert drawn[2:] == [[BLOCK_WALKS]]  # a full block, drawn alone
+        assert drawn[1:] == [5000 - BLOCK_WALKS]
+        assert acc.steps_sampled == 5000 * 5
 
     def test_unplanned_size_refused_before_any_draw(self, single_edge, monkeypatch):
         drawn = self._counting(monkeypatch)
@@ -219,8 +235,8 @@ class TestAccumulator:
         acc.extend_to(5000)
         with pytest.raises(InvalidInputError, match="not planned"):
             acc.extend_to(5001)
-        # A repeated size's partial block is drawn once.
-        assert (drawn, acc.walks) == ([[BLOCK_WALKS], [5000 - BLOCK_WALKS]], 5000)
+        # A repeated size's blocks are drawn once.
+        assert (drawn, acc.walks) == ([BLOCK_WALKS, 5000 - BLOCK_WALKS], 5000)
 
     def test_empty_plan_draws_nothing(self, single_edge, monkeypatch):
         drawn = self._counting(monkeypatch)
@@ -236,35 +252,53 @@ class TestAccumulator:
         assert (res.rounds, res.walks, res.steps, drawn) == (0, 0, 0, [])
 
 
-class TestJointDraws:
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 12), weighted=st.booleans(), isolated_start=st.booleans(),
-           length=st.integers(0, 60),
-           blocks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, BLOCK_WALKS)),
-                           min_size=1, max_size=4),
-           graph_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
-    def test_blocks_drawn_together_match_lone_draws(self, n, weighted, isolated_start,
-                                                    length, blocks, graph_seed, seed):
-        g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
-        # Vertex n has no edge: a walk from it never moves.
-        g = WeightedGraph.from_arrays(n + 1, *g.edge_arrays())
-        start = n if isolated_start else 0
-        joint = walks._run_blocks(g, start, length, seed, blocks)
-        assert len(joint) == len(blocks)
-        for cells, block in zip(joint, blocks):
-            (alone,) = walks._run_blocks(g, start, length, seed, [block])
-            assert np.array_equal(cells, alone)
+class TestPoolLaw:
+    """Each planned pool is w iid lazy walks, and pools are nested.
 
-    def test_both_neighbour_draws_covered(self):
-        rng = np.random.default_rng(5)
-        unit = random_graph(8, 0.4, rng)
-        weighted = make_graph(8, [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 2.0), (2, 3, 1.0)])
-        assert unit.alias_table()[1] is None and weighted.alias_table()[1] is not None
-        blocks = [(0, 300), (2, BLOCK_WALKS), (0, 7)]
-        for g in (unit, weighted):
-            joint = walks._run_blocks(g, 0, 9, 4, blocks)
-            for cells, block in zip(joint, blocks):
-                assert np.array_equal(cells, walks._run_blocks(g, 0, 9, 4, [block])[0])
+    Over SEEDS pools of w walks, the even (odd) count at vertex j is
+    Bin(SEEDS * w, q) with q the exact even-hop (odd-hop) probability of
+    being at j, so it must lie within Z standard deviations of its mean; a
+    cell of probability 0 must stay empty.
+    """
+
+    SEEDS = 40
+    Z = 5.0
+
+    @staticmethod
+    def _cases():
+        weighted = random_graph(7, 0.5, np.random.default_rng(12), weighted=True)
+        # Vertex 6 has no edge: a walk from it never moves.
+        isolated = WeightedGraph.from_arrays(
+            7, *random_graph(6, 0.5, np.random.default_rng(13)).edge_arrays())
+        unit = random_graph(8, 0.4, np.random.default_rng(14))
+        return {  # graph, start, length, planned sizes
+            "weighted": (weighted, 0, 6, (20, 90, 400, 1000)),
+            "degree_zero_start": (isolated, 6, 5, (5, 50, 300)),
+            # Block 0 is drawn whole, block 1 at 1904 walks; 4100 takes 4 of them.
+            "crosses_a_block": (unit, 2, 9, (1000, 3000, 4100, 6000)),
+        }
+
+    @pytest.mark.parametrize("case", ["weighted", "degree_zero_start", "crosses_a_block"])
+    def test_pool_counts_match_exact_law(self, case):
+        g, start, length, sizes = self._cases()[case]
+        p, s = exact_walk_distribution(g, start, length)
+        q = np.clip(np.stack([(p + s) / 2, (p - s) / 2]), 0.0, 1.0)  # even, odd
+        totals = np.zeros((len(sizes), 2, g.n))
+        for seed in range(self.SEEDS):
+            acc = WalkAccumulator(g, start, length, seed, sizes)
+            before = np.zeros((2, g.n), dtype=np.int64)
+            for r, w in enumerate(sizes):
+                acc.extend_to(w)
+                t = acc.tally()
+                counts = np.stack([t.even, t.odd])
+                assert counts.sum() == w
+                assert (counts >= before).all()  # nested: no count falls
+                totals[r] += counts
+                before = counts
+        for total, w in zip(totals, sizes):
+            trials = self.SEEDS * w
+            sd = np.sqrt(trials * q * (1.0 - q))
+            assert (np.abs(total - trials * q) <= self.Z * sd + 1e-9).all()
 
 
 def _sparse_graph(n, weighted, seed):
