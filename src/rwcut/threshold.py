@@ -209,8 +209,8 @@ def find_threshold(
 ) -> FindResult:
     """Descend thresholds t_r = (1-GAMMA)^r looking for a good tripartition.
 
-    The walk pool is planned with the walk counts of the rounds the step
-    budget allows.  At each round it is topped up to walk_count(t_r) and
+    The walk pool is planned with the largest walk count of the rounds the
+    step budget allows.  At each round it is topped up to walk_count(t_r) and
     classification re-runs; success requires cut >= soto(sigma) * inc
     together with classified volume at least C_VOL / (t_r^2 m^{1+mu} ln n).
     Returns a failed result after the last threshold, or earlier if the
@@ -226,7 +226,8 @@ def find_threshold(
     vol_scale = C_VOL * _inverse_power(m, 1.0 + params.mu)
     log_n = math.log(max(g.n, 2))
     rounds = _rounds(g, params, t_min)
-    acc = WalkAccumulator(g, start, params.ell, seed, [needed for _, needed in rounds])
+    acc = WalkAccumulator(g, start, params.ell, seed,
+                          max((needed for _, needed in rounds), default=0))
     for r, (t, needed) in enumerate(rounds, start=1):
         acc.extend_to(needed)
         threshold_classify(g, t, acc.tally(), part)

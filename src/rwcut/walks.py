@@ -22,10 +22,10 @@ generator seeded by ``(seed, i)``: its hop counts, then its hop uniforms,
 hop by hop over its ranked walks.  A ``run_walks`` tally is therefore a
 pure function of (graph, start, length, seed, walk_count); a trailing
 partial block draws for exactly its own walk count.  A threshold search's
-pool draws each block once, at the most walks any of its planned sizes
+pool draws each block once, at the most walks its largest planned size
 takes from that block, and a pool of w walks is the first w walks of those
 draws: w iid walks, the pools nested as they grow, and a pure function of
-(graph, start, length, seed, planned sizes, w).
+(graph, start, length, seed, largest planned size, w).
 
 Per-length counts can also be read one length at a time
 (``per_length_counts``).  With at most n walks, all blocks stay resident,
@@ -267,35 +267,35 @@ def per_length_counts(g: WeightedGraph, start: int,
 
 
 class WalkAccumulator:
-    """Walk pool of a threshold search, grown through the sizes it plans.
+    """Walk pool of a threshold search, grown to at most top walks, the
+    largest pool the search plans.
 
-    sizes names every pool size the search may ask for; it may repeat a
-    size.  Block i is drawn once, when the pool first reaches it, at the
-    most walks a planned size takes from it: min(BLOCK_WALKS, max(sizes) -
-    i * BLOCK_WALKS).  The pool of w walks is the first w walks of those
-    draws, so each pool holds w iid walks and contains every smaller one.
-    steps_sampled counts the steps drawn; they never exceed max(sizes)
-    walks' worth.  The caps of ``run_walks`` apply to the walks drawn.
+    Block i is drawn once, when the pool first reaches it, at the most
+    walks a pool of top takes from it: min(BLOCK_WALKS, top - i *
+    BLOCK_WALKS).  The pool of w walks is the first w walks of those draws,
+    so each pool holds w iid walks and contains every smaller one.
+    steps_sampled counts the steps drawn; they never exceed top walks'
+    worth.  The caps of ``run_walks`` apply to the walks drawn.
     """
 
-    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int, sizes):
+    def __init__(self, g: WeightedGraph, start: int, length: int, seed: int, top: int):
         self.g = g
         self.start = _start_vertex(g, start)
         self.length = length
         self.seed = seed
         self.walks = 0
         self.steps_sampled = 0
-        self._sizes = set(sizes)
-        self._top = max(self._sizes, default=0)
+        self._top = top
         self._counts = np.zeros((2, g.n), dtype=np.int64)  # the pool's counts
         self._block: np.ndarray | None = None  # cells of the last block drawn
 
     def extend_to(self, walks: int) -> None:
-        """Grow the pool to `walks`, a planned size; a no-op at or below its size."""
+        """Grow the pool to `walks`, at most top; a no-op at or below its size."""
         if walks <= self.walks:
             return
-        if walks not in self._sizes:
-            raise InvalidInputError(f"pool size {walks} is not planned")
+        if walks > self._top:
+            raise InvalidInputError(f"pool size {walks} is not planned: "
+                                    f"the pool holds at most {self._top} walks")
         blocks = -(-walks // BLOCK_WALKS)
         drawn = min(blocks * BLOCK_WALKS, self._top)
         WalkConfig(length=self.length, walks=drawn, seed=self.seed).validate()

@@ -107,11 +107,11 @@ def cycle_graph(n):
     return WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
-def planned_pool(g, start, length, seed, sizes, w):
+def planned_pool(g, start, length, seed, top, w):
     """(even, odd) counts of a threshold search's pool of w walks, drawn
     afresh: the first w walks of blocks (seed, i), each drawn at the most
-    walks any planned size in sizes takes from it."""
-    top, block = max(sizes), walks.BLOCK_WALKS
+    walks a pool of top, the largest planned size, takes from it."""
+    block = walks.BLOCK_WALKS
     cells = np.concatenate([
         walks._run_block(g, start, length, seed, i, min(block, top - i * block))
         for i in range(-(-w // block))])

@@ -261,11 +261,11 @@ def reference_find(g, start, params, seed):
         pool, steps = max(pool, needed), steps + charge
         planned.append((t, pool))
         t = (1.0 - GAMMA) ** len(planned)
-    sizes = [w for _, w in planned]
     quality_floor = soto_fn(params.sigma)
     part = Tripartition(g)
     for r, (t, w) in enumerate(planned, start=1):
-        even, odd = planned_pool(g, start, params.ell, seed, sizes, w)
+        # pool is now the largest planned size, which sizes every block.
+        even, odd = planned_pool(g, start, params.ell, seed, pool, w)
         threshold_classify(g, t, WalkTally(g.n, params.ell, w, even, odd), part)
         vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * math.log(max(g.n, 2)))
         if (part.classified_count > 0 and part.cut >= quality_floor * part.inc

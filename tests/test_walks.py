@@ -83,7 +83,7 @@ class TestRunWalks:
         with pytest.raises(InvalidInputError, match="not an integer in"):
             run_walks(single_edge, start, WalkConfig(length=1, walks=1, seed=0))
         with pytest.raises(InvalidInputError, match="not an integer in"):
-            WalkAccumulator(single_edge, start, 1, 0, [1])
+            WalkAccumulator(single_edge, start, 1, 0, 1)
         with pytest.raises(InvalidInputError, match="not an integer in"):
             exact_walk_distribution(single_edge, start, 1)
 
@@ -92,7 +92,7 @@ class TestRunWalks:
         a = run_walks(single_edge, np.int32(1), cfg)
         b = run_walks(single_edge, 1, cfg)
         assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
-        acc = WalkAccumulator(single_edge, np.int64(1), 3, 2, [50])
+        acc = WalkAccumulator(single_edge, np.int64(1), 3, 2, 50)
         acc.extend_to(50)
         assert np.array_equal(acc.tally().even, b.even)
 
@@ -114,10 +114,10 @@ class TestRunWalks:
 class TestAccumulator:
     def test_topup_matches_fresh_run(self, single_edge):
         targets = (37, 120, 4096, 5000, 9000)
-        acc = WalkAccumulator(single_edge, 0, 6, 11, targets)
+        acc = WalkAccumulator(single_edge, 0, 6, 11, max(targets))
         for target in targets:
             acc.extend_to(target)
-            even, odd = planned_pool(single_edge, 0, 6, 11, targets, target)
+            even, odd = planned_pool(single_edge, 0, 6, 11, max(targets), target)
             got = acc.tally()
             assert np.array_equal(got.even, even)
             assert np.array_equal(got.odd, odd)
@@ -128,7 +128,7 @@ class TestAccumulator:
         # Each block drawn once, at the most walks a planned size takes from it.
         cells = np.concatenate([walks._run_block(g, 0, 7, 5, index, count)
                                 for index, count in ((0, 4096), (1, 4096), (2, 7))])
-        acc = WalkAccumulator(g, 0, 7, 5, sizes)
+        acc = WalkAccumulator(g, 0, 7, 5, max(sizes))
         for w in sizes:
             acc.extend_to(w)
             counts = np.bincount(cells[:w], minlength=2 * g.n)
@@ -136,13 +136,13 @@ class TestAccumulator:
             assert np.array_equal(acc.tally().odd, counts[g.n:])
         # A pool inside its first block is that block's first w walks: it
         # equals run_walks only when w is the block's planned count.
-        acc = WalkAccumulator(g, 0, 7, 5, [300])
+        acc = WalkAccumulator(g, 0, 7, 5, 300)
         acc.extend_to(300)
         fresh = run_walks(g, 0, WalkConfig(length=7, walks=300, seed=5))
         assert np.array_equal(acc.tally().even, fresh.even)
 
     def test_steps_accounting(self, single_edge):
-        acc = WalkAccumulator(single_edge, 0, 4, 1, [10, 20])
+        acc = WalkAccumulator(single_edge, 0, 4, 1, 20)
         acc.extend_to(10)  # block 0 drawn at its planned 20 walks of length 4
         assert acc.steps_sampled == 80
         acc.extend_to(20)  # taken from that draw
@@ -154,21 +154,22 @@ class TestAccumulator:
     def test_growth_matches_fresh_runs(self, n, weighted, length, graph_seed, seed):
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
         targets = (1, 37, 4095, 4096, 4097, 8192, 8193)
-        acc = WalkAccumulator(g, 0, length, seed, targets)
+        acc = WalkAccumulator(g, 0, length, seed, max(targets))
         earlier = []
         for target in targets:
             acc.extend_to(target)
             got = acc.tally()
-            even, odd = planned_pool(g, 0, length, seed, targets, target)
+            even, odd = planned_pool(g, 0, length, seed, max(targets), target)
             assert got.walks == target
             assert np.array_equal(got.even, even)
             assert np.array_equal(got.odd, odd)
-            earlier.append((got, even))
-        for got, even in earlier:  # later top-ups leave earlier tallies alone
+            earlier.append((got, even, odd))
+        for got, even, odd in earlier:  # later top-ups leave earlier tallies alone
             assert np.array_equal(got.even, even)
+            assert np.array_equal(got.odd, odd)
 
     def test_no_op_at_or_below_pool_size(self, single_edge):
-        acc = WalkAccumulator(single_edge, 0, 3, 4, [50])
+        acc = WalkAccumulator(single_edge, 0, 3, 4, 50)
         acc.extend_to(50)
         before = acc.tally()
         for walks in (50, 10, 0):
@@ -178,7 +179,7 @@ class TestAccumulator:
 
     @pytest.mark.parametrize("length, walks", [(201, 1), (100_000, 3), (100, 10**12)])
     def test_caps_enforced(self, single_edge, length, walks):
-        acc = WalkAccumulator(single_edge, 0, length, 1, [walks])
+        acc = WalkAccumulator(single_edge, 0, length, 1, walks)
         with pytest.raises(ResourceError):
             acc.extend_to(walks)
         assert (acc.walks, acc.steps_sampled) == (0, 0)
@@ -190,10 +191,10 @@ class TestAccumulator:
     def test_planned_growth_matches_fresh_runs(self, n, weighted, length, graph_seed,
                                                seed, sizes):
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
-        acc = WalkAccumulator(g, 0, length, seed, sizes)
+        acc = WalkAccumulator(g, 0, length, seed, max(sizes))
         for target in sorted(sizes):
             acc.extend_to(target)
-            even, odd = planned_pool(g, 0, length, seed, sizes, target)
+            even, odd = planned_pool(g, 0, length, seed, max(sizes), target)
             assert np.array_equal(acc.tally().even, even)
             assert np.array_equal(acc.tally().odd, odd)
             # The steps drawn: every block the pool reaches, at its planned count.
@@ -215,7 +216,7 @@ class TestAccumulator:
 
     def test_plan_draws_at_most_a_block_ahead(self, single_edge, monkeypatch):
         drawn = self._counting(monkeypatch)
-        acc = WalkAccumulator(single_edge, 0, 5, 3, [1000, 2000, 3000, 5000])
+        acc = WalkAccumulator(single_edge, 0, 5, 3, 5000)
         acc.extend_to(1000)
         assert drawn == [BLOCK_WALKS]  # 5000 walks take all of block 0
         acc.extend_to(2000)
@@ -227,20 +228,19 @@ class TestAccumulator:
 
     def test_unplanned_size_refused_before_any_draw(self, single_edge, monkeypatch):
         drawn = self._counting(monkeypatch)
-        acc = WalkAccumulator(single_edge, 0, 5, 3, [1000, 5000, 5000])
-        for size in (999, 1001, 4096, 6000):
+        acc = WalkAccumulator(single_edge, 0, 5, 3, 5000)
+        for size in (5001, 6000, 8193):
             with pytest.raises(InvalidInputError, match="not planned"):
                 acc.extend_to(size)
         assert (drawn, acc.walks, acc.steps_sampled) == ([], 0, 0)
         acc.extend_to(5000)
         with pytest.raises(InvalidInputError, match="not planned"):
             acc.extend_to(5001)
-        # A repeated size's blocks are drawn once.
         assert (drawn, acc.walks) == ([BLOCK_WALKS, 5000 - BLOCK_WALKS], 5000)
 
     def test_empty_plan_draws_nothing(self, single_edge, monkeypatch):
         drawn = self._counting(monkeypatch)
-        acc = WalkAccumulator(single_edge, 0, 5, 3, [])
+        acc = WalkAccumulator(single_edge, 0, 5, 3, 0)
         acc.extend_to(0)
         with pytest.raises(InvalidInputError, match="not planned"):
             acc.extend_to(1)
@@ -285,7 +285,7 @@ class TestPoolLaw:
         q = np.clip(np.stack([(p + s) / 2, (p - s) / 2]), 0.0, 1.0)  # even, odd
         totals = np.zeros((len(sizes), 2, g.n))
         for seed in range(self.SEEDS):
-            acc = WalkAccumulator(g, start, length, seed, sizes)
+            acc = WalkAccumulator(g, start, length, seed, max(sizes))
             before = np.zeros((2, g.n), dtype=np.int64)
             for r, w in enumerate(sizes):
                 acc.extend_to(w)
