@@ -25,6 +25,32 @@ from conftest import (dumbbell, make_graph, planned_pool, planted_file, random_g
                       reweighted)
 
 
+def _tallies_digest(record_per_length):
+    """SHA-256 over run_walks tallies of several blocks plus a partial one,
+    a degree-0 start, fractional weights and planted instances."""
+    p200 = load_graph(planted_file(200, 0.05, 8, 1))
+    p1k = load_graph(planted_file(1000, 0.05, 8, 101000))
+    frac10k = reweighted(gen_planted(10_000, 0.05, 8, 1).graph, 1)
+    # Vertex 10 has no edge: every walk from it stays put.
+    bell = WeightedGraph.from_arrays(11, *dumbbell(5).edge_arrays())
+    cases = [  # graph, start, length, walks, seed
+        (random_graph(40, 0.15, np.random.default_rng(3), weighted=True), 0, 7,
+         3 * BLOCK_WALKS + 17, 5),
+        (p200, 1, 15, 150, 3),
+        (p200, 3, 0, 7, 1),
+        (p1k, 0, 19, 5000, 1),
+        (frac10k, 0, 24, 9000, 2),
+        (bell, 10, 4, 11, 1),
+        (bell, 10, 4, 5000, 1),
+    ]
+    digest = hashlib.sha256()
+    for g, start, length, count, seed in cases:
+        t = run_walks(g, start, WalkConfig(length=length, walks=count, seed=seed,
+                                           record_per_length=record_per_length))
+        digest.update(t.even.tobytes() + t.odd.tobytes())
+    return digest.hexdigest()
+
+
 class TestRunWalks:
     def test_zero_length(self, single_edge):
         t = run_walks(single_edge, 0, WalkConfig(length=0, walks=5, seed=1))
@@ -102,6 +128,11 @@ class TestRunWalks:
                                                  record_per_length=True))
         with pytest.raises(InvalidInputError, match="outside the tally"):
             t.counts_at(l)
+
+    def test_final_tallies_pinned(self):
+        # Recorded on the final-length block loop before it became the pool.
+        assert _tallies_digest(record_per_length=False) == (
+            "6a34f7f0304b53e97ff9057397a0c5077dd9cf07ca95ae2bd3b2e39ccff26f9a")
 
     def test_caps_enforced(self, single_edge):
         with pytest.raises(ResourceError):
@@ -314,27 +345,7 @@ def _sparse_graph(n, weighted, seed):
 class TestPerLengthCounts:
     def test_tallies_pinned(self):
         # Recorded on the per-walk kernel before probes drew lazily.
-        p200 = load_graph(planted_file(200, 0.05, 8, 1))
-        p1k = load_graph(planted_file(1000, 0.05, 8, 101000))
-        frac10k = reweighted(gen_planted(10_000, 0.05, 8, 1).graph, 1)
-        # Vertex 10 has no edge: every walk from it stays put.
-        bell = WeightedGraph.from_arrays(11, *dumbbell(5).edge_arrays())
-        cases = [  # graph, start, length, walks, seed
-            (random_graph(40, 0.15, np.random.default_rng(3), weighted=True), 0, 7,
-             3 * BLOCK_WALKS + 17, 5),
-            (p200, 1, 15, 150, 3),
-            (p200, 3, 0, 7, 1),
-            (p1k, 0, 19, 5000, 1),
-            (frac10k, 0, 24, 9000, 2),
-            (bell, 10, 4, 11, 1),
-            (bell, 10, 4, 5000, 1),
-        ]
-        digest = hashlib.sha256()
-        for g, start, length, count, seed in cases:
-            t = run_walks(g, start, WalkConfig(length=length, walks=count, seed=seed,
-                                               record_per_length=True))
-            digest.update(t.even.tobytes() + t.odd.tobytes())
-        assert digest.hexdigest() == (
+        assert _tallies_digest(record_per_length=True) == (
             "5a5f3f728943eed95a4de568d95bff8449ae2e62f09a9078cc38c9400f848f1f")
 
     @settings(max_examples=25, deadline=None)
