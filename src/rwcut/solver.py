@@ -118,8 +118,8 @@ class _Ctx:
         check_step_budget("find_step_budget", self.step_budget)
         if self.cutbound_step_budget is not None:
             check_step_budget("cutbound_step_budget", self.cutbound_step_budget)
-        if self.probes is not None and not (
-                isinstance(self.probes, (int, np.integer)) and self.probes >= 1):
+        if self.probes is not None and (isinstance(self.probes, bool) or not (
+                isinstance(self.probes, (int, np.integer)) and self.probes >= 1)):
             raise InvalidParamsError(f"probes = {self.probes!r} must be an integer of at least 1")
 
     def params(self, g: WeightedGraph, eps: float, mu: float,

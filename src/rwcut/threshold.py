@@ -78,7 +78,7 @@ def walk_count(t: float, alpha: float, n: int) -> int:
 
 def check_step_budget(name: str, budget) -> None:
     """Refuse a walk-step budget that is not an integer from 1 to STEP_CAP."""
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
         raise InvalidParamsError(f"{name} = {budget!r} must be an integer of at least 1")
     if budget > STEP_CAP:
         raise ResourceError(f"{name} = {budget} exceeds cap {STEP_CAP}")

@@ -6,35 +6,31 @@ along an incident edge chosen with probability proportional to its weight.
 The number of non-lazy moves is the hop length; a walk is even or odd by the
 parity of that count.
 
-Lazy steps never move a walk, so only the hops are simulated.  Each walk's
-hop count is drawn up front: Bin(length, 1/2) for a final-length tally, or
-the running sum of one fair coin per step when positions are recorded per
-length.  A walk from a degree-0 vertex makes no hop.  Walks are ranked by
-descending hop count, so the walks making hop h are a prefix of the ranking,
-and each hop takes its neighbour from the row's alias table
-(``WeightedGraph.alias_table``) with one uniform draw.  A block scatters its
-(parity, length, vertex) observations into the call's single int64 tally;
-``even`` and ``odd`` are views of it.
+Lazy steps never move a walk, so only the hops are simulated, in blocks of
+``BLOCK_WALKS`` walks.  A block draws each walk's hop count up front:
+Bin(length, 1/2) when only the final length is read, or the running sum of
+one fair coin per step when every length is.  A walk from a degree-0 vertex
+makes no hop.  Walks are ranked by descending hop count, so the walks making
+hop h are a prefix of the ranking, and each hop takes its neighbour from the
+row's alias table (``WeightedGraph.alias_table``) with one uniform draw.  A
+read draws the hop uniforms only as far as it needs, hop by hop over the
+ranked walks: ``random(a)`` then ``random(b)`` takes the same numbers as
+``random(a + b)``, so the walks do not depend on which lengths are read, or
+in what order, and a reader that stops at a short length never draws the
+longer hops.
 
-Reproducibility: walks are generated, in the calling thread, in fixed
-blocks of ``BLOCK_WALKS``.  Block ``i`` draws all of its randomness from a
-generator seeded by ``(seed, i)``: its hop counts, then its hop uniforms,
-hop by hop over its ranked walks.  A ``run_walks`` tally is therefore a
-pure function of (graph, start, length, seed, walk_count); a trailing
-partial block draws for exactly its own walk count.  A threshold search's
-pool draws each block once, at the most walks its largest planned size
+Reproducibility: the walks run in the calling thread.  Block ``i`` draws all
+of its randomness from a generator seeded by ``(seed, i)``: its hop counts,
+then its hop uniforms.  A threshold search's pool (``WalkAccumulator``)
+draws each block once, at the most walks its largest planned size, top,
 takes from that block, and a pool of w walks is the first w walks of those
 draws: w iid walks, the pools nested as they grow, and a pure function of
-(graph, start, length, seed, largest planned size, w).
-
-Per-length counts can also be read one length at a time
-(``per_length_counts``).  With at most n walks, all blocks stay resident,
-and a block draws its hop uniforms only as far as the lengths read so far
-need: ``random(a)`` then ``random(b)`` takes the same numbers as
-``random(a + b)``, so each row equals the recorded tally's, and a reader that
-stops at a short length never draws the longer hops.  The hop counts and
-paths of at most n walks take no more room than the dense tally.  With more
-walks, the dense tally is recorded block by block, as ``run_walks`` does.
+(graph, start, length, seed, top, w).  A final-length ``run_walks`` tally of
+w walks is that pool grown once to top = w, so every block but a trailing
+partial one holds ``BLOCK_WALKS`` walks.  Per-length tallies use the same
+blocks; ``per_length_counts`` yields them one length at a time, keeping
+every block resident when there are at most n walks, and otherwise
+recording the dense tally block by block.
 """
 
 from __future__ import annotations
@@ -101,44 +97,10 @@ class WalkTally:
 
 def _start_vertex(g: WeightedGraph, start) -> int:
     """start as an int, refused unless it is an integer vertex id of g."""
-    if not isinstance(start, (int, np.integer)) or not 0 <= start < g.n:
+    if (isinstance(start, bool) or not isinstance(start, (int, np.integer))
+            or not 0 <= start < g.n):
         raise InvalidInputError(f"start vertex {start!r} is not an integer in [0, {g.n})")
     return int(start)
-
-
-def _block_hops(g: WeightedGraph, start: int, length: int, seed: int, index: int,
-                count: int, record: bool) -> tuple[np.random.Generator, np.ndarray]:
-    """Block `index`'s generator, after it has drawn the hop counts of its
-    `count` walks, and those counts.
-
-    With record set, row l of the counts is each walk's hops after l steps,
-    the running sum of one fair coin per step; otherwise the one row is the
-    final Bin(length, 1/2) count.  A walk from a degree-0 vertex makes no hop.
-    """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(index)))
-    )
-    if record:
-        coins = rng.integers(0, 2, (length, count))
-        h = np.empty((length + 1, count), dtype=np.int64)
-        h[0] = 0
-        for l in range(length):  # row adds: a cumsum's integers, several times faster
-            np.add(h[l], coins[l], out=h[l + 1])
-    else:
-        h = rng.binomial(length, 0.5, (1, count))
-    if g.degrees[start] <= 0.0:
-        h[:] = 0
-    return rng, h
-
-
-def _ranking(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walks ranked by descending hop count `total`, ties by index, and
-    movers[h - 1], the number of walks making hop h: a prefix of the ranking."""
-    # Hop counts never exceed LENGTH_CAP, so int16 keys are exact, and numpy
-    # sorts them stably by radix.
-    order = np.argsort(-total.astype(np.int16), kind="stable")
-    ranked = total[order]
-    return order, np.searchsorted(-ranked, -np.arange(1, int(ranked[0]) + 1), "right")
 
 
 def _hop(g: WeightedGraph, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -153,55 +115,68 @@ def _hop(g: WeightedGraph, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(x - col < prob[j], g.nbr[j], alias[j])
 
 
-def _run_block(g: WeightedGraph, start: int, length: int, seed: int, index: int,
-               count: int) -> np.ndarray:
-    """Sample block `index` of `count` walks; return the final-length tally
-    cell of each walk: parity * n + vertex, parity 0 for even and 1 for odd.
-    """
-    rng, h = _block_hops(g, start, length, seed, index, count, False)
-    hops = h[0]
-    # One uniform per hop, hop by hop over the block's walks ranked as below.
-    uniforms = rng.random(int(hops.sum()))
-    order, movers = _ranking(hops)
-    v = np.full(count, start, dtype=np.int64)  # ranked walks' vertices
-    used = 0
-    for k in movers:
-        v[:k] = _hop(g, v[:k], uniforms[used:used + k])
-        used += k
-    cells = np.empty(count, dtype=np.int64)
-    cells[order] = v + (hops[order] & 1) * g.n
-    return cells
+class _Block:
+    """Block `index` of `count` walks from start, whose hops are drawn only
+    as far as the rows read so far need.
 
-
-class _RecordedBlock:
-    """One block of walks observed at every length, whose hops are drawn
-    only as far as the lengths read so far need.
-
-    The block draws its coins first and then its hop uniforms, hop by hop
-    over its ranked walks; drawing them one hop at a time takes the same
-    numbers as one call would (``random(a)`` then ``random(b)`` equals
-    ``random(a + b)``).
+    Row l of the hop counts is each walk's hops after l steps when record is
+    set; otherwise the one row is the final count.  ``order`` maps a walk's
+    rank to its index in the block.
     """
 
     def __init__(self, g: WeightedGraph, start: int, length: int, seed: int,
-                 index: int, count: int):
+                 index: int, count: int, record: bool):
         self.g = g
-        self.rng, hops = _block_hops(g, start, length, seed, index, count, True)
-        order, self.movers = _ranking(hops[-1])
-        self.hops = hops[:, order]  # columns in rank order
+        self.rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(index))))
+        if record:
+            coins = self.rng.integers(0, 2, (length, count))
+            hops = np.empty((length + 1, count), dtype=np.int64)
+            hops[0] = 0
+            for l in range(length):  # row adds: a cumsum's integers, several times faster
+                np.add(hops[l], coins[l], out=hops[l + 1])
+        else:
+            hops = self.rng.binomial(length, 0.5, (1, count))
+        if g.degrees[start] <= 0.0:
+            hops[:] = 0
+        # Hop counts never exceed LENGTH_CAP, so int16 keys are exact, and
+        # numpy sorts them stably by radix.
+        self.order = np.argsort(-hops[-1].astype(np.int16), kind="stable")
+        self.hops = hops[:, self.order]  # columns in rank order
+        ranked = self.hops[-1]
+        # movers[h - 1]: the number of walks making hop h.
+        self.movers = np.searchsorted(-ranked, -np.arange(1, int(ranked[0]) + 1), "right")
         # path[h, r]: the vertex of the walk ranked r after h hops.
         self.path = np.empty((self.movers.size + 1, count), dtype=np.int64)
         self.path[0] = start
         self.drawn = 0  # hops simulated so far
 
-    def at(self, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each walk's hop parity and vertex after l steps, in rank order."""
-        h = self.hops[l]
-        for hop in range(self.drawn + 1, int(h.max()) + 1):
-            k = self.movers[hop - 1]
-            self.path[hop, :k] = _hop(self.g, self.path[hop - 1, :k], self.rng.random(k))
-            self.drawn = hop
-        return h & 1, self.path[h, np.arange(h.size)]
+    def at(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each walk's hop parity and vertex at row `row` of the hop counts,
+        in rank order, drawing in one call the hop uniforms it needs beyond
+        those drawn."""
+        h, path = self.hops[row], self.path
+        top = int(h.max())
+        if top > self.drawn:
+            movers = self.movers[self.drawn:top].tolist()
+            uniforms = self.rng.random(sum(movers))
+            used = 0
+            for hop, k in enumerate(movers, self.drawn + 1):
+                path[hop, :k] = _hop(self.g, path[hop - 1, :k], uniforms[used:used + k])
+                used += k
+            self.drawn = top
+        return h & 1, path[h, np.arange(h.size)]
+
+
+def _run_block(g: WeightedGraph, start: int, length: int, seed: int, index: int,
+               count: int) -> np.ndarray:
+    """Block `index`'s final-length tally cell of each walk, in walk order:
+    parity * n + vertex, parity 0 for even and 1 for odd."""
+    block = _Block(g, start, length, seed, index, count, False)
+    parity, vertex = block.at(0)
+    cells = np.empty(count, dtype=np.int64)
+    cells[block.order] = parity * g.n + vertex
+    return cells
 
 
 def _blocks(walks: int) -> list[tuple[int, int]]:
@@ -218,24 +193,27 @@ def run_walks(
     """Run cfg.walks independent lazy walks of cfg.length from start.
 
     Deterministic given (graph, start, cfg): each fixed-size block derives
-    its own generator from (cfg.seed, block index).  threads is accepted for
-    compatibility and ignored; the walks run in the calling thread.
+    its own generator from (cfg.seed, block index).  A final-length tally is
+    the ``WalkAccumulator`` pool of top cfg.walks, grown once to its top.
+    threads is accepted for compatibility and ignored; the walks run in the
+    calling thread.
     """
     cfg.validate()
     start = _start_vertex(g, start)
-    record, rows = cfg.record_per_length, cfg.length + 1
-    counts = np.zeros((2, rows, g.n) if record else (2, g.n), dtype=np.int64)
+    if not cfg.record_per_length:
+        pool = WalkAccumulator(g, start, cfg.length, cfg.seed, top=cfg.walks)
+        pool.extend_to(cfg.walks)
+        return pool.tally()
+    rows = cfg.length + 1
+    counts = np.zeros((2, rows, g.n), dtype=np.int64)
     flat = counts.reshape(-1)
     for index, count in _blocks(cfg.walks):  # one block at a time bounds its state
-        if not record:
-            np.add.at(flat, _run_block(g, start, cfg.length, cfg.seed, index, count), 1)
-            continue
-        block = _RecordedBlock(g, start, cfg.length, cfg.seed, index, count)
+        block = _Block(g, start, cfg.length, cfg.seed, index, count, True)
         for l in range(rows):
             parity, vertex = block.at(l)
             np.add.at(flat, (parity * rows + l) * g.n + vertex, 1)
     return WalkTally(n=g.n, length=cfg.length, walks=cfg.walks, even=counts[0],
-                     odd=counts[1], record_per_length=record)
+                     odd=counts[1], record_per_length=True)
 
 
 def per_length_counts(g: WeightedGraph, start: int,
@@ -257,7 +235,7 @@ def per_length_counts(g: WeightedGraph, start: int,
         tally = run_walks(g, start, cfg)
         yield from zip(tally.even, tally.odd)
         return
-    blocks = [_RecordedBlock(g, start, cfg.length, cfg.seed, index, count)
+    blocks = [_Block(g, start, cfg.length, cfg.seed, index, count, True)
               for index, count in _blocks(cfg.walks)]
     for l in range(cfg.length + 1):
         parity, vertex = zip(*(b.at(l) for b in blocks))

@@ -259,7 +259,7 @@ class TestBalanceSolve:
     def test_invalid_params_propagate(self, triangle):
         with pytest.raises(InvalidParamsError):
             balance_solve(triangle, 3.0, 0.5, seed=0)
-        for probes in (0, -3, 2.5, "2"):
+        for probes in (0, -3, 2.5, "2", True):
             with pytest.raises(InvalidParamsError, match="probes"):
                 simple_solve(triangle, 1.0, seed=0, probes=probes)
             with pytest.raises(InvalidParamsError, match="probes"):

@@ -111,7 +111,7 @@ class TestAlgoParams:
         with pytest.raises(InvalidParamsError):
             AlgoParams(eps=0.1, mu=-1.0, m=10.0)
 
-    @pytest.mark.parametrize("budget", [0, -1, 2.5, "x", None])
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, "x", None, True])
     def test_step_budget_refused(self, budget):
         with pytest.raises(InvalidParamsError,
                            match="step_budget = .* must be an integer of at least 1"):

@@ -104,7 +104,7 @@ class TestRunWalks:
         with pytest.raises(InvalidInputError):
             run_walks(single_edge, 7, WalkConfig(length=1, walks=1, seed=0))
 
-    @pytest.mark.parametrize("start", [1.5, 0.0, "0"])
+    @pytest.mark.parametrize("start", [1.5, 0.0, "0", True])
     def test_non_integer_start_refused(self, single_edge, start):
         with pytest.raises(InvalidInputError, match="not an integer in"):
             run_walks(single_edge, start, WalkConfig(length=1, walks=1, seed=0))
