@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwcut import walks
+from rwcut import solver, walks
 from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, InvalidParamsError, ResourceError
 from rwcut.graph import EVEN, ODD, Tripartition, cut_metrics, load_graph
+from rwcut.solver import balance_solve
 from rwcut.threshold import (
     C_VOL,
     GAMMA,
@@ -245,11 +246,12 @@ class TestFindThreshold:
         assert wins >= 4
 
 
-def reference_find(g, start, params, seed):
+def reference_find(g, start, params, seed, classifying=None):
     """find_threshold as plain loops: one charges each round's top-up to the
     budget as the thresholds descend, the next runs the rounds that fit,
     drawing each round's pool afresh as the first walks of the planned
-    blocks; kept as the reference for the search."""
+    blocks; kept as the reference for the search.  Appends to classifying,
+    when given, each round that classifies a vertex."""
     m = g.total_weight
     t_min = GAMMA * m ** -(1.0 + params.mu / 2.0)
     planned, t, pool, steps = [], 1.0, 0, 0
@@ -266,7 +268,10 @@ def reference_find(g, start, params, seed):
     for r, (t, w) in enumerate(planned, start=1):
         # pool is now the largest planned size, which sizes every block.
         even, odd = planned_pool(g, start, params.ell, seed, pool, w)
+        before = part.classified_count
         threshold_classify(g, t, WalkTally(g.n, params.ell, w, even, odd), part)
+        if classifying is not None and part.classified_count > before:
+            classifying.append(r)
         vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * math.log(max(g.n, 2)))
         if (part.classified_count > 0 and part.cut >= quality_floor * part.inc
                 and part.classified_volume >= vol_floor):
@@ -279,7 +284,7 @@ class TestAgainstReference:
     that use it; every result stays that of the round-by-round loop, and an
     early stop leaves fewer than one block of walks unused."""
 
-    def _check(self, monkeypatch, g, start, params, seed):
+    def _check(self, monkeypatch, g, start, params, seed, classifying=None):
         """The search's result, checked against the reference, and the walks
         it drew beyond its final pool."""
         drawn = []
@@ -292,7 +297,7 @@ class TestAgainstReference:
         with monkeypatch.context() as patch:
             patch.setattr(walks, "_run_block", counting)
             got = find_threshold(g, start, params, seed)
-        ref = reference_find(g, start, params, seed)
+        ref = reference_find(g, start, params, seed, classifying)
         assert (got.threshold, got.rounds, got.walks) == (
             ref.threshold, ref.rounds, ref.walks)
         assert got.success == ref.success
@@ -300,7 +305,11 @@ class TestAgainstReference:
         assert got.steps == sum(drawn) * params.ell <= ref.steps <= params.step_budget
         unused = sum(drawn) - got.walks
         if got.success:
-            assert np.array_equal(got.part.side, ref.part.side)
+            # The float sums depend on the order vertices were classified in.
+            got_state, ref_state = (
+                (p.side.tolist(), p.good, p.cross, p.inc, p.classified_volume,
+                 p.classified_count) for p in (got.part, ref.part))
+            assert got_state == ref_state
             assert 0 <= unused <= BLOCK_WALKS - 1
         else:  # every planned round ran: nothing drawn ahead is unused
             assert unused == 0
@@ -330,3 +339,28 @@ class TestAgainstReference:
         params = AlgoParams.for_graph(g, 0.05, 0.25, step_budget=4_000_000)
         res, _ = self._check(monkeypatch, g, start, params, seed)
         assert res.walks > 2 * BLOCK_WALKS
+
+    def test_balance_searches_classifying_at_several_rounds(self, monkeypatch):
+        # balance_solve's within-block searches on the sub-instances it
+        # builds, several of which classify at two or three rounds of the
+        # block.
+        searches = []
+        kernel = solver.find_threshold
+
+        def recording(g, start, params, seed):
+            res = kernel(g, start, params, seed)
+            if res.walks <= BLOCK_WALKS:
+                searches.append((g, start, params, seed))
+            return res
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "find_threshold", recording)
+            balance_solve(load_graph(planted_file(200, 0.05, 8, 1)), 2.0, 0.25, seed=7)
+        several = []
+        for g, start, params, seed in searches:
+            classifying = []
+            res, _ = self._check(monkeypatch, g, start, params, seed, classifying)
+            if len(classifying) >= 2:
+                several.append((res.success, len(classifying)))
+        assert (True, 3) in several and (False, 2) in several
+        assert len(several) >= 8
