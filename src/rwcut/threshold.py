@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, ODD, Tripartition, UNCLASSIFIED, WeightedGraph
-from .walks import (BLOCK_WALKS, LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally,
-                    signed_estimates)
+from .walks import BLOCK_WALKS, LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally
 
 SIGMA0 = 0.22815
 C_VOL = 1.0  # constant of the classified-volume floor
@@ -130,6 +129,38 @@ class AlgoParams:
         return cls(eps=eps, mu=mu, m=g.total_weight, **kwargs)
 
 
+def _first_passes(g: WeightedGraph, side: np.ndarray, counts: np.ndarray, cells: np.ndarray,
+                  walks: np.ndarray, ts: np.ndarray):
+    """The classifications of consecutive rounds, in one pass over the
+    vertices the pool's walks reached.  Round r reads the first walks[r]
+    walks at threshold ts[r]; cells are the last cells.size of them in walk
+    order, and counts tallies the walks before.  An unclassified vertex of
+    positive degree goes Even (Odd) at the first round its signed estimate
+    is above ts[r] (below -ts[r]).  Returns (round, vertex, side) arrays in
+    the order of the round-by-round loop: by round, Even first, by vertex.
+    """
+    parity, vertex = np.divmod(cells, g.n)
+    before = counts.reshape(2, g.n)
+    live = before.any(axis=0)
+    live[vertex] = True
+    live &= (side == UNCLASSIFIED) & (g.degrees > 0.0)
+    cols = np.flatnonzero(live)
+    slot, keep = np.cumsum(live)[vertex] - 1, live[vertex]  # each walk's column
+    # Each walk is first read by the first round whose count includes it.
+    joins = np.searchsorted(walks, np.arange(walks[-1] - cells.size, walks[-1]), "right")
+    tally = np.bincount(((parity * walks.size + joins) * cols.size + slot)[keep],
+                        minlength=2 * walks.size * cols.size).reshape(2, walks.size, cols.size)
+    ev, od = tally.cumsum(axis=1) + before[:, None, cols]
+    # signed_estimates' float operations, so each estimate is bit-identical.
+    est = (ev - od) / (g.degrees[cols] * walks[:, None])
+    passed = (est > ts[:, None]) | (est < -ts[:, None])
+    hit = np.flatnonzero(passed.any(axis=0))
+    first = passed[:, hit].argmax(axis=0)
+    sides = np.where(est[first, hit] > 0.0, EVEN, ODD)
+    order = np.lexsort((cols[hit], sides == ODD, first))
+    return first[order], cols[hit][order], sides[order]
+
+
 def threshold_classify(
     g: WeightedGraph, t: float, tally: WalkTally, part: Tripartition
 ) -> Tripartition:
@@ -137,17 +168,13 @@ def threshold_classify(
 
     Estimates above t go Even, below -t go Odd; everything else, and every
     previously classified vertex, is untouched.  Idempotent for a fixed
-    tally and threshold.
+    tally and threshold.  The one-round case of the search's scorer.
     """
     if t <= 0.0:
         raise InvalidInputError("threshold must be positive")
-    est = signed_estimates(tally, g)
-    free = part.side == UNCLASSIFIED
-    even = np.flatnonzero(free & (est > t))
-    odd = np.flatnonzero(free & (est < -t))
-    if even.size or odd.size:
-        part.classify(np.concatenate((even, odd)),
-                      np.repeat([EVEN, ODD], [even.size, odd.size]))
+    counts = np.concatenate(tally.counts_at(tally.length))
+    part.classify(*_first_passes(g, part.side, counts, counts[:0], np.array([tally.walks]),
+                                 np.array([t]))[1:])
     return part
 
 
@@ -182,15 +209,15 @@ def topup_steps(have: int, walks: int, length: int) -> int:
     return (new_full * BLOCK_WALKS + walks % BLOCK_WALKS) * max(length, 1)
 
 
-def _rounds(g: WeightedGraph, params: AlgoParams, t_min: float) -> list[tuple[float, int]]:
-    """(t_r, walk_count(t_r)) for each round r the step budget allows.
+def _rounds(g: WeightedGraph, params: AlgoParams, t_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of t_r and walk_count(t_r) over the rounds r the budget allows.
 
     Every round is charged topup_steps, so the rounds are known before any
     walk is drawn.  The charges sum to at least the last round's walks, and
     the pool draws no more than those, so the steps drawn stay within the
     budget.
     """
-    rounds = []
+    ts, needs = [], []
     have = steps = 0
     t = 1.0
     while t >= t_min:
@@ -198,10 +225,11 @@ def _rounds(g: WeightedGraph, params: AlgoParams, t_min: float) -> list[tuple[fl
         steps += topup_steps(have, needed, params.ell)
         if steps > params.step_budget:
             break
-        rounds.append((t, needed))
+        ts.append(t)
+        needs.append(needed)
         have = max(have, needed)
-        t = (1.0 - GAMMA) ** len(rounds)
-    return rounds
+        t = (1.0 - GAMMA) ** len(ts)
+    return np.array(ts), np.array(needs, dtype=np.int64)
 
 
 def find_threshold(
@@ -210,11 +238,14 @@ def find_threshold(
     """Descend thresholds t_r = (1-GAMMA)^r looking for a good tripartition.
 
     The walk pool is planned with the largest walk count of the rounds the
-    step budget allows.  At each round it is topped up to walk_count(t_r) and
-    classification re-runs; success requires cut >= soto(sigma) * inc
+    step budget allows, and round r classifies from its first
+    walk_count(t_r) walks; success requires cut >= soto(sigma) * inc
     together with classified volume at least C_VOL / (t_r^2 m^{1+mu} ln n).
-    Returns a failed result after the last threshold, or earlier if the
-    next round would exceed the step budget.
+    The rounds whose pools fit in the blocks drawn are scored in one pass
+    over the vertices their walks reached, and only those that classify a
+    vertex are tested: the others keep a failed round's cut and inc under a
+    volume floor that has only risen.  So the results are those of the
+    round-by-round loop.  Fails after the last round the budget allows.
     """
     if g.total_weight <= 0.0:
         raise InvalidInputError("graph has no edges")
@@ -225,19 +256,21 @@ def find_threshold(
     t_min = GAMMA * _inverse_power(m, 1.0 + params.mu / 2.0)
     vol_scale = C_VOL * _inverse_power(m, 1.0 + params.mu)
     log_n = math.log(max(g.n, 2))
-    rounds = _rounds(g, params, t_min)
-    acc = WalkAccumulator(g, start, params.ell, seed,
-                          max((needed for _, needed in rounds), default=0))
-    for r, (t, needed) in enumerate(rounds, start=1):
-        acc.extend_to(needed)
-        threshold_classify(g, t, acc.tally(), part)
-        vol_floor = vol_scale / (t * t * log_n)
-        if (
-            part.classified_count > 0
-            and part.cut >= quality_floor * part.inc
-            and part.classified_volume >= vol_floor
-        ):
-            return FindResult(part=part, threshold=t, rounds=r, walks=acc.walks,
-                              steps=acc.steps_sampled)
-    return FindResult(part=None, threshold=None, rounds=len(rounds), walks=acc.walks,
+    ts, needs = _rounds(g, params, t_min)
+    acc = WalkAccumulator(g, start, params.ell, seed, int(needs.max(initial=0)))
+    counts = np.zeros(2 * g.n, dtype=np.int64)  # the pool scored so far
+    blocks = -(-needs // BLOCK_WALKS)
+    for batch in (np.flatnonzero(blocks == b) for b in np.unique(blocks)):
+        cells = acc.extend_to(int(needs[batch[-1]]))
+        at, vertices, sides = _first_passes(g, part.side, counts, cells, needs[batch],
+                                            ts[batch])
+        for j in sorted(set(at.tolist())):  # the rounds that classify a vertex
+            part.classify(vertices[at == j], sides[at == j])
+            r, t = int(batch[j]), float(ts[batch[j]])
+            if (part.cut >= quality_floor * part.inc
+                    and part.classified_volume >= vol_scale / (t * t * log_n)):
+                return FindResult(part=part, threshold=t, rounds=r + 1, walks=int(needs[r]),
+                                  steps=acc.steps_sampled)
+        counts += np.bincount(cells, minlength=2 * g.n)
+    return FindResult(part=None, threshold=None, rounds=len(ts), walks=acc.walks,
                       steps=acc.steps_sampled)

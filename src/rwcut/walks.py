@@ -25,12 +25,14 @@ then its hop uniforms.  A threshold search's pool (``WalkAccumulator``)
 draws each block once, at the most walks its largest planned size, top,
 takes from that block, and a pool of w walks is the first w walks of those
 draws: w iid walks, the pools nested as they grow, and a pure function of
-(graph, start, length, seed, top, w).  A final-length ``run_walks`` tally of
-w walks is that pool grown once to top = w, so every block but a trailing
-partial one holds ``BLOCK_WALKS`` walks.  Per-length tallies use the same
-blocks; ``per_length_counts`` yields them one length at a time, keeping
-every block resident when there are at most n walks, and otherwise
-recording the dense tally block by block.
+(graph, start, length, seed, top, w).  The pool keeps its walks' tally
+cells in walk order; a search scores all the rounds a drawn block covers in
+one pass over the vertices their walks reached.  A final-length
+``run_walks`` tally of w walks is that pool grown once to top = w, so every
+block but a trailing partial one holds ``BLOCK_WALKS`` walks.  Per-length
+tallies use the same blocks; ``per_length_counts`` yields them one length at
+a time, keeping every block resident when there are at most n walks, and
+otherwise recording the dense tally block by block.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class _Block:
     as far as the rows read so far need.
 
     Row l of the hop counts is each walk's hops after l steps when record is
-    set; otherwise the one row is the final count.  ``order`` maps a walk's
-    rank to its index in the block.
+    set; otherwise the one row is the final count, and the path is one row
+    updated in place.  ``order`` maps a walk's rank to its index in the block.
     """
 
     def __init__(self, g: WeightedGraph, start: int, length: int, seed: int,
@@ -146,8 +148,8 @@ class _Block:
         ranked = self.hops[-1]
         # movers[h - 1]: the number of walks making hop h.
         self.movers = np.searchsorted(-ranked, -np.arange(1, int(ranked[0]) + 1), "right")
-        # path[h, r]: the vertex of the walk ranked r after h hops.
-        self.path = np.empty((self.movers.size + 1, count), dtype=np.int64)
+        # path[h, r]: the vertex of the walk ranked r after h hops; one row without record.
+        self.path = np.empty((self.movers.size + 1 if record else 1, count), dtype=np.int64)
         self.path[0] = start
         self.drawn = 0  # hops simulated so far
 
@@ -160,12 +162,13 @@ class _Block:
         if top > self.drawn:
             movers = self.movers[self.drawn:top].tolist()
             uniforms = self.rng.random(sum(movers))
-            used = 0
+            used, step = 0, int(len(path) > 1)  # step 0: the one row, updated in place
             for hop, k in enumerate(movers, self.drawn + 1):
-                path[hop, :k] = _hop(self.g, path[hop - 1, :k], uniforms[used:used + k])
+                path[hop * step, :k] = _hop(self.g, path[(hop - 1) * step, :k],
+                                            uniforms[used:used + k])
                 used += k
             self.drawn = top
-        return h & 1, path[h, np.arange(h.size)]
+        return h & 1, path[h, np.arange(h.size)] if len(path) > 1 else path[0]
 
 
 def _run_block(g: WeightedGraph, start: int, length: int, seed: int, index: int,
@@ -181,10 +184,7 @@ def _run_block(g: WeightedGraph, start: int, length: int, seed: int, index: int,
 
 def _blocks(walks: int) -> list[tuple[int, int]]:
     """(block index, walk count) of the blocks that make up `walks` walks."""
-    blocks = [(index, BLOCK_WALKS) for index in range(walks // BLOCK_WALKS)]
-    if walks % BLOCK_WALKS:
-        blocks.append(divmod(walks, BLOCK_WALKS))
-    return blocks
+    return [(i, min(BLOCK_WALKS, walks - i * BLOCK_WALKS)) for i in range(-(-walks // BLOCK_WALKS))]
 
 
 def run_walks(
@@ -250,8 +250,10 @@ class WalkAccumulator:
 
     Block i is drawn once, when the pool first reaches it, at the most
     walks a pool of top takes from it: min(BLOCK_WALKS, top - i *
-    BLOCK_WALKS).  The pool of w walks is the first w walks of those draws,
-    so each pool holds w iid walks and contains every smaller one.
+    BLOCK_WALKS), and its walks' final-length tally cells are kept in walk
+    order.  The pool of w walks is the first w walks of those draws, so
+    each pool holds w iid walks and contains every smaller one.  A search
+    scores the cells each top-up returns; ``tally()`` counts the pool.
     steps_sampled counts the steps drawn; they never exceed top walks'
     worth.  The caps of ``run_walks`` apply to the walks drawn.
     """
@@ -264,33 +266,28 @@ class WalkAccumulator:
         self.walks = 0
         self.steps_sampled = 0
         self._top = top
-        self._counts = np.zeros((2, g.n), dtype=np.int64)  # the pool's counts
-        self._block: np.ndarray | None = None  # cells of the last block drawn
+        self._cells = np.empty(0, dtype=np.int64)  # the drawn walks' cells
 
-    def extend_to(self, walks: int) -> None:
-        """Grow the pool to `walks`, at most top; a no-op at or below its size."""
+    def extend_to(self, walks: int) -> np.ndarray:
+        """Grow the pool to `walks`, at most top, and return the cells of the
+        walks added, in walk order; a no-op at or below its size."""
         if walks <= self.walks:
-            return
+            return self._cells[:0]
         if walks > self._top:
             raise InvalidInputError(f"pool size {walks} is not planned: "
                                     f"the pool holds at most {self._top} walks")
-        blocks = -(-walks // BLOCK_WALKS)
-        drawn = min(blocks * BLOCK_WALKS, self._top)
+        drawn = min(-(-walks // BLOCK_WALKS) * BLOCK_WALKS, self._top)
         WalkConfig(length=self.length, walks=drawn, seed=self.seed).validate()
-        for index in range(self.walks // BLOCK_WALKS, blocks):
-            first = index * BLOCK_WALKS
-            if self.walks <= first:  # the pool reaches this block now
-                count = min(BLOCK_WALKS, self._top - first)
-                self._block = _run_block(self.g, self.start, self.length, self.seed,
-                                         index, count)
-                self.steps_sampled += count * max(self.length, 1)
-            np.add.at(self._counts.reshape(-1),
-                      self._block[max(self.walks - first, 0):walks - first], 1)
-        self.walks = walks
+        new = _blocks(drawn)[-(-self._cells.size // BLOCK_WALKS):]  # those not drawn yet
+        self.steps_sampled += (drawn - self._cells.size) * max(self.length, 1)
+        self._cells = np.concatenate([self._cells, *(
+            _run_block(self.g, self.start, self.length, self.seed, i, c) for i, c in new)])
+        added, self.walks = self._cells[self.walks:walks], walks
+        return added
 
     def tally(self) -> WalkTally:
-        """The pool's counts as a fresh array, which later top-ups leave as it is."""
-        even, odd = self._counts.copy()
+        """The pool's counts, in arrays that later top-ups leave as they are."""
+        even, odd = np.bincount(self._cells[:self.walks], minlength=2 * self.g.n).reshape(2, -1)
         return WalkTally(n=self.g.n, length=self.length, walks=self.walks, even=even, odd=odd)
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwcut import solver, walks
+from rwcut import solver, threshold, walks
 from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, InvalidParamsError, ResourceError
-from rwcut.graph import EVEN, ODD, Tripartition, cut_metrics, load_graph
+from rwcut.graph import EVEN, ODD, Tripartition, WeightedGraph, cut_metrics, load_graph
 from rwcut.solver import balance_solve
 from rwcut.threshold import (
     C_VOL,
@@ -24,10 +24,10 @@ from rwcut.threshold import (
     topup_steps,
     walk_count,
 )
-from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkTally
+from rwcut.walks import BLOCK_WALKS, STEP_CAP, WalkTally, signed_estimates
 
 from conftest import (complete_bipartite, cycle_graph, make_graph, planned_pool,
-                      planted_file, random_graph)
+                      planted_file, random_graph, reweighted)
 
 
 class TestSigma:
@@ -161,6 +161,80 @@ class TestClassify:
         assert part.side[0] == ODD
 
 
+def _tripartition_state(part):
+    return (part.side.tolist(), part.good, part.cross, part.inc, part.classified_volume,
+            part.classified_count)
+
+
+def plain_classify(g, t, tally, part):
+    """threshold_classify's rule written out over every vertex, kept as the
+    reference: strict inequalities, unclassified vertices only, Even then
+    Odd in one classify call, each by vertex id.  Returns (vertex, side)
+    in that order."""
+    est = signed_estimates(tally, g)
+    free = part.side == 0
+    even, odd = np.flatnonzero(free & (est > t)), np.flatnonzero(free & (est < -t))
+    if even.size or odd.size:
+        part.classify(np.concatenate((even, odd)), np.repeat([EVEN, ODD], [even.size, odd.size]))
+    return [(int(x), EVEN) for x in even] + [(int(x), ODD) for x in odd]
+
+
+class TestFirstPasses:
+    """The search's batch scorer makes the classifications of one round at a
+    time, in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_round_by_round(self, data):
+        n = data.draw(st.integers(2, 8))
+        graph_seed = data.draw(st.integers(0, 99))
+        u, v, w = reweighted(random_graph(n, 0.5, np.random.default_rng(graph_seed)),
+                             graph_seed).edge_arrays()
+        g = WeightedGraph.from_arrays(n + 1, u, v, w)  # vertex n has degree 0
+        cells = np.array(data.draw(st.lists(st.integers(0, 2 * g.n - 1), min_size=1,
+                                            max_size=60)), dtype=np.int64)
+        # Walk counts that never fall; round r reads the first walks[r] cells.
+        walks = np.array(sorted(data.draw(st.lists(st.integers(1, cells.size),
+                                                   min_size=1, max_size=6))))
+        walks[-1] = cells.size
+        tallies = []
+        for count in walks:
+            counts = np.bincount(cells[:count], minlength=2 * g.n)
+            tallies.append(WalkTally(g.n, 1, int(count), counts[:g.n], counts[g.n:]))
+        # Thresholds that strictly fall, often equal to an estimate's size.
+        ts, t = [], 1.5
+        for tally in tallies:
+            sizes = np.abs(signed_estimates(tally, g))
+            t = data.draw(st.sampled_from(sorted(
+                {float(x) for x in sizes if 0.0 < x < t} | {t * data.draw(
+                    st.floats(0.05, 0.95))})))
+            ts.append(t)
+        before = data.draw(st.lists(st.tuples(st.integers(0, g.n - 1),
+                                              st.sampled_from([EVEN, ODD])),
+                                    max_size=3, unique_by=lambda x: x[0]))
+        first = data.draw(st.integers(0, int(walks[0])))
+        parts = []
+        for _ in range(3):
+            part = Tripartition(g)
+            for vertex, side in before:
+                part.classify(vertex, side)
+            parts.append(part)
+        plain, by_round, batched = parts
+        counts = np.bincount(cells[:first], minlength=2 * g.n)
+        got = threshold._first_passes(g, batched.side.copy(), counts, cells[first:], walks,
+                                      np.array(ts))
+        order = []
+        for r, (t, tally) in enumerate(zip(ts, tallies)):
+            order += [(r, *made) for made in plain_classify(g, t, tally, plain)]
+            threshold_classify(g, t, tally, by_round)
+            at = got[0] == r
+            if at.any():
+                batched.classify(got[1][at], got[2][at])
+            assert (_tripartition_state(batched) == _tripartition_state(by_round)
+                    == _tripartition_state(plain))
+        assert [(int(r), int(vertex), int(side)) for r, vertex, side in zip(*got)] == order
+
+
 class TestFindThreshold:
     def test_success_on_bipartite(self):
         g = complete_bipartite(7, 7)
@@ -268,9 +342,8 @@ def reference_find(g, start, params, seed, classifying=None):
     for r, (t, w) in enumerate(planned, start=1):
         # pool is now the largest planned size, which sizes every block.
         even, odd = planned_pool(g, start, params.ell, seed, pool, w)
-        before = part.classified_count
-        threshold_classify(g, t, WalkTally(g.n, params.ell, w, even, odd), part)
-        if classifying is not None and part.classified_count > before:
+        made = plain_classify(g, t, WalkTally(g.n, params.ell, w, even, odd), part)
+        if classifying is not None and made:
             classifying.append(r)
         vol_floor = C_VOL * m ** -(1.0 + params.mu) / (t * t * math.log(max(g.n, 2)))
         if (part.classified_count > 0 and part.cut >= quality_floor * part.inc
@@ -306,10 +379,7 @@ class TestAgainstReference:
         unused = sum(drawn) - got.walks
         if got.success:
             # The float sums depend on the order vertices were classified in.
-            got_state, ref_state = (
-                (p.side.tolist(), p.good, p.cross, p.inc, p.classified_volume,
-                 p.classified_count) for p in (got.part, ref.part))
-            assert got_state == ref_state
+            assert _tripartition_state(got.part) == _tripartition_state(ref.part)
             assert 0 <= unused <= BLOCK_WALKS - 1
         else:  # every planned round ran: nothing drawn ahead is unused
             assert unused == 0
@@ -364,3 +434,38 @@ class TestAgainstReference:
                 several.append((res.success, len(classifying)))
         assert (True, 3) in several and (False, 2) in several
         assert len(several) >= 8
+
+    @pytest.mark.parametrize("case", ["planted-300", "mu-0.25"])
+    def test_scores_once_per_block(self, monkeypatch, case):
+        # At most one scorer call per block drawn, whatever the number of
+        # rounds, and no full tally of the pool is read.
+        if case == "planted-300":
+            g, start, seed = gen_planted(300, 0.05, 8, seed=1).graph, 17, 1
+            params = AlgoParams.for_graph(g, 0.05, 1.0, step_budget=150_000)
+        else:
+            g, start, seed = load_graph(planted_file(200, 0.05, 8, 1)), 0, 7
+            params = AlgoParams.for_graph(g, 0.05, 0.25, step_budget=4_000_000)
+        scored, drawn = [], []
+        scorer, kernel = threshold._first_passes, walks._run_block
+
+        def counting_scorer(*args):
+            scored.append(args[4].size)  # the rounds of the batch
+            return scorer(*args)
+
+        def counting_kernel(*args):
+            drawn.append(args)
+            return kernel(*args)
+
+        def no_tally(self):
+            raise AssertionError("find_threshold read a full tally")
+
+        monkeypatch.setattr(threshold, "_first_passes", counting_scorer)
+        monkeypatch.setattr(walks, "_run_block", counting_kernel)
+        monkeypatch.setattr(walks.WalkAccumulator, "tally", no_tally)
+        res = find_threshold(g, start, params, seed)
+        if case == "planted-300":
+            assert not res.success
+            assert (len(drawn), len(scored), res.rounds) == (1, 1, 16)
+        else:  # a round may reach several blocks past the last one drawn
+            assert 2 < len(scored) <= len(drawn)
+            assert sum(scored[:-1]) < res.rounds <= sum(scored)
