@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import EVEN, ODD, Tripartition, UNCLASSIFIED, WeightedGraph
-from .walks import BLOCK_WALKS, LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally
+from .walks import BLOCK_WALKS, LENGTH_CAP, STEP_CAP, WalkAccumulator, WalkTally, is_int
 
 SIGMA0 = 0.22815
 C_VOL = 1.0  # constant of the classified-volume floor
@@ -77,7 +77,7 @@ def walk_count(t: float, alpha: float, n: int) -> int:
 
 def check_step_budget(name: str, budget) -> None:
     """Refuse a walk-step budget that is not an integer from 1 to STEP_CAP."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+    if not is_int(budget, 1):
         raise InvalidParamsError(f"{name} = {budget!r} must be an integer of at least 1")
     if budget > STEP_CAP:
         raise ResourceError(f"{name} = {budget} exceeds cap {STEP_CAP}")
@@ -133,24 +133,24 @@ def _first_passes(g: WeightedGraph, side: np.ndarray, counts: np.ndarray, cells:
                   walks: np.ndarray, ts: np.ndarray):
     """The classifications of consecutive rounds, in one pass over the
     vertices the pool's walks reached.  Round r reads the first walks[r]
-    walks at threshold ts[r]; cells are the last cells.size of them in walk
-    order, and counts tallies the walks before.  An unclassified vertex of
+    walks at threshold ts[r]; counts tallies all walks[-1], and cells are
+    the last cells.size of them in walk order.  An unclassified vertex of
     positive degree goes Even (Odd) at the first round its signed estimate
     is above ts[r] (below -ts[r]).  Returns (round, vertex, side) arrays in
     the order of the round-by-round loop: by round, Even first, by vertex.
     """
     parity, vertex = np.divmod(cells, g.n)
-    before = counts.reshape(2, g.n)
-    live = before.any(axis=0)
-    live[vertex] = True
-    live &= (side == UNCLASSIFIED) & (g.degrees > 0.0)
+    total = counts.reshape(2, g.n)
+    live = total.any(axis=0) & (side == UNCLASSIFIED) & (g.degrees > 0.0)
     cols = np.flatnonzero(live)
     slot, keep = np.cumsum(live)[vertex] - 1, live[vertex]  # each walk's column
     # Each walk is first read by the first round whose count includes it.
     joins = np.searchsorted(walks, np.arange(walks[-1] - cells.size, walks[-1]), "right")
     tally = np.bincount(((parity * walks.size + joins) * cols.size + slot)[keep],
                         minlength=2 * walks.size * cols.size).reshape(2, walks.size, cols.size)
-    ev, od = tally.cumsum(axis=1) + before[:, None, cols]
+    # Round r's counts: total less those of the cells' walks after walks[r].
+    cum = tally.cumsum(axis=1)
+    ev, od = cum + (total[:, cols] - cum[:, -1])[:, None]
     # signed_estimates' float operations, so each estimate is bit-identical.
     est = (ev - od) / (g.degrees[cols] * walks[:, None])
     passed = (est > ts[:, None]) | (est < -ts[:, None])
@@ -258,11 +258,10 @@ def find_threshold(
     log_n = math.log(max(g.n, 2))
     ts, needs = _rounds(g, params, t_min)
     acc = WalkAccumulator(g, start, params.ell, seed, int(needs.max(initial=0)))
-    counts = np.zeros(2 * g.n, dtype=np.int64)  # the pool scored so far
     blocks = -(-needs // BLOCK_WALKS)
     for batch in (np.flatnonzero(blocks == b) for b in np.unique(blocks)):
         cells = acc.extend_to(int(needs[batch[-1]]))
-        at, vertices, sides = _first_passes(g, part.side, counts, cells, needs[batch],
+        at, vertices, sides = _first_passes(g, part.side, acc.counts, cells, needs[batch],
                                             ts[batch])
         for j in sorted(set(at.tolist())):  # the rounds that classify a vertex
             part.classify(vertices[at == j], sides[at == j])
@@ -271,6 +270,5 @@ def find_threshold(
                     and part.classified_volume >= vol_scale / (t * t * log_n)):
                 return FindResult(part=part, threshold=t, rounds=r + 1, walks=int(needs[r]),
                                   steps=acc.steps_sampled)
-        counts += np.bincount(cells, minlength=2 * g.n)
     return FindResult(part=None, threshold=None, rounds=len(ts), walks=acc.walks,
                       steps=acc.steps_sampled)

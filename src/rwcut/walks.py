@@ -25,14 +25,14 @@ then its hop uniforms.  A threshold search's pool (``WalkAccumulator``)
 draws each block once, at the most walks its largest planned size, top,
 takes from that block, and a pool of w walks is the first w walks of those
 draws: w iid walks, the pools nested as they grow, and a pure function of
-(graph, start, length, seed, top, w).  The pool keeps its walks' tally
-cells in walk order; a search scores all the rounds a drawn block covers in
-one pass over the vertices their walks reached.  A final-length
-``run_walks`` tally of w walks is that pool grown once to top = w, so every
-block but a trailing partial one holds ``BLOCK_WALKS`` walks.  Per-length
-tallies use the same blocks; ``per_length_counts`` yields them one length at
-a time, keeping every block resident when there are at most n walks, and
-otherwise recording the dense tally block by block.
+(graph, start, length, seed, top, w).  The pool counts its walks itself; a
+search scores all the rounds a drawn block covers in one pass over the
+vertices their walks reached.  ``run_walks`` counts its walks block by
+block, at the final length or at every length, so it holds its tally and one
+block; a final-length tally of w walks is the pool of top w grown to w.
+``per_length_counts`` yields the per-length tally one length at a time,
+keeping every block resident when there are at most n walks, and otherwise
+recording the dense tally block by block.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ LENGTH_CAP = 200
 STEP_CAP = 1_000_000_000
 
 
+def is_int(value, least: int = 0) -> bool:
+    """Whether value is an integer of at least `least`: a Python or numpy
+    integer, never a bool."""
+    return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
+            and value >= least)
+
+
 @dataclass
 class WalkConfig:
     """Parameters for one batch of sampled walks."""
@@ -61,10 +68,12 @@ class WalkConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.length < 0:
-            raise InvalidInputError("walk length must be >= 0")
-        if self.walks < 1:
-            raise InvalidInputError("walk count must be >= 1")
+        if not is_int(self.length):
+            raise InvalidInputError(f"walk length {self.length!r} must be an integer of at least 0")
+        if not is_int(self.walks, 1):
+            raise InvalidInputError(f"walk count {self.walks!r} must be an integer of at least 1")
+        if not is_int(self.seed):
+            raise InvalidInputError(f"walk seed {self.seed!r} must be an integer of at least 0")
         if self.length > LENGTH_CAP:
             raise ResourceError(f"walk length {self.length} exceeds cap {LENGTH_CAP}")
         steps = self.walks * max(self.length, 1)
@@ -99,8 +108,7 @@ class WalkTally:
 
 def _start_vertex(g: WeightedGraph, start) -> int:
     """start as an int, refused unless it is an integer vertex id of g."""
-    if (isinstance(start, bool) or not isinstance(start, (int, np.integer))
-            or not 0 <= start < g.n):
+    if not is_int(start) or start >= g.n:
         raise InvalidInputError(f"start vertex {start!r} is not an integer in [0, {g.n})")
     return int(start)
 
@@ -193,27 +201,23 @@ def run_walks(
     """Run cfg.walks independent lazy walks of cfg.length from start.
 
     Deterministic given (graph, start, cfg): each fixed-size block derives
-    its own generator from (cfg.seed, block index).  A final-length tally is
-    the ``WalkAccumulator`` pool of top cfg.walks, grown once to its top.
-    threads is accepted for compatibility and ignored; the walks run in the
-    calling thread.
+    its own generator from (cfg.seed, block index), and is counted before
+    the next is drawn.  threads is accepted for compatibility and ignored;
+    the walks run in the calling thread.
     """
     cfg.validate()
     start = _start_vertex(g, start)
-    if not cfg.record_per_length:
-        pool = WalkAccumulator(g, start, cfg.length, cfg.seed, top=cfg.walks)
-        pool.extend_to(cfg.walks)
-        return pool.tally()
-    rows = cfg.length + 1
+    rows = cfg.length + 1 if cfg.record_per_length else 1
     counts = np.zeros((2, rows, g.n), dtype=np.int64)
     flat = counts.reshape(-1)
-    for index, count in _blocks(cfg.walks):  # one block at a time bounds its state
-        block = _Block(g, start, cfg.length, cfg.seed, index, count, True)
+    for index, count in _blocks(cfg.walks):
+        block = _Block(g, start, cfg.length, cfg.seed, index, count, cfg.record_per_length)
         for l in range(rows):
             parity, vertex = block.at(l)
             np.add.at(flat, (parity * rows + l) * g.n + vertex, 1)
-    return WalkTally(n=g.n, length=cfg.length, walks=cfg.walks, even=counts[0],
-                     odd=counts[1], record_per_length=True)
+    even, odd = counts if cfg.record_per_length else counts[:, 0]
+    return WalkTally(n=g.n, length=cfg.length, walks=cfg.walks, even=even, odd=odd,
+                     record_per_length=cfg.record_per_length)
 
 
 def per_length_counts(g: WeightedGraph, start: int,
@@ -250,10 +254,10 @@ class WalkAccumulator:
 
     Block i is drawn once, when the pool first reaches it, at the most
     walks a pool of top takes from it: min(BLOCK_WALKS, top - i *
-    BLOCK_WALKS), and its walks' final-length tally cells are kept in walk
-    order.  The pool of w walks is the first w walks of those draws, so
-    each pool holds w iid walks and contains every smaller one.  A search
-    scores the cells each top-up returns; ``tally()`` counts the pool.
+    BLOCK_WALKS).  The pool of w walks is the first w walks of those draws,
+    so each pool holds w iid walks and contains every smaller one.  Besides
+    ``counts``, its (2n) tally of cells parity * n + vertex, it keeps only
+    the cells drawn but not yet added, fewer than BLOCK_WALKS.
     steps_sampled counts the steps drawn; they never exceed top walks'
     worth.  The caps of ``run_walks`` apply to the walks drawn.
     """
@@ -265,29 +269,33 @@ class WalkAccumulator:
         self.seed = seed
         self.walks = 0
         self.steps_sampled = 0
+        self.counts = np.zeros(2 * g.n, dtype=np.int64)
         self._top = top
-        self._cells = np.empty(0, dtype=np.int64)  # the drawn walks' cells
+        self._left = np.empty(0, dtype=np.int64)  # drawn, not yet added; a copy, never a view
 
     def extend_to(self, walks: int) -> np.ndarray:
-        """Grow the pool to `walks`, at most top, and return the cells of the
-        walks added, in walk order; a no-op at or below its size."""
+        """Grow the pool to `walks`, at most top, count the cells of the walks
+        added and return them, in walk order; a no-op at or below its size."""
         if walks <= self.walks:
-            return self._cells[:0]
+            return self._left[:0]
         if walks > self._top:
             raise InvalidInputError(f"pool size {walks} is not planned: "
                                     f"the pool holds at most {self._top} walks")
         drawn = min(-(-walks // BLOCK_WALKS) * BLOCK_WALKS, self._top)
         WalkConfig(length=self.length, walks=drawn, seed=self.seed).validate()
-        new = _blocks(drawn)[-(-self._cells.size // BLOCK_WALKS):]  # those not drawn yet
-        self.steps_sampled += (drawn - self._cells.size) * max(self.length, 1)
-        self._cells = np.concatenate([self._cells, *(
+        have = self.walks + self._left.size  # the walks drawn so far
+        new = _blocks(drawn)[-(-have // BLOCK_WALKS):]  # the blocks not drawn yet
+        self.steps_sampled += (drawn - have) * max(self.length, 1)
+        cells = np.concatenate([self._left, *(
             _run_block(self.g, self.start, self.length, self.seed, i, c) for i, c in new)])
-        added, self.walks = self._cells[self.walks:walks], walks
+        k = walks - self.walks
+        added, self._left, self.walks = cells[:k], cells[k:].copy(), walks
+        self.counts += np.bincount(added, minlength=self.counts.size)
         return added
 
     def tally(self) -> WalkTally:
         """The pool's counts, in arrays that later top-ups leave as they are."""
-        even, odd = np.bincount(self._cells[:self.walks], minlength=2 * self.g.n).reshape(2, -1)
+        even, odd = self.counts.reshape(2, -1).copy()
         return WalkTally(n=self.g.n, length=self.length, walks=self.walks, even=even, odd=odd)
 
 
@@ -326,8 +334,8 @@ def exact_walk_distribution(g: WeightedGraph, start: int,
     flips the parity.  A walk from a degree-0 vertex never moves.
     """
     start = _start_vertex(g, start)
-    if length < 0:
-        raise InvalidInputError("length must be >= 0")
+    if not is_int(length):
+        raise InvalidInputError(f"length {length!r} must be an integer of at least 0")
     p = np.zeros(g.n)
     p[start] = 1.0
     s = p.copy()

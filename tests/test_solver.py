@@ -264,6 +264,11 @@ class TestBalanceSolve:
                 simple_solve(triangle, 1.0, seed=0, probes=probes)
             with pytest.raises(InvalidParamsError, match="probes"):
                 balance_solve(triangle, 2.0, 0.25, seed=0, probes=probes)
+        for seed in (-1, 1.5, True, "7"):
+            with pytest.raises(InvalidParamsError, match="seed"):
+                simple_solve(triangle, 1.0, seed=seed)
+            with pytest.raises(InvalidParamsError, match="seed"):
+                balance_solve(triangle, 2.0, 0.25, seed=seed)
         # Both walk budgets are checked before any work, on a floor-size graph
         # and on one the walks would run on.
         g200 = load_graph(planted_file(200, 0.05, 8, 1))

@@ -220,7 +220,7 @@ class TestFirstPasses:
                 part.classify(vertex, side)
             parts.append(part)
         plain, by_round, batched = parts
-        counts = np.bincount(cells[:first], minlength=2 * g.n)
+        counts = np.bincount(cells, minlength=2 * g.n)  # every walk, as in the pool
         got = threshold._first_passes(g, batched.side.copy(), counts, cells[first:], walks,
                                       np.array(ts))
         order = []

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ class TestRunWalks:
         with pytest.raises(InvalidInputError):
             run_walks(single_edge, 7, WalkConfig(length=1, walks=1, seed=0))
 
-    @pytest.mark.parametrize("start", [1.5, 0.0, "0", True])
+    @pytest.mark.parametrize("start", [1.5, 0.0, "0", True, 2.5, float("nan"), -1])
     def test_non_integer_start_refused(self, single_edge, start):
         with pytest.raises(InvalidInputError, match="not an integer in"):
             run_walks(single_edge, start, WalkConfig(length=1, walks=1, seed=0))
@@ -112,6 +114,15 @@ class TestRunWalks:
             WalkAccumulator(single_edge, start, 1, 0, 1)
         with pytest.raises(InvalidInputError, match="not an integer in"):
             exact_walk_distribution(single_edge, start, 1)
+        # The walk layer's other integers are refused alike, before any draw.
+        for field in ("length", "walks", "seed"):
+            cfg = replace(WalkConfig(length=1, walks=1, seed=0), **{field: start})
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                run_walks(single_edge, 0, cfg)
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            WalkAccumulator(single_edge, 0, 1, start, 1).extend_to(1)
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            exact_walk_distribution(single_edge, 0, start)
 
     def test_numpy_integer_start_accepted(self, single_edge):
         cfg = WalkConfig(length=3, walks=50, seed=2)
@@ -121,6 +132,9 @@ class TestRunWalks:
         acc = WalkAccumulator(single_edge, np.int64(1), 3, 2, 50)
         acc.extend_to(50)
         assert np.array_equal(acc.tally().even, b.even)
+        c = run_walks(single_edge, 1, WalkConfig(length=np.int64(3), walks=np.int32(50),
+                                                 seed=np.uint64(2)))
+        assert np.array_equal(c.even, b.even) and np.array_equal(c.odd, b.odd)
 
     @pytest.mark.parametrize("l", [-1, 4, 10])
     def test_counts_at_outside_the_tally_refused(self, single_edge, l):
@@ -133,6 +147,20 @@ class TestRunWalks:
         # Recorded on the final-length block loop before it became the pool.
         assert _tallies_digest(record_per_length=False) == (
             "6a34f7f0304b53e97ff9057397a0c5077dd9cf07ca95ae2bd3b2e39ccff26f9a")
+
+    def test_final_tally_holds_one_block(self):
+        # The walks are counted block by block, so a million of them take the
+        # room of the (2, n) tally and one block, not 8 bytes each.
+        g = gen_planted(1000, 0.05, 8, 1).graph
+        g.alias_table()  # built once per graph, not per call
+        tracemalloc.start()
+        try:
+            t = run_walks(g, 0, WalkConfig(length=10, walks=1_000_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(t.even.sum() + t.odd.sum()) == 1_000_000
+        assert peak < 2_000_000
 
     def test_caps_enforced(self, single_edge):
         with pytest.raises(ResourceError):
@@ -198,6 +226,22 @@ class TestAccumulator:
         for got, even, odd in earlier:  # later top-ups leave earlier tallies alone
             assert np.array_equal(got.even, even)
             assert np.array_equal(got.odd, odd)
+
+    def test_pool_holds_its_counts_and_less_than_a_block(self):
+        # Ten top-ups of 100,000 walks: the pool keeps its (2n) counts and the
+        # cells of less than a block, so its room does not grow with the walks.
+        g = gen_planted(1000, 0.05, 8, 1).graph
+        g.alias_table()
+        acc = WalkAccumulator(g, 0, 10, 1, 1_000_000)
+        tracemalloc.start()
+        try:
+            for w in range(100_000, 1_000_001, 100_000):
+                acc.extend_to(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert int(acc.counts.sum()) == 1_000_000
 
     def test_no_op_at_or_below_pool_size(self, single_edge):
         acc = WalkAccumulator(single_edge, 0, 3, 4, 50)
