@@ -502,65 +502,35 @@ def _chi(eps1: float, mu1: float, tau: float) -> float:
 
 
 _EPS_S_GRID = np.linspace(0.0, 0.5, 121)
-_EPS_CHUNK = 8  # 61 KiB temporaries (8 x 121 x 2 x 4), under glibc's 128 KiB mmap threshold
 
 
 def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
-    """Adversary's cheapest edge split per deficit eps, where it can beat the
-    trivial bound 1/(2(1-eps)); elsewhere a value at or below that bound.
+    """Adversary's cheapest edge split per deficit eps, as a ratio to 1 - eps.
 
-    Variables: block deficit (grid), block edge share X (grid); the
-    final-round share Z sits at its upper bound because its objective
-    coefficient 1/2 - H(eps1, mu1) is negative; Y is eliminated by the
-    simplex constraint.  No cell is below 1/2, so rows are scored only where
-    the X = 0 cell exceeds 1/2 (never for eps >= eps1).  A row is linear in X
-    but for one kink, over a grid prefix of feasible X, so only the 4 columns
-    from one left of its last feasible X and of its kink are scored, with the
-    grid's formula.
-
-    Rounding can reorder a row's cells only on a flat piece: a cell's error
-    is below E = 2^-50 (2 + 1/eps1), Z's numerator being divided by eps1, so
-    a piece changing by more than 2E per column is monotone and the windows
-    hold its minimum.  Rows with a piece changing by at most tol = 64 E per
-    column are scored at every column where the windows leave the LP above
-    1/2.  After the kink the slope is H - 1/2, so a flat piece there lies
-    within 128 tol of 1/2 and a window scores one of its cells if it has
-    any; such rows need full scoring only where the LP is at most 1/2 + 128 tol.
+    One row per block deficit eps_S of the grid, with block value h_block.
+    The final-round share Z sits at its upper bound min(1 - (1+chi) X,
+    (eps - eps_S X) / eps1), since its objective coefficient 1/2 - H1 is at
+    most 0 (h_fn is at least 1/2); Y is eliminated by the simplex
+    constraint.  Each row is then convex and piecewise linear in the block
+    edge share X on [0, X_last], X_last = min(1/(1+chi), eps/eps_S), with
+    one kink where Z's two bounds meet, so its minimum lies at X = 0, at
+    X_last or at the kink clipped to [0, X_last].
     """
-    x = np.linspace(0.0, 1.0 / (1.0 + chi), 121)
-    es = _EPS_S_GRID[:, None, None]
-    gain = (h_block + chi / 2.0)[:, None, None]
-    tol = 2.0**-44 * (2.0 + 1.0 / eps1)
-    # X-slopes before the kink, where Z = (eps - eps_S X) / eps1, and after it, where Y = 0.
-    before = gain[:, 0, 0] - h1 * (1.0 + chi) + _EPS_S_GRID * ((h1 - 0.5) / eps1)
-    flat_before = np.flatnonzero(np.abs(before) <= tol / x[1])
-    flat_after = np.flatnonzero(np.abs(h_block - 0.5) <= tol / x[1])
+    es = _EPS_S_GRID[:, None]
+    gain = (h_block + chi / 2.0)[:, None]
 
-    def score(eps, x_es, a, blk):
-        z = np.clip(np.minimum(a, (eps - x_es) / eps1), 0.0, 1.0)
-        y = a - z
-        value = blk + h1 * y + z / 2.0
-        return np.where((x_es <= eps + 1e-15) & (y >= -1e-12), value, np.inf)
+    def score(eps, x):
+        a = 1.0 - (1.0 + chi) * x
+        z = np.clip(np.minimum(a, (eps - es * x) / eps1), 0.0, 1.0)
+        return gain * x + h1 * (a - z) + z / 2.0
 
     def ratios(eps: np.ndarray) -> np.ndarray:
-        low = score(eps, 0.0, 1.0, 0.0)  # the X = 0 cell, alike on all rows
-        todo = np.flatnonzero(low > 0.5)  # the rest cannot beat the trivial bound
-        for i in range(0, todo.size, _EPS_CHUNK):
-            at = todo[i:i + _EPS_CHUNK]
-            e = eps[at, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                last = (e + 1e-15) / (_EPS_S_GRID * x[1])
-                kink = (eps1 - e) / (eps1 * (1.0 + chi) - _EPS_S_GRID) / x[1]
-            lo = np.fmin(np.fmax(np.floor(np.stack([last, kink], -1)) - 1, 0), x.size - 4)
-            xc = np.take(x, lo.astype(np.intp)[..., None] + np.arange(4))
-            value = score(e[..., None, None], es * xc, 1.0 - (1.0 + chi) * xc, gain * xc)
-            low[at] = np.minimum(low[at], value.min(axis=(1, 2, 3)))
-        for rows, top in ((flat_before, np.inf), (flat_after, 0.5 + 128.0 * tol)):
-            for i in np.flatnonzero((low > 0.5) & (low <= top)) if rows.size else ():
-                value = score(eps[i], _EPS_S_GRID[rows, None] * x, 1.0 - (1.0 + chi) * x,
-                              gain[rows, 0] * x)
-                low[i] = min(low[i], value.min())
-        return low / (1.0 - eps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            last = np.fmin(1.0 / (1.0 + chi), eps / es)
+            kink = (eps1 - eps) / (eps1 * (1.0 + chi) - es)
+        kink = np.fmin(np.fmax(kink, 0.0), last)  # a 0/0 kink scores X = 0
+        low = np.minimum(np.minimum(score(eps, 0.0), score(eps, last)), score(eps, kink))
+        return low.min(axis=0) / (1.0 - eps)
 
     return ratios
 
@@ -569,10 +539,14 @@ def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float
     """Worst-case approximation ratio guaranteed for the given parameters.
 
     Minimizes over the adversary's deficit eps in [0, 1/2] the better of the
-    trivial half cut 1/(2(1-eps)) and the block/threshold accounting bound.
+    trivial half cut 1/(2(1-eps)) and the block/threshold accounting bound,
+    the adversary LP solved exactly in the block edge share and over the
+    block deficit grid.  tau must lie in [0, 1).
     """
     if not (0.0 < eps1 <= 0.5):
         raise InvalidParamsError("eps1 must lie in (0, 0.5]")
+    if not (0.0 <= tau < 1.0):  # also refuses nan
+        raise InvalidParamsError(f"tau = {tau!r} must lie in [0, 1)")
     chi = _chi(eps1, mu1, tau)
     h1 = h_fn(float(eps1), float(mu1))
     h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
@@ -641,13 +615,19 @@ def best_tradeoff(b: float) -> TradeoffPoint:
 
     The block solver is available for any b > 1.5; the deficit-sweep solver
     reaches exponent b = 2 + mu, so for b > 2 the curve is the upper
-    envelope of the two.
+    envelope of the two.  At a b so large that float rounding leaves no mu1
+    inside the block solver's region, the deficit-sweep point is the curve.
     """
-    point = balance_tradeoff(b)
+    try:
+        point = balance_tradeoff(b)
+    except InvalidParamsError:
+        if not b > 2.0:
+            raise
+        point = None
     if b > 2.0:
         mu = b - 2.0
         sweep = simple_ratio(mu)
-        if sweep > point.ratio:
+        if point is None or sweep > point.ratio:
             return TradeoffPoint(b=b, mu1=mu, tau=0.0, mu2=mu, eps1=0.0,
                                  ratio=sweep, source="simple")
     return point

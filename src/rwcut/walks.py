@@ -138,7 +138,7 @@ class _Block:
                  index: int, count: int, record: bool):
         self.g = g
         self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(seed) & (2**64 - 1), int(index))))
+            np.random.SeedSequence(entropy=(int(seed), int(index))))
         if record:
             coins = self.rng.integers(0, 2, (length, count))
             hops = np.empty((length + 1, count), dtype=np.int64)

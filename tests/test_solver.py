@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from rwcut import solver
 from rwcut.bench import brute_force_maxcut, gen_planted, greedy_cut
@@ -102,15 +103,57 @@ def _x_column(chi, c):
     return np.linspace(0.0, 1.0 / (1.0 + chi), 121)[c]
 
 
-def _check_against_dense(eps1, chi, h1, h_block, eps):
-    """_adversary_lp never undercuts the dense grid and, after the trivial
-    bound, equals it: rounding may move the LP value only where that bound
-    wins."""
-    dense = np.array([_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps])
-    mine = _adversary_lp(eps1, chi, h1, h_block)(eps)
-    assert (mine >= dense).all()
-    trivial = 0.5 / (1.0 - eps)
-    assert np.array_equal(np.maximum(trivial, mine), np.maximum(trivial, dense))
+def _linprog_row(eps, eps1, chi, h1, es, hs):
+    """One row of the adversary LP, solved by HiGHS in (X, Z) with Y
+    eliminated by the simplex constraint, as a ratio to 1 - eps."""
+    res = linprog([hs + chi / 2.0 - h1 * (1.0 + chi), 0.5 - h1],
+                  A_ub=[[es, eps1], [1.0 + chi, 1.0]], b_ub=[eps, 1.0],
+                  bounds=[(0.0, None), (0.0, 1.0)], method="highs")
+    assert res.status == 0, res.message
+    return (res.fun + h1) / (1.0 - eps)
+
+
+_LP_CASES = dict(
+    eps1=st.floats(1e-3, 0.5),
+    chi=st.just(0.0) | st.floats(0.0, 20.0),
+    h1=st.just(0.5) | st.floats(0.5, 1.0),
+    h_block=st.lists(st.just(0.5) | st.floats(0.5, 1.0), min_size=121, max_size=121),
+    eps=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=16),
+)
+
+
+def _lp_examples(with_row):
+    """The adversary LP's breakpoint cases, each with the row it checks.
+
+    One case each where a row's minimum is decided at X = 0, beside its kink
+    and at its last feasible X, above the trivial bound; eps exactly on a
+    grid column of row 55 at its last feasible X (eps = es_55 X_111) and of
+    row 1 at its kink (eps = eps1 - (eps1 (1 + chi) - es_1) X_35); and rows
+    0 and 120, flat in X before their kink.
+    """
+    cases = (
+        ((0,), dict(eps1=0.1, chi=5.0, h1=0.51, h_block=[1.0] * 121, eps=[0.05])),
+        ((0,), dict(eps1=0.2, chi=0.0, h1=0.9,
+                    h_block=np.linspace(0.8, 0.6, 121).tolist(), eps=[0.1])),
+        ((120,), dict(eps1=0.37, chi=1.0, h1=0.61,
+                      h_block=np.linspace(0.8, 0.53, 121).tolist(), eps=[0.09])),
+        ((55,), dict(eps1=0.453, chi=0.0, h1=0.795,
+                     h_block=np.linspace(0.512, 0.837, 121).tolist(),
+                     eps=[float(_EPS_S_GRID[55] * _x_column(0.0, 111))])),
+        ((1,), dict(eps1=0.117, chi=0.0, h1=0.72,
+                    h_block=np.linspace(0.651, 0.807, 121).tolist(),
+                    eps=[float(0.117 - (0.117 - _EPS_S_GRID[1]) * _x_column(0.0, 35))])),
+        ((0, 120), dict(eps1=0.5, chi=0.0, h1=1.0, h_block=[1.0] + [0.5] * 120,
+                        eps=[1e-6])),
+    )
+
+    def apply(test):
+        for rows, case in cases:
+            for extra in ({"row": r} for r in rows) if with_row else ({},):
+                test = example(**case, **extra)(test)
+        return test
+
+    return apply
 
 
 class TestHFunction:
@@ -415,16 +458,16 @@ class TestTradeoff:
     @pytest.mark.parametrize("b, expected", [
         (1.6, ("0x1.dfacdfceeb3f3p-4", "0x1.08c268c6aa34cp-1",
                "0x1.484aaef6decbfp-3", "0x1.f10b419c08693p-8",
-               "0x1.01f532992be1dp-1")),
+               "0x1.01f4dca4897e4p-1")),
         (2.0, ("0x1.6f38b26142017p-3", "0x1.6f38b26142010p-3",
                "0x1.24edd43dce4f6p+2", "0x1.fe0573fba5c21p-6",
-               "0x1.081bd5b25188fp-1")),
+               "0x1.081bc91d6ea7cp-1")),
         (3.0, ("0x1.24267a4267a42p+0", "0x1.2133d2133d210p-3",
                "0x1.a53808ca29c0bp+3", "0x1.236d5fb294873p-4",
                "0x1.131fd8f2619d6p-1")),
     ])
     def test_balance_points_pinned(self, b, expected):
-        # (mu1, tau, mu2, eps1, ratio) as the dense-grid optimizer found them
+        # (mu1, tau, mu2, eps1, ratio) with the adversary LP solved exactly
         p = balance_tradeoff(b)
         assert (p.b, p.source) == (b, "balance")
         assert tuple(v.hex() for v in (p.mu1, p.tau, p.mu2, p.eps1, p.ratio)) == expected
@@ -432,20 +475,32 @@ class TestTradeoff:
     @pytest.mark.parametrize("b, expected", [
         (1.6, ("0x1.999999999999ap+0", "balance", "0x1.dfacdfceeb3f3p-4",
                "0x1.08c268c6aa34cp-1", "0x1.484aaef6decbfp-3",
-               "0x1.f10b419c08693p-8", "0x1.01f532992be1dp-1")),
+               "0x1.f10b419c08693p-8", "0x1.01f4dca4897e4p-1")),
         (2.0, ("0x1.0000000000000p+1", "balance", "0x1.6f38b26142017p-3",
                "0x1.6f38b26142010p-3", "0x1.24edd43dce4f6p+2",
-               "0x1.fe0573fba5c21p-6", "0x1.081bd5b25188fp-1")),
+               "0x1.fe0573fba5c21p-6", "0x1.081bc91d6ea7cp-1")),
         (3.0, ("0x1.8000000000000p+1", "simple", "0x1.0000000000000p+0",
                "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
                "0x1.252d293bd429ep-1")),
     ])
     def test_curve_points_pinned(self, b, expected):
-        # Every field of best_tradeoff, recorded before the adversary LP
-        # skipped deficits the trivial bound decides.
+        # Every field of best_tradeoff, with the adversary LP solved exactly.
         p = best_tradeoff(b)
         assert (p.b.hex(), p.source, *(v.hex() for v in (
             p.mu1, p.tau, p.mu2, p.eps1, p.ratio))) == expected
+
+    def test_simple_point_where_no_mu1_is_left(self):
+        # The search keeps 1e-9 inside the mu1 region (b - 2, b - 1), below
+        # the float spacing at b = 1e9, so the block solver refuses this b;
+        # the deficit-sweep solver covers every b > 2.
+        p = best_tradeoff(1e9)
+        assert p.source == "simple"
+        assert p.ratio == simple_ratio(1e9 - 2)
+
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, -1e-300, 1.0, 2.0])
+    def test_tau_outside_unit_interval_refused(self, tau):
+        with pytest.raises(InvalidParamsError, match=r"must lie in \[0, 1\)"):
+            tradeoff_objective(0.03, 0.2, 3.0, tau)
 
     @pytest.mark.parametrize("b", [1.5 + 1e-7, 1.5 + 1e-9, 1.5 + 1e-10,
                                    1.5 + 2**-51, 1.5 + 2**-52])
@@ -468,46 +523,37 @@ class TestTradeoff:
         mu2=st.floats(0.01, 3.0) | st.floats(3.0, 50.0),
         frac=st.just(1.0) | st.floats(1e-3, 1.0),
     )
-    def test_objective_matches_dense_grid(self, mu1, tau, mu2, frac):
+    def test_objective_at_most_dense_grid(self, mu1, tau, mu2, frac):
+        # The dense grid's X values are feasible points of every row, so its
+        # minimum can only be higher, up to rounding.
         cap = min(0.5, mu1 / (16.0 * tau) * 0.98) if tau > 0.0 else 0.5
         eps1 = cap * frac
-        assert tradeoff_objective(eps1, mu1, mu2, tau) == _dense_objective(
-            eps1, mu1, mu2, tau)
-        h_block = np.array([h_fn(float(e), mu2) for e in _EPS_S_GRID])
-        _check_against_dense(eps1, _chi(eps1, mu1, tau), h_fn(eps1, mu1),
-                             h_block, np.linspace(1e-6, 0.5, 61))
+        assert tradeoff_objective(eps1, mu1, mu2, tau) <= _dense_objective(
+            eps1, mu1, mu2, tau) + 1e-12
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        eps1=st.floats(1e-3, 0.5),
-        chi=st.just(0.0) | st.floats(0.0, 20.0),
-        h1=st.just(0.5) | st.floats(0.5, 1.0),
-        h_block=st.lists(st.just(0.5) | st.floats(0.5, 1.0),
-                         min_size=121, max_size=121),
-        eps=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=16),
-    )
-    # One case each where the LP minimum is decided at X = 0, beside a kink
-    # and at a last feasible column, above the trivial bound.
-    @example(eps1=0.1, chi=5.0, h1=0.51, h_block=[1.0] * 121, eps=[0.05])
-    @example(eps1=0.2, chi=0.0, h1=0.9,
-             h_block=np.linspace(0.8, 0.6, 121).tolist(), eps=[0.1])
-    @example(eps1=0.37, chi=1.0, h1=0.61,
-             h_block=np.linspace(0.8, 0.53, 121).tolist(), eps=[0.09])
-    # eps exactly on a column of row r: at its last feasible X (eps = es_r X_c)
-    # and at its kink (eps = eps1 - (eps1 (1 + chi) - es_r) X_c).  Scoring only
-    # the column at or left of the breakpoint gets both wrong.
-    @example(eps1=0.453, chi=0.0, h1=0.795,
-             h_block=np.linspace(0.512, 0.837, 121).tolist(),
-             eps=[float(_EPS_S_GRID[55] * _x_column(0.0, 111))])
-    @example(eps1=0.117, chi=0.0, h1=0.72,
-             h_block=np.linspace(0.651, 0.807, 121).tolist(),
-             eps=[float(0.117 - (0.117 - _EPS_S_GRID[1]) * _x_column(0.0, 35))])
-    # Rows 0 and 120 are flat in X before their kink, so rounding puts the
-    # dense minimum at a column no window scores.
-    @example(eps1=0.5, chi=0.0, h1=1.0, h_block=[1.0] + [0.5] * 120, eps=[1e-6])
-    def test_adversary_lp_matches_dense_grid(self, eps1, chi, h1, h_block, eps):
-        # Any H values in [1/2, 1], not only those of h_fn.
-        _check_against_dense(eps1, chi, h1, np.array(h_block), np.array(eps))
+    @given(**_LP_CASES)
+    @_lp_examples(with_row=False)
+    def test_adversary_lp_at_most_dense_grid(self, eps1, chi, h1, h_block, eps):
+        # Any H values in [1/2, 1], not only those of h_fn.  Where a grid
+        # column holds a row's minimizer, as on a row flat in X, the two
+        # agree only to rounding.
+        h_block, eps = np.array(h_block), np.array(eps)
+        dense = [_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps]
+        assert (_adversary_lp(eps1, chi, h1, h_block)(eps) <= np.add(dense, 1e-12)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_LP_CASES, row=st.integers(0, 120))
+    @_lp_examples(with_row=True)
+    def test_adversary_lp_row_matches_linprog(self, eps1, chi, h1, h_block, eps, row):
+        # The other rows get a block value at which they rise in X, so their
+        # minimum is the X = 0 value shared by every row, and the LP is row's.
+        alone = np.full(121, h1 * (1.0 + chi) + 1.0)
+        alone[row] = h_block[row]
+        mine = _adversary_lp(eps1, chi, h1, alone)(np.array(eps))
+        exact = [_linprog_row(e, eps1, chi, h1, _EPS_S_GRID[row], h_block[row])
+                 for e in eps]
+        np.testing.assert_allclose(mine, exact, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(

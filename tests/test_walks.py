@@ -86,6 +86,12 @@ class TestRunWalks:
         b = run_walks(single_edge, 0, cfg, threads=8)
         assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
 
+    def test_seed_is_not_taken_modulo_2_64(self):
+        g = gen_planted(200, 0.05, 8, 1).graph
+        a, b = (run_walks(g, 0, WalkConfig(length=9, walks=1000, seed=s))
+                for s in (1, 2**64 + 1))
+        assert not (np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd))
+
     def test_degree_zero_start_per_length(self):
         g = make_graph(3, [(0, 1, 1)])
         t = run_walks(g, 2, WalkConfig(length=4, walks=50, seed=5,
