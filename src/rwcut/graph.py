@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -35,24 +34,6 @@ _MAX_KEYED_N = 3_037_000_499
 _MAX_ISOLATED = 1 << 20
 # dump_graph writes this many edges at a time, so that its memory stays bounded.
 _DUMP_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class CutMetrics:
-    """Edge-weight totals for a disjoint vertex pair (A, B).
-
-    good: weight of edges with one endpoint in A and the other in B.
-    cross: weight of edges with exactly one endpoint in A | B.
-    inc: weight of edges incident on A | B.
-    """
-
-    good: float
-    cross: float
-    inc: float
-
-    @property
-    def cut(self) -> float:
-        return self.good + self.cross / 2.0
 
 
 class WeightedGraph:
@@ -467,25 +448,6 @@ def _read_partition_lines(text: str, n: int | None) -> frozenset[int]:
 # -- metrics ----------------------------------------------------------------
 
 
-def cut_metrics(g: WeightedGraph, A, B) -> CutMetrics:
-    """good/cross/inc totals for disjoint vertex sets A and B."""
-    a = _as_index_array(A, g.n)
-    b = _as_index_array(B, g.n)
-    if np.intersect1d(a, b).size:
-        raise InvalidInputError("A and B must be disjoint")
-    side = np.zeros(g.n, dtype=np.int8)
-    side[a] = EVEN
-    side[b] = ODD
-    members = np.flatnonzero(side)
-    src, nbr, wt = _rows(g, members)
-    su = side[nbr]
-    unclassified = su == UNCLASSIFIED
-    cross = float(wt[unclassified].sum())
-    inc = cross + float(wt[~unclassified].sum()) / 2.0
-    good = float(wt[su == -side[members][src]].sum()) / 2.0
-    return CutMetrics(good=good, cross=cross, inc=inc)
-
-
 def prefix_cut_metrics(g: WeightedGraph, order, sides,
                        side=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative good/cross/inc of classifying order[k] to sides[k] in turn.
@@ -511,6 +473,21 @@ def prefix_cut_metrics(g: WeightedGraph, order, sides,
     cross = inc - np.bincount(src[closes], wt[closes], minlength=order.size)
     good = np.bincount(src[cut], wt[cut], minlength=order.size)
     return np.cumsum(good), np.cumsum(cross), np.cumsum(inc)
+
+
+def sweep(g: WeightedGraph, key, sides=EVEN,
+          size=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The prefix sweep of g's vertices by key.
+
+    Returns (order, good, cross, inc, vol): order is the first size
+    vertices (all when None) by key, descending, ties by smaller id; good,
+    cross and inc are prefix_cut_metrics of classifying them in turn, vertex
+    v to sides[v] (one side for all when sides is a scalar); vol[k] is the
+    weighted degree of order[:k+1].
+    """
+    order = np.lexsort((np.arange(g.n), -np.asarray(key)))[:size]
+    good, cross, inc = prefix_cut_metrics(g, order, np.broadcast_to(sides, g.n)[order])
+    return order, good, cross, inc, np.cumsum(g.degrees[order])
 
 
 def orient(g: WeightedGraph, group, sides, side, placed) -> np.ndarray:

@@ -1,9 +1,5 @@
 """Local partitioning: probability-ordered sweeps that either expose a low
 conductance cut near a start vertex or certify that the walk has spread out.
-
-The certification logic is validated in tests against the concave
-volume-vs-mass curve of the exact walk distribution (built here as well),
-via the chord inequality that drives its flattening argument.
 """
 
 from __future__ import annotations
@@ -14,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
-from .graph import EVEN, WeightedGraph, conductance, prefix_cut_metrics
+from .graph import WeightedGraph, sweep
 from .threshold import check_step_budget
-from .walks import LENGTH_CAP, WalkConfig, lazy_step, per_length_counts
+from .walks import LENGTH_CAP, WalkConfig, per_length_counts
 
 PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
 
@@ -30,69 +26,6 @@ def solve_phi(psi: float) -> float:
     if not (0.0 <= psi <= PSI_MAX):
         raise InvalidInputError(f"psi must lie in [0, {PSI_MAX}]")
     return math.exp(-psi) * math.sqrt(-math.expm1(-2.0 * psi))
-
-
-def sweep_order(g: WeightedGraph, mass: np.ndarray) -> np.ndarray:
-    """Vertex ids by mass / degree, descending, ties by smaller id.
-
-    A degree-0 vertex comes first when it has mass and last when not.
-    """
-    d = g.degrees
-    ratio = np.where(d > 0.0, mass / np.where(d > 0.0, d, 1.0),
-                     np.where(mass > 0, np.inf, 0.0))
-    return np.lexsort((np.arange(g.n), -ratio))
-
-
-@dataclass(frozen=True)
-class LSCurve:
-    """Piecewise-linear concave curve from cumulative lazy volume to mass."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __call__(self, q) -> np.ndarray | float:
-        return np.interp(q, self.x, self.y)
-
-
-def build_ls_curve(g: WeightedGraph, p: np.ndarray) -> LSCurve:
-    """Curve through the cumulative (lazy volume, mass) points of the
-    degree-normalized ordering of p; concave by construction."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (g.n,):
-        raise InvalidInputError("probability vector has wrong shape")
-    if np.any(p < -1e-15):
-        raise InvalidInputError("probability vector has negative entries")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise InvalidInputError("probability vector must sum to 1")
-    order = sweep_order(g, p)  # also the order of p / (2d): halving is exact
-    xs = np.concatenate(([0.0], np.cumsum(2.0 * g.degrees[order])))
-    ys = np.concatenate(([0.0], np.cumsum(p[order])))
-    # collapse duplicate abscissae (degree-0 vertices), keeping the top mass
-    keep = np.ones(xs.size, dtype=bool)
-    keep[:-1] = np.diff(xs) > 0.0
-    return LSCurve(x=xs[keep], y=ys[keep])
-
-
-def ls_chord_check(g: WeightedGraph, p_prev: np.ndarray, S) -> bool:
-    """Verify the chord inequality for one exact lazy step from p_prev.
-
-    With x = lazy volume of S and xh = min(x, 2m - x), checks
-    p_next(S) <= (curve(x - 2*phi_S*xh) + curve(x + 2*phi_S*xh)) / 2.
-    Test-only oracle; a failure indicates an implementation bug.
-    """
-    idx = np.fromiter((int(v) for v in S), dtype=np.int64)
-    p_next = lazy_step(g, np.asarray(p_prev, dtype=float))
-    lhs = float(p_next[idx].sum()) if idx.size else 0.0
-    curve = build_ls_curve(g, p_prev)
-    two_m = 2.0 * g.total_weight
-    x = 2.0 * float(g.degrees[idx].sum()) if idx.size else 0.0
-    xh = min(x, two_m - x)
-    if idx.size == 0 or idx.size == g.n:
-        phi = 0.0
-    else:
-        phi = conductance(g, idx)
-    rhs = 0.5 * (curve(x - 2.0 * phi * xh) + curve(x + 2.0 * phi * xh))
-    return lhs <= rhs + 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,6 +47,14 @@ class ProbabilityBound:
 
 
 CutOrBoundResult = LowConductanceCut | ProbabilityBound
+
+
+def _mass_key(g: WeightedGraph, mass: np.ndarray) -> np.ndarray:
+    """mass / degree, the sweep key of cut_or_bound.  A degree-0 vertex
+    comes first when it has mass and last when not."""
+    d = g.degrees
+    return np.where(d > 0.0, mass / np.where(d > 0.0, d, 1.0),
+                    np.where(mass > 0, np.inf, 0.0))
 
 
 def cut_or_bound(
@@ -171,9 +112,8 @@ def cut_or_bound(
     for l, (ev, od) in enumerate(per_length_counts(g, start, cfg)):
         # Reached vertices come first, so the zero-count padding comes last,
         # lowest ids first.
-        candidates = sweep_order(g, ev + od)[: min(b, g.n)]
-        _, crossing, _ = prefix_cut_metrics(g, candidates, EVEN)
-        vol2 = np.cumsum(2.0 * g.degrees[candidates])
+        candidates, _, crossing, _, vol = sweep(g, _mass_key(g, ev + od), size=b)
+        vol2 = 2.0 * vol
         denom = np.minimum(vol2, two_m - vol2)
         cond = np.divide(crossing, denom, out=np.full(denom.size, np.inf),
                          where=denom > 0.0)

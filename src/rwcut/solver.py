@@ -26,7 +26,7 @@ from .graph import EVEN, ODD, WeightedGraph, cut_value, orient, sample_vertex_by
 from .localcut import PSI_MAX, LowConductanceCut, cut_or_bound
 from .threshold import (GAMMA, SIGMA0, STEP_BUDGET, AlgoParams, check_step_budget,
                         find_threshold, sigma_fn, sigma_inv, soto_fn)
-from .walks import is_int
+from .walks import check_seed, is_int
 
 SMALL_N_FLOOR = 8
 SMALL_WEIGHT_FLOOR = 16.0
@@ -131,12 +131,6 @@ class _Ctx:
         if self.probes is not None:
             return self.probes
         return max(2, min(8, math.ceil(math.log2(max(n, 2)))))
-
-
-def _check_seed(seed) -> None:
-    """Refuse, before any work, a seed that is not an integer of at least 0."""
-    if not is_int(seed):
-        raise InvalidParamsError(f"seed = {seed!r} must be an integer of at least 0")
 
 
 def _side_of(n: int, left) -> np.ndarray:
@@ -286,7 +280,7 @@ def simple_solve(
     """
     if not 0.0 < mu < math.inf:
         raise InvalidParamsError(f"mu = {mu:g} must be positive and finite")
-    _check_seed(seed)
+    check_seed(seed)
     ctx = _Ctx(find_step_budget, probes)
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="simple",
@@ -442,7 +436,7 @@ def balance_solve(
         eps1 = eps_bar(mu1)
     if not (0.0 < eps1 < 1.0):
         raise InvalidParamsError("eps1 must lie in (0, 1)")
-    _check_seed(seed)
+    check_seed(seed)
     ctx = _Ctx(find_step_budget, probes, cutbound_step_budget)
     if g.n == 0:
         return SolveReport(left=frozenset(), cut_value=0.0, algorithm="balance",

@@ -1,7 +1,7 @@
-"""Matrix-free normalized-Laplacian operations and the spectral baseline.
+"""Matrix-free normalized-Laplacian operations and Trevisan's spectral
+partition, the quality baseline for the walk-based solvers.
 
-Everything here is an oracle for validating the walk-based algorithms, so
-accuracy is preferred over speed: the power method runs a generous fixed
+Accuracy is preferred over speed: the power method runs a generous fixed
 iteration count and the threshold search in sweep cuts is exhaustive.
 """
 
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .graph import EVEN, ODD, UNCLASSIFIED, WeightedGraph, orient, prefix_cut_metrics
+from .graph import EVEN, ODD, UNCLASSIFIED, WeightedGraph, orient, sweep
+from .walks import check_seed
 
 DEFAULT_POWER_ITER_FACTOR = 8
 
@@ -39,20 +40,6 @@ class LaplacianOperator:
         return np.sqrt(self.graph.degrees)
 
 
-def power_laplacian_vector(g: WeightedGraph, start: int, length: int) -> np.ndarray:
-    """Return (1/2^length) L^length (e_start / sqrt(d_start))."""
-    if not (0 <= start < g.n):
-        raise InvalidInputError(f"start vertex {start} out of range")
-    if g.degrees[start] <= 0.0:
-        raise InvalidInputError("start vertex must have positive degree")
-    op = LaplacianOperator(g)
-    v = np.zeros(g.n)
-    v[start] = 1.0 / math.sqrt(g.degrees[start])
-    for _ in range(length):
-        v = 0.5 * op.apply(v)
-    return v
-
-
 @dataclass(frozen=True)
 class SweepCut:
     positive: frozenset
@@ -71,19 +58,19 @@ def sweep_cut_best(g: WeightedGraph, y: np.ndarray) -> SweepCut:
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise InvalidInputError("score vector has wrong shape")
+    if not np.isfinite(y).all():
+        raise InvalidInputError("score vector has a non-finite entry")
     absy = np.abs(y)
     if not np.any(absy > 0.0):
         raise DegenerateInputError("score vector is identically zero")
-    order = np.lexsort((np.arange(g.n), -absy))
-    order = order[absy[order] > 0.0]
+    order, good, cross, inc, vol = sweep(g, absy, np.where(y > 0, EVEN, ODD),
+                                         np.count_nonzero(absy))
     t = absy[order]
-    good, cross, inc = prefix_cut_metrics(g, order, np.where(y[order] > 0, EVEN, ODD))
     # Thresholds are the tie-group ends; keys are distinct because t is.
     ends = np.flatnonzero(np.append(t[1:] != t[:-1], True))
     cut = good[ends] + cross[ends] / 2.0
     ratio = np.divide(cut, inc[ends], out=np.zeros(ends.size), where=inc[ends] > 0.0)
-    vol = np.cumsum(g.degrees[order])[ends]
-    best = int(np.lexsort((-t[ends], vol, ratio))[-1])
+    best = int(np.lexsort((-t[ends], vol[ends], ratio))[-1])
     chosen = order[: ends[best] + 1]
     return SweepCut(positive=frozenset(chosen[y[chosen] > 0].tolist()),
                     negative=frozenset(chosen[y[chosen] < 0].tolist()),
@@ -123,6 +110,7 @@ def trevisan_baseline(g: WeightedGraph, seed: int = 0) -> frozenset:
     """
     from .bench import greedy_cut
 
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     side = np.zeros(g.n, dtype=np.int8)
     ids = np.arange(g.n)

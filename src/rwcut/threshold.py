@@ -151,7 +151,8 @@ def _first_passes(g: WeightedGraph, side: np.ndarray, counts: np.ndarray, cells:
     # Round r's counts: total less those of the cells' walks after walks[r].
     cum = tally.cumsum(axis=1)
     ev, od = cum + (total[:, cols] - cum[:, -1])[:, None]
-    # signed_estimates' float operations, so each estimate is bit-identical.
+    # The float operations of signed_estimates in tests/oracles.py, so each
+    # estimate is bit-identical to that reference.
     est = (ev - od) / (g.degrees[cols] * walks[:, None])
     passed = (est > ts[:, None]) | (est < -ts[:, None])
     hit = np.flatnonzero(passed.any(axis=0))

@@ -1,5 +1,5 @@
 """Sampled lazy random walks with hop-parity tracking, plus the exact
-dynamic-programming walk-distribution oracle.
+distribution that their endpoint tallies estimate.
 
 Sampling model: each step stays put with probability 1/2, otherwise moves
 along an incident edge chosen with probability proportional to its weight.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import WeightedGraph
 
 BLOCK_WALKS = 4096
@@ -56,6 +56,12 @@ def is_int(value, least: int = 0) -> bool:
     integer, never a bool."""
     return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
             and value >= least)
+
+
+def check_seed(seed) -> None:
+    """Refuse, before any work, a seed that is not an integer of at least 0."""
+    if not is_int(seed):
+        raise InvalidParamsError(f"seed = {seed!r} must be an integer of at least 0")
 
 
 @dataclass
@@ -292,36 +298,6 @@ class WalkAccumulator:
         added, self._left, self.walks = cells[:k], cells[k:].copy(), walks
         self.counts += np.bincount(added, minlength=self.counts.size)
         return added
-
-    def tally(self) -> WalkTally:
-        """The pool's counts, in arrays that later top-ups leave as they are."""
-        even, odd = self.counts.reshape(2, -1).copy()
-        return WalkTally(n=self.g.n, length=self.length, walks=self.walks, even=even, odd=odd)
-
-
-def signed_estimates(tally: WalkTally, g: WeightedGraph) -> np.ndarray:
-    """(even - odd) endpoint count at each vertex j over (d_j * walks); 0
-    where d_j = 0."""
-    ev, od = tally.counts_at(tally.length)
-    out = np.zeros(g.n)
-    mask = g.degrees > 0.0
-    out[mask] = (ev[mask] - od[mask]) / (g.degrees[mask] * tally.walks)
-    return out
-
-
-# -- exact distribution oracle -----------------------------------------------
-
-
-def lazy_step(g: WeightedGraph, p: np.ndarray) -> np.ndarray:
-    """One exact lazy-walk step applied to a mass vector.
-
-    Mass at a degree-0 vertex has nowhere to go and stays in place.
-    """
-    A = g.adjacency_csr()
-    d = g.degrees
-    scaled = np.where(d > 0.0, p / np.where(d > 0.0, d, 1.0), 0.0)
-    move = A @ scaled + np.where(d > 0.0, 0.0, p)
-    return 0.5 * p + 0.5 * move
 
 
 def exact_walk_distribution(g: WeightedGraph, start: int,

@@ -16,17 +16,18 @@ from rwcut.graph import (
     Tripartition,
     WeightedGraph,
     conductance,
-    cut_metrics,
     cut_value,
     load_graph,
     orient,
     prefix_cut_metrics,
     read_partition,
     sample_vertex_by_degree,
+    sweep,
     write_partition,
 )
 
 from conftest import complete_graph, cycle_graph, dump_text, make_graph, random_graph
+from oracles import cut_metrics
 
 
 def _edges(g):
@@ -698,6 +699,14 @@ class TestPrefixCutMetrics:
         assert list(good) == [0.0, 0.0]
         assert list(cross) == [3.0, 15.0]
         assert list(inc) == [3.0, 15.0]
+        # The same prefixes as a sweep: key descending, ties by smaller id,
+        # cut at size, with the prefix volumes.
+        order, good, cross, inc, vol = sweep(g, [0.5, 2.0, 0.5, 2.0], ODD, size=3)
+        assert list(order) == [1, 3, 0]
+        assert list(good) == [0.0, 0.0, 0.0]
+        assert list(cross) == [3.0, 15.0, 6.0]
+        assert list(inc) == [3.0, 15.0, 15.0]
+        assert list(vol) == [3.0, 15.0, 24.0]
 
 
 class TestOrient:

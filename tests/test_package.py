@@ -1,12 +1,24 @@
+import ast
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import rwcut
 from conftest import cli_env
 
-MODULES = ["bench", "cli", "errors", "graph", "localcut", "solver", "spectral",
-           "threshold", "walks"]
+SRC = Path(rwcut.__file__).resolve().parent
+# Every module but __init__, as CI's import loop globs them.
+MODULES = sorted(p.stem for p in SRC.glob("[!_]*.py"))
+
+# Top-level names that no library code names, each with the reason it stays.
+UNNAMED_IN_LIBRARY = {
+    "graph.conductance": "perfbench checks the probes' cuts with it",
+    "threshold.threshold_classify": "a perfbench span",
+    "walks.exact_walk_distribution": "a perfbench span",
+}
 
 
 def run_python(code):
@@ -36,3 +48,28 @@ def test_graph_import_stays_light():
                       " if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _named(node, modules):
+    """The names node's code reads: bare names, and attributes of a module
+    imported whole (as in `graph.load_graph`).  A name assigned, such as a
+    dataclass field, is not read."""
+    for sub in ast.walk(node):
+        if not isinstance(getattr(sub, "ctx", None), ast.Load):
+            continue
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in modules:
+            yield sub.attr
+
+
+def test_every_top_level_name_is_named_in_the_library():
+    # A function or class that only tests call belongs in the tests.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    named = Counter()
+    for tree in trees.values():
+        named.update(_named(tree, trees))
+    unnamed = {f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and named[node.name] == Counter(_named(node, trees))[node.name]}
+    assert unnamed == set(UNNAMED_IN_LIBRARY)

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from rwcut.bench import brute_force_maxcut, gen_planted
-from rwcut.errors import DegenerateInputError, InvalidInputError
+from rwcut.errors import DegenerateInputError, InvalidInputError, InvalidParamsError
 from rwcut.graph import cut_value
 from rwcut.spectral import (
     LaplacianOperator,
-    power_laplacian_vector,
     sweep_cut_best,
     trevisan_baseline,
 )
 
-from conftest import complete_bipartite, make_graph, random_graph
+from conftest import complete_bipartite, cycle_graph, make_graph, random_graph
+from oracles import power_laplacian_vector
 
 
 class TestLaplacianOperator:
@@ -69,6 +69,12 @@ class TestSweepCut:
         with pytest.raises(DegenerateInputError):
             sweep_cut_best(triangle, np.zeros(3))
 
+    @pytest.mark.parametrize("y", [[np.nan, -1.0, 1.0, -1.0], [-np.inf, -1.0, 1.0, -1.0],
+                                   [np.nan] * 4])
+    def test_non_finite_scores_rejected(self, y):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            sweep_cut_best(cycle_graph(4), np.array(y))
+
     def test_scale_and_negation_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
@@ -101,6 +107,11 @@ class TestSweepCut:
 
 
 class TestTrevisanBaseline:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_refused_unless_a_nonnegative_integer(self, triangle, seed):
+        with pytest.raises(InvalidParamsError, match="seed"):
+            trevisan_baseline(triangle, seed=seed)
+
     def test_connected_bipartite_exact(self):
         g = complete_bipartite(6, 5)
         left = trevisan_baseline(g, seed=0)

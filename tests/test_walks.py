@@ -11,7 +11,6 @@ from rwcut import walks
 from rwcut.bench import gen_planted
 from rwcut.errors import InvalidInputError, ResourceError
 from rwcut.graph import WeightedGraph, load_graph
-from rwcut.spectral import power_laplacian_vector
 from rwcut.threshold import AlgoParams, find_threshold
 from rwcut.walks import (
     BLOCK_WALKS,
@@ -20,11 +19,11 @@ from rwcut.walks import (
     WalkTally,
     exact_walk_distribution,
     run_walks,
-    signed_estimates,
 )
 
 from conftest import (dumbbell, make_graph, planned_pool, planted_file, random_graph,
                       reweighted)
+from oracles import power_laplacian_vector, signed_estimates
 
 
 def _tallies_digest(record_per_length):
@@ -137,7 +136,7 @@ class TestRunWalks:
         assert np.array_equal(a.even, b.even) and np.array_equal(a.odd, b.odd)
         acc = WalkAccumulator(single_edge, np.int64(1), 3, 2, 50)
         acc.extend_to(50)
-        assert np.array_equal(acc.tally().even, b.even)
+        assert np.array_equal(acc.counts[:single_edge.n], b.even)
         c = run_walks(single_edge, 1, WalkConfig(length=np.int64(3), walks=np.int32(50),
                                                  seed=np.uint64(2)))
         assert np.array_equal(c.even, b.even) and np.array_equal(c.odd, b.odd)
@@ -182,10 +181,8 @@ class TestAccumulator:
         acc = WalkAccumulator(single_edge, 0, 6, 11, max(targets))
         for target in targets:
             acc.extend_to(target)
-            even, odd = planned_pool(single_edge, 0, 6, 11, max(targets), target)
-            got = acc.tally()
-            assert np.array_equal(got.even, even)
-            assert np.array_equal(got.odd, odd)
+            pool = planned_pool(single_edge, 0, 6, 11, max(targets), target)
+            assert np.array_equal(acc.counts, np.concatenate(pool))
 
     def test_pool_is_a_prefix_of_the_planned_blocks(self):
         g = random_graph(9, 0.4, np.random.default_rng(4), weighted=True)
@@ -196,15 +193,13 @@ class TestAccumulator:
         acc = WalkAccumulator(g, 0, 7, 5, max(sizes))
         for w in sizes:
             acc.extend_to(w)
-            counts = np.bincount(cells[:w], minlength=2 * g.n)
-            assert np.array_equal(acc.tally().even, counts[:g.n])
-            assert np.array_equal(acc.tally().odd, counts[g.n:])
+            assert np.array_equal(acc.counts, np.bincount(cells[:w], minlength=2 * g.n))
         # A pool inside its first block is that block's first w walks: it
         # equals run_walks only when w is the block's planned count.
         acc = WalkAccumulator(g, 0, 7, 5, 300)
         acc.extend_to(300)
         fresh = run_walks(g, 0, WalkConfig(length=7, walks=300, seed=5))
-        assert np.array_equal(acc.tally().even, fresh.even)
+        assert np.array_equal(acc.counts[:g.n], fresh.even)
 
     def test_steps_accounting(self, single_edge):
         acc = WalkAccumulator(single_edge, 0, 4, 1, 20)
@@ -220,18 +215,11 @@ class TestAccumulator:
         g = random_graph(n, 0.4, np.random.default_rng(graph_seed), weighted=weighted)
         targets = (1, 37, 4095, 4096, 4097, 8192, 8193)
         acc = WalkAccumulator(g, 0, length, seed, max(targets))
-        earlier = []
         for target in targets:
             acc.extend_to(target)
-            got = acc.tally()
-            even, odd = planned_pool(g, 0, length, seed, max(targets), target)
-            assert got.walks == target
-            assert np.array_equal(got.even, even)
-            assert np.array_equal(got.odd, odd)
-            earlier.append((got, even, odd))
-        for got, even, odd in earlier:  # later top-ups leave earlier tallies alone
-            assert np.array_equal(got.even, even)
-            assert np.array_equal(got.odd, odd)
+            pool = planned_pool(g, 0, length, seed, max(targets), target)
+            assert acc.walks == target
+            assert np.array_equal(acc.counts, np.concatenate(pool))
 
     def test_pool_holds_its_counts_and_less_than_a_block(self):
         # Ten top-ups of 100,000 walks: the pool keeps its (2n) counts and the
@@ -252,11 +240,11 @@ class TestAccumulator:
     def test_no_op_at_or_below_pool_size(self, single_edge):
         acc = WalkAccumulator(single_edge, 0, 3, 4, 50)
         acc.extend_to(50)
-        before = acc.tally()
+        before = acc.counts.copy()
         for walks in (50, 10, 0):
             acc.extend_to(walks)
             assert (acc.walks, acc.steps_sampled) == (50, 150)
-            assert np.array_equal(acc.tally().even, before.even)
+            assert np.array_equal(acc.counts, before)
 
     @pytest.mark.parametrize("length, walks", [(201, 1), (100_000, 3), (100, 10**12)])
     def test_caps_enforced(self, single_edge, length, walks):
@@ -275,9 +263,8 @@ class TestAccumulator:
         acc = WalkAccumulator(g, 0, length, seed, max(sizes))
         for target in sorted(sizes):
             acc.extend_to(target)
-            even, odd = planned_pool(g, 0, length, seed, max(sizes), target)
-            assert np.array_equal(acc.tally().even, even)
-            assert np.array_equal(acc.tally().odd, odd)
+            pool = planned_pool(g, 0, length, seed, max(sizes), target)
+            assert np.array_equal(acc.counts, np.concatenate(pool))
             # The steps drawn: every block the pool reaches, at its planned count.
             drawn = min(-(-target // BLOCK_WALKS) * BLOCK_WALKS, max(sizes))
             assert acc.steps_sampled == drawn * max(length, 1)
@@ -326,7 +313,7 @@ class TestAccumulator:
         with pytest.raises(InvalidInputError, match="not planned"):
             acc.extend_to(1)
         assert (drawn, acc.walks, acc.steps_sampled) == ([], 0, 0)
-        assert acc.tally().even.sum() == acc.tally().odd.sum() == 0
+        assert acc.counts.sum() == 0
         # A step budget below the first round plans no round.
         params = AlgoParams.for_graph(single_edge, 0.05, 1.0, step_budget=1)
         res = find_threshold(single_edge, 0, params, seed=3)
@@ -370,8 +357,7 @@ class TestPoolLaw:
             before = np.zeros((2, g.n), dtype=np.int64)
             for r, w in enumerate(sizes):
                 acc.extend_to(w)
-                t = acc.tally()
-                counts = np.stack([t.even, t.odd])
+                counts = acc.counts.reshape(2, g.n).copy()
                 assert counts.sum() == w
                 assert (counts >= before).all()  # nested: no count falls
                 totals[r] += counts
