@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParamsError, ResourceError
 from .graph import WeightedGraph, sweep
 from .threshold import check_step_budget
-from .walks import LENGTH_CAP, WalkConfig, per_length_counts
+from .walks import LENGTH_CAP, WalkConfig, check_seed, per_length_counts
 
 PSI_MAX = 0.125  # inclusive; phi stays below 1/2 with room to spare
 
@@ -81,6 +81,7 @@ def cut_or_bound(
     max_j p_j / (2 d_j) <= alpha_bound, a fixed multiple of alpha, p being
     the exact final-length distribution.
     """
+    check_seed(seed)
     if g.total_weight <= 0.0:
         raise InvalidInputError("graph has no edges")
     if not (0.0 <= tau < 1.0):

@@ -461,18 +461,17 @@ class TradeoffPoint:
     source: str = "balance"
 
 
-def _refined_min(f, lo: float, hi: float, sizes) -> float:
-    """Minimum of f over a grid of sizes[0] points on [lo, hi], refined by
-    each further size to a grid spanning the minimizer's two neighbours.
-
-    f maps a grid array to its values.
-    """
+def _refined_min(f, lo: np.ndarray, hi: np.ndarray, sizes) -> np.ndarray:
+    """Per row, the minimum of f over a grid of sizes[0] points on [lo, hi],
+    refined by each further size to a grid spanning the minimizer's two
+    neighbours.  f maps a (rows, size) grid array to its values."""
+    rows = np.arange(len(lo))
     for size in sizes:
-        grid = np.linspace(lo, hi, size)
+        grid = np.linspace(lo, hi, size, axis=-1)
         vals = f(grid)
-        i = int(np.argmin(vals))
-        lo, hi = grid[max(0, i - 1)], grid[min(size - 1, i + 1)]
-    return float(vals[i])
+        i = np.argmin(vals, axis=-1)
+        lo, hi = grid[rows, np.maximum(i - 1, 0)], grid[rows, np.minimum(i + 1, size - 1)]
+    return vals[rows, i]
 
 
 def simple_ratio(mu: float) -> float:
@@ -480,9 +479,9 @@ def simple_ratio(mu: float) -> float:
     H(eps, mu) / (1 - eps)."""
     if mu <= 0.0:
         raise InvalidParamsError("mu must be positive")
-    return _refined_min(
-        lambda eps: np.array([h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps]),
-        1e-4, 0.5, (400, 120))
+    return float(_refined_min(
+        lambda eps: np.array([[h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps[0]]]),
+        [1e-4], [0.5], (400, 120))[0])
 
 
 def _chi(eps1: float, mu1: float, tau: float) -> float:
@@ -498,8 +497,9 @@ def _chi(eps1: float, mu1: float, tau: float) -> float:
 _EPS_S_GRID = np.linspace(0.0, 0.5, 121)
 
 
-def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
-    """Adversary's cheapest edge split per deficit eps, as a ratio to 1 - eps.
+def _adversary_lp(eps: np.ndarray, eps1, chi, h1, h_block: np.ndarray) -> np.ndarray:
+    """Adversary's cheapest edge split per deficit eps, as a ratio to 1 - eps;
+    eps1, chi and h1 are scalars or hold one value per deficit.
 
     One row per block deficit eps_S of the grid, with block value h_block.
     The final-round share Z sits at its upper bound min(1 - (1+chi) X,
@@ -508,25 +508,43 @@ def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
     constraint.  Each row is then convex and piecewise linear in the block
     edge share X on [0, X_last], X_last = min(1/(1+chi), eps/eps_S), with
     one kink where Z's two bounds meet, so its minimum lies at X = 0, at
-    X_last or at the kink clipped to [0, X_last].
+    X_last or at the kink clipped to [0, X_last].  X = 0 scores alike on
+    every row, so it is scored once.
     """
     es = _EPS_S_GRID[:, None]
-    gain = (h_block + chi / 2.0)[:, None]
+    gain = h_block[:, None] + chi / 2.0
 
-    def score(eps, x):
+    def score(x, es=es, gain=gain):
         a = 1.0 - (1.0 + chi) * x
         z = np.clip(np.minimum(a, (eps - es * x) / eps1), 0.0, 1.0)
         return gain * x + h1 * (a - z) + z / 2.0
 
-    def ratios(eps: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            last = np.fmin(1.0 / (1.0 + chi), eps / es)
-            kink = (eps1 - eps) / (eps1 * (1.0 + chi) - es)
-        kink = np.fmin(np.fmax(kink, 0.0), last)  # a 0/0 kink scores X = 0
-        low = np.minimum(np.minimum(score(eps, 0.0), score(eps, last)), score(eps, kink))
-        return low.min(axis=0) / (1.0 - eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        last = np.fmin(1.0 / (1.0 + chi), eps / es)
+        kink = (eps1 - eps) / (eps1 * (1.0 + chi) - es)
+    kink = np.fmin(np.fmax(kink, 0.0), last)  # a 0/0 kink scores X = 0
+    low = np.minimum(score(last), score(kink)).min(axis=0)
+    return np.minimum(score(0.0, es=0.0, gain=0.0), low) / (1.0 - eps)
 
-    return ratios
+
+def _objectives(eps1s: np.ndarray, mu1: float, mu2: float, tau: float) -> np.ndarray:
+    """tradeoff_objective for each eps1 of the array eps1s at one (mu1, mu2,
+    tau).  The block values are computed once, and the LP is scored only at
+    deficits below each eps1: at or above it, the trivial bound wins."""
+    chi = np.array([_chi(float(e), mu1, tau) for e in eps1s])
+    h1 = np.array([h_fn(float(e), float(mu1)) for e in eps1s])
+    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
+
+    def guaranteed(eps: np.ndarray) -> np.ndarray:
+        out = 0.5 / (1.0 - eps)
+        live = eps < eps1s[:, None]
+        row = np.nonzero(live)[0]
+        lp = _adversary_lp(eps[live], eps1s[row], chi[row], h1[row], h_block)
+        out[live] = np.maximum(out[live], lp)
+        return out
+
+    return _refined_min(guaranteed, np.full(eps1s.shape, 1e-6),
+                        np.full(eps1s.shape, 0.5), (61, 31, 31))
 
 
 def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float:
@@ -541,12 +559,7 @@ def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float
         raise InvalidParamsError("eps1 must lie in (0, 0.5]")
     if not (0.0 <= tau < 1.0):  # also refuses nan
         raise InvalidParamsError(f"tau = {tau!r} must lie in [0, 1)")
-    chi = _chi(eps1, mu1, tau)
-    h1 = h_fn(float(eps1), float(mu1))
-    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
-    lp = _adversary_lp(eps1, chi, h1, h_block)
-    return _refined_min(lambda eps: np.maximum(0.5 / (1.0 - eps), lp(eps)),
-                        1e-6, 0.5, (61, 31, 31))
+    return float(_objectives(np.array([eps1], dtype=float), mu1, mu2, tau)[0])
 
 
 def balance_tradeoff(b: float) -> TradeoffPoint:
@@ -569,39 +582,25 @@ def balance_tradeoff(b: float) -> TradeoffPoint:
     except InvalidParamsError:
         raise InvalidParamsError(f"no valid mu1 region for b = {b!r}") from None
 
-    def eps1_cap(mu1: float) -> float:
-        tau, _ = balance_params(b, mu1)
-        return min(0.5, mu1 / (16.0 * tau) * 0.98)
-
-    def eval_pair(mu1: float, eps1: float) -> float:
-        tau, mu2 = balance_params(b, mu1)
-        return tradeoff_objective(eps1, mu1, mu2, tau)
-
     mu1_win = (mu1_lo + 0.02 * span, mu1_hi - 0.02 * span)
     eps1_frac_win = (0.02, 1.0)  # fraction of the per-mu1 cap
     best = None
     for points in (12, 7, 7):  # a coarse grid, then two refinements
         mu1_grid = np.linspace(mu1_win[0], mu1_win[1], points)
         frac_grid = np.linspace(eps1_frac_win[0], eps1_frac_win[1], points)
-        for mu1 in mu1_grid:
-            cap = eps1_cap(float(mu1))
-            for frac in frac_grid:
-                eps1 = float(cap * frac)
-                ratio = eval_pair(float(mu1), eps1)
+        for mu1 in map(float, mu1_grid):
+            tau, mu2 = balance_params(b, mu1)
+            eps1s = min(0.5, mu1 / (16.0 * tau) * 0.98) * frac_grid
+            for ratio, eps1, frac in zip(_objectives(eps1s, mu1, mu2, tau), eps1s, frac_grid):
                 if best is None or ratio > best[0]:
-                    best = (ratio, float(mu1), eps1, float(frac))
+                    best = (float(ratio), mu1, float(eps1), float(frac))
         _, mu1_c, _, frac_c = best
         mu1_h = (mu1_win[1] - mu1_win[0]) / points
         frac_h = (eps1_frac_win[1] - eps1_frac_win[0]) / points
-        mu1_win = (
-            max(mu1_lo + margin, mu1_c - mu1_h),
-            min(mu1_hi - margin, mu1_c + mu1_h),
-        )
+        mu1_win = (max(mu1_lo + margin, mu1_c - mu1_h), min(mu1_hi - margin, mu1_c + mu1_h))
         eps1_frac_win = (max(1e-4, frac_c - frac_h), min(1.0, frac_c + frac_h))
     ratio, mu1, eps1, _ = best
-    tau, mu2 = balance_params(b, mu1)
-    return TradeoffPoint(b=b, mu1=mu1, tau=tau, mu2=mu2, eps1=eps1,
-                         ratio=ratio, source="balance")
+    return TradeoffPoint(b, mu1, *balance_params(b, mu1), eps1, ratio, source="balance")
 
 
 def best_tradeoff(b: float) -> TradeoffPoint:

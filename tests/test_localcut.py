@@ -173,6 +173,13 @@ class TestCutOrBound:
         with pytest.raises(InvalidInputError, match="not an integer in"):
             cut_or_bound(dumbbell(5), 1.5, tau=0.25, zeta=0.5, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_refused_as_a_param(self, seed):
+        # Refused before any work, as the solvers refuse it.
+        g = load_graph(planted_file(200, 0.05, 8, 1))
+        with pytest.raises(InvalidParamsError, match="seed"):
+            cut_or_bound(g, 0, tau=0.25, zeta=0.45, seed=seed)
+
     def test_complete_graph_bound_branch(self):
         g = complete_graph(50)
         res = cut_or_bound(g, 0, tau=0.15, zeta=0.21, seed=4)

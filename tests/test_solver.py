@@ -16,6 +16,7 @@ from rwcut.solver import (
     _EPS_S_GRID,
     _adversary_lp,
     _chi,
+    _objectives,
     balance_params,
     balance_solve,
     balance_tradeoff,
@@ -30,6 +31,7 @@ from rwcut.solver import (
 from rwcut.walks import STEP_CAP
 
 from conftest import complete_bipartite, planted_file, random_graph
+from oracles import pair_objective
 
 SIGMA0 = 0.22815
 
@@ -431,7 +433,7 @@ class TestTradeoff:
                         v = (hs + chi / 2) * x + h1 * max(y, 0.0) + z / 2
                         best = min(best, v / (1 - eps))
             h_block = np.array([h_fn(float(e), mu2) for e in _EPS_S_GRID])
-            mine = _adversary_lp(eps1, chi, h1, h_block)(np.array([eps]))[0]
+            mine = _adversary_lp(np.array([eps]), eps1, chi, h1, h_block)[0]
             assert mine == pytest.approx(best, abs=2e-3)
 
     def test_ratio_bounds(self):
@@ -465,6 +467,12 @@ class TestTradeoff:
         (3.0, ("0x1.24267a4267a42p+0", "0x1.2133d2133d210p-3",
                "0x1.a53808ca29c0bp+3", "0x1.236d5fb294873p-4",
                "0x1.131fd8f2619d6p-1")),
+        (1.8, ("0x1.189a43d2c8cf8p-2", "0x1.e567109f959c4p-2",
+               "0x1.6016719f36018p-1", "0x1.31e8c0e35066ep-6",
+               "0x1.04deeb8aa3bf8p-1")),
+        (2.5, ("0x1.4c33995582b9fp-1", "0x1.30ce65560ae80p-3",
+               "0x1.228359cd116c3p+3", "0x1.e3c673b0ed5b1p-5",
+               "0x1.101119ca7f510p-1")),
     ])
     def test_balance_points_pinned(self, b, expected):
         # (mu1, tau, mu2, eps1, ratio) with the adversary LP solved exactly
@@ -482,9 +490,17 @@ class TestTradeoff:
         (3.0, ("0x1.8000000000000p+1", "simple", "0x1.0000000000000p+0",
                "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
                "0x1.252d293bd429ep-1")),
+        (1.5 + 1e-7, ("0x1.800001ad7f29bp+0", "balance", "0x1.12e0be851eb85p-28",
+                      "0x1.fffff98ebb88cp-2", "0x1.a4e8290bd6011p-22",
+                      "0x1.58ce91d797ff6p-37", "0x1.000010c6f8ba3p-1")),
+        (2.5, ("0x1.4000000000000p+1", "simple", "0x1.0000000000000p-1",
+               "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0",
+               "0x1.1b912ce857456p-1")),
     ])
     def test_curve_points_pinned(self, b, expected):
         # Every field of best_tradeoff, with the adversary LP solved exactly.
+        # np.linspace over the search's row endpoints changes formula for
+        # every row once any row has zero width; no row here has.
         p = best_tradeoff(b)
         assert (p.b.hex(), p.source, *(v.hex() for v in (
             p.mu1, p.tau, p.mu2, p.eps1, p.ratio))) == expected
@@ -531,6 +547,24 @@ class TestTradeoff:
         assert tradeoff_objective(eps1, mu1, mu2, tau) <= _dense_objective(
             eps1, mu1, mu2, tau) + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu1=st.floats(0.01, 1.5),
+        tau=st.just(0.0) | st.floats(0.0, 0.99),
+        mu2=st.floats(0.01, 3.0) | st.floats(3.0, 50.0),
+        fracs=st.lists(st.sampled_from([1.0, 1e-3]) | st.floats(1e-3, 1.0),
+                       min_size=1, max_size=12),
+    )
+    @example(mu1=0.2, tau=0.0, mu2=3.0, fracs=[1.0, 1e-3])
+    @example(mu1=0.25, tau=0.25, mu2=3.0, fracs=[1e-3, 0.5, 1.0])
+    def test_row_scorer_matches_pair_reference(self, mu1, tau, mu2, fracs):
+        # One row per eps1, the LP scored only below it and its X = 0 cell
+        # once per deficit: the same floats as scoring each pair alone.
+        cap = min(0.5, mu1 / (16.0 * tau) * 0.98) if tau > 0.0 else 0.5
+        eps1s = cap * np.array(fracs)
+        expected = [pair_objective(float(e), mu1, mu2, tau) for e in eps1s]
+        assert _objectives(eps1s, mu1, mu2, tau).tolist() == expected
+
     @settings(max_examples=200, deadline=None)
     @given(**_LP_CASES)
     @_lp_examples(with_row=False)
@@ -540,7 +574,7 @@ class TestTradeoff:
         # agree only to rounding.
         h_block, eps = np.array(h_block), np.array(eps)
         dense = [_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps]
-        assert (_adversary_lp(eps1, chi, h1, h_block)(eps) <= np.add(dense, 1e-12)).all()
+        assert (_adversary_lp(eps, eps1, chi, h1, h_block) <= np.add(dense, 1e-12)).all()
 
     @settings(max_examples=200, deadline=None)
     @given(**_LP_CASES, row=st.integers(0, 120))
@@ -550,7 +584,7 @@ class TestTradeoff:
         # minimum is the X = 0 value shared by every row, and the LP is row's.
         alone = np.full(121, h1 * (1.0 + chi) + 1.0)
         alone[row] = h_block[row]
-        mine = _adversary_lp(eps1, chi, h1, alone)(np.array(eps))
+        mine = _adversary_lp(np.array(eps), eps1, chi, h1, alone)
         exact = [_linprog_row(e, eps1, chi, h1, _EPS_S_GRID[row], h_block[row])
                  for e in eps]
         np.testing.assert_allclose(mine, exact, rtol=0.0, atol=1e-12)
@@ -570,7 +604,7 @@ class TestTradeoff:
         h_block = np.array(h_block)
         eps = np.minimum(eps1 + np.array(fracs) * (0.5 - eps1), 0.5)
         trivial = 0.5 / (1.0 - eps)
-        mine = np.maximum(trivial, _adversary_lp(eps1, chi, h1, h_block)(eps))
+        mine = np.maximum(trivial, _adversary_lp(eps, eps1, chi, h1, h_block))
         dense = [max(t, _dense_lp(float(e), eps1, chi, h1, h_block))
                  for t, e in zip(trivial, eps)]
         assert np.array_equal(mine, trivial)
