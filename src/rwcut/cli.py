@@ -14,10 +14,8 @@ import os
 import secrets
 import sys
 import time
-import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning
 
 from . import bench, graph, localcut, solver, spectral
 from .errors import (InvalidInputError, InvalidParamsError, ParseError, ResourceError,
@@ -156,20 +154,8 @@ def cmd_tradeoff(args) -> int:
     bs = args.b if args.b else [1.6, 2.0, 3.0]
     if not all(1.5 < b < float("inf") for b in bs):  # also refuses nan
         return _fail("every b must be finite and exceed 1.5", EXIT_PARAMS)
-    points = []
-    for b in bs:  # every point before printing, so a refused b prints nothing
-        # Near b = 1.5 quad can miss its tolerance: one line per such b, not
-        # scipy's paragraph per integral.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            points.append(solver.best_tradeoff(b))
-        inexact = [w for w in caught if issubclass(w.category, IntegrationWarning)]
-        if inexact:
-            print(f"warning: b = {b:.12g}: quad missed its tolerance; the ratio "
-                  f"may be inexact", file=sys.stderr)
-        for w in caught:
-            if w not in inexact:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    # Every point before printing, so a refused b prints nothing.
+    points = [solver.best_tradeoff(b) for b in bs]
     print("b,source,mu1,tau,mu2,eps1,ratio")
     for point in points:
         print(f"{point.b:.12g},{point.source},{point.mu1:.6f},{point.tau:.6f},"

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bench import BRUTE_FORCE_MAX_N, brute_force_maxcut, greedy_cut
 from .errors import InvalidParamsError
@@ -43,12 +42,18 @@ def z_star(eps: float, mu: float) -> float:
     return eps / root if eps < root else 1.0
 
 
+# 16-point Gauss-Legendre nodes and weights on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = (v.tolist() for v in np.polynomial.legendre.leggauss(16))
+
+
 @lru_cache(maxsize=65536)
 def h_fn(eps: float, mu: float) -> float:
     """Guaranteed cut fraction of the recursive solver at deficit eps.
 
     z*/2 plus the integral over z in [z*, 1] of the per-level quality floor
-    soto(sigma(eps/z, mu)), by adaptive quadrature.
+    soto(sigma(eps/z, mu)).  In t = ln z the integrand is z soto(sigma(eps/z,
+    mu)), which the 16-point Gauss-Legendre rule integrates on each side of
+    its kink.
     """
     if eps < 0.0 or mu <= 0.0:
         raise InvalidParamsError("eps must be >= 0 and mu > 0")
@@ -57,13 +62,17 @@ def h_fn(eps: float, mu: float) -> float:
     zs = z_star(eps, mu)
     if zs >= 1.0:
         return 0.5
-
-    def integrand(z: float) -> float:
-        return soto_fn(sigma_fn(min(eps / z, 1.0), mu))
-
-    seam = sigma_inv(SIGMA0, mu)  # the integrand's kink is at z = eps / seam
-    points = [eps / seam] if eps < seam and zs < eps / seam else None
-    integral, _err = quad(integrand, zs, 1.0, points=points, epsabs=1e-9, limit=200)
+    kink = eps / sigma_inv(SIGMA0, mu)  # where sigma(eps/z, mu) = SIGMA0
+    ends = [zs, kink, 1.0] if zs < kink < 1.0 else [zs, 1.0]
+    integral = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        a, b = math.log(lo), math.log(hi)
+        half, mid = (b - a) / 2.0, (b + a) / 2.0
+        total = 0.0
+        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            z = math.exp(mid + half * x)
+            total += w * z * soto_fn(sigma_fn(min(eps / z, 1.0), mu))
+        integral += half * total
     return zs / 2.0 + integral
 
 
@@ -555,6 +564,9 @@ def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float
     the adversary LP solved exactly in the block edge share and over the
     block deficit grid.  tau must lie in [0, 1).
     """
+    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+        if not 0.0 < mu < math.inf:  # also refuses nan
+            raise InvalidParamsError(f"{name} = {mu!r} must be positive and finite")
     if not (0.0 < eps1 <= 0.5):
         raise InvalidParamsError("eps1 must lie in (0, 0.5]")
     if not (0.0 <= tau < 1.0):  # also refuses nan

@@ -52,6 +52,14 @@ def test_graph_import_stays_light():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_module_loads_scipy_integrate():
+    # scipy.integrate is most of a command's start-up time, and no module needs it.
+    imports = "".join(f"import rwcut.{module}\n" for module in MODULES)
+    proc = run_python(f"import sys\n{imports}print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _named(node, modules):
     """The names node's code reads: bare names, and attributes of a module
     imported whole (as in `graph.load_graph`).  A name assigned, such as a

@@ -50,20 +50,20 @@ def _soto_independent(sigma):
     return out
 
 
-def _h_riemann(eps, mu, points=1_000_000):
-    """Midpoint Riemann oracle with closed-form z*."""
+def _h_riemann(eps, mu, cells=2**20):
+    """Midpoint rule in t = ln z, where the integrand is z soto(sigma(eps/z)),
+    with closed-form z*."""
     if eps == 0.0:
         return 1.0
     denom = 1.0 - (2.0 / 3.0) ** (mu / (1.0 + mu))
     zs = min(1.0, eps / denom)
     if zs >= 1.0:
         return 0.5
-    z = np.linspace(zs, 1.0, points + 1)
-    mid = 0.5 * (z[:-1] + z[1:])
-    x = np.minimum(eps / mid, 1.0)
+    width = -math.log(zs) / cells
+    z = np.exp(math.log(zs) + width * (np.arange(cells) + 0.5))
+    x = np.minimum(eps / z, 1.0)
     sigma = 1.0 - (1.0 - x) ** (1.0 + 1.0 / mu)
-    vals = _soto_independent(sigma)
-    return zs / 2.0 + float(vals.mean()) * (1.0 - zs)
+    return zs / 2.0 + width * float(np.sum(z * _soto_independent(sigma)))
 
 
 def _dense_lp(eps, eps1, chi, h1, h_block):
@@ -175,11 +175,16 @@ class TestHFunction:
             assert np.all(second >= -1e-6)
 
     def test_matches_riemann_oracle(self):
+        # Log-uniform draws, and mu = 1e-7, where 1 - eps/z rounds enough that
+        # sigma_fn is off by about 1e-9: the rule samples that rounding at 16
+        # or 32 nodes, so its error is largest there (6.1e-10 at eps = 1e-9).
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            eps = float(rng.uniform(0.005, 0.5))
-            mu = float(rng.uniform(0.2, 3.0))
-            assert abs(h_fn(eps, mu) - _h_riemann(eps, mu)) < 1e-4
+        cases = [(1e-9, 1e-7), (2e-9, 1e-7), (1e-8, 1e-7)]
+        cases += [(float(np.exp(rng.uniform(math.log(1e-9), math.log(0.5)))),
+                   float(np.exp(rng.uniform(math.log(1e-7), math.log(1e6)))))
+                  for _ in range(60)]
+        for eps, mu in cases:
+            assert abs(h_fn(eps, mu) - _h_riemann(eps, mu)) < 1e-9, (eps, mu)
 
     def test_z_star_boundary(self):
         assert z_star(0.0, 1.0) == 0.0
@@ -517,6 +522,13 @@ class TestTradeoff:
     def test_tau_outside_unit_interval_refused(self, tau):
         with pytest.raises(InvalidParamsError, match=r"must lie in \[0, 1\)"):
             tradeoff_objective(0.03, 0.2, 3.0, tau)
+
+    @pytest.mark.parametrize("mu1, mu2", [(-1.0, 3.0), (0.0, 3.0), (math.inf, 3.0),
+                                          (math.nan, 3.0), (0.2, -1.0), (0.2, 0.0),
+                                          (0.2, math.inf), (0.2, math.nan)])
+    def test_mu_not_positive_and_finite_refused(self, mu1, mu2):
+        with pytest.raises(InvalidParamsError, match="must be positive and finite"):
+            tradeoff_objective(0.03, mu1, mu2, 0.2)
 
     @pytest.mark.parametrize("b", [1.5 + 1e-7, 1.5 + 1e-9, 1.5 + 1e-10,
                                    1.5 + 2**-51, 1.5 + 2**-52])
