@@ -158,8 +158,8 @@ def cmd_tradeoff(args) -> int:
     points = [solver.best_tradeoff(b) for b in bs]
     print("b,source,mu1,tau,mu2,eps1,ratio")
     for point in points:
-        print(f"{point.b:.12g},{point.source},{point.mu1:.6f},{point.tau:.6f},"
-              f"{point.mu2:.6f},{point.eps1:.6f},{point.ratio:.6f}")
+        print(f"{point.b:.12g},{point.source},{point.mu1:.12g},{point.tau:.12g},"
+              f"{point.mu2:.12g},{point.eps1:.12g},{point.ratio:.6f}")
     return EXIT_OK
 
 

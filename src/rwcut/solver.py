@@ -470,27 +470,18 @@ class TradeoffPoint:
     source: str = "balance"
 
 
-def _refined_min(f, lo: np.ndarray, hi: np.ndarray, sizes) -> np.ndarray:
-    """Per row, the minimum of f over a grid of sizes[0] points on [lo, hi],
-    refined by each further size to a grid spanning the minimizer's two
-    neighbours.  f maps a (rows, size) grid array to its values."""
-    rows = np.arange(len(lo))
-    for size in sizes:
-        grid = np.linspace(lo, hi, size, axis=-1)
-        vals = f(grid)
-        i = np.argmin(vals, axis=-1)
-        lo, hi = grid[rows, np.maximum(i - 1, 0)], grid[rows, np.minimum(i + 1, size - 1)]
-    return vals[rows, i]
-
-
 def simple_ratio(mu: float) -> float:
-    """Worst-case ratio of the deficit-sweep solver: min over eps of
-    H(eps, mu) / (1 - eps)."""
+    """Worst-case ratio of the deficit-sweep solver: min of H(eps, mu) / (1 - eps)
+    on a 400-point eps grid over [1e-4, 1/2], refined by 120 points."""
     if mu <= 0.0:
         raise InvalidParamsError("mu must be positive")
-    return float(_refined_min(
-        lambda eps: np.array([[h_fn(float(e), float(mu)) / (1.0 - float(e)) for e in eps[0]]]),
-        [1e-4], [0.5], (400, 120))[0])
+    lo, hi = 1e-4, 0.5
+    for size in (400, 120):
+        grid = np.linspace(lo, hi, size).tolist()
+        vals = [h_fn(e, float(mu)) / (1.0 - e) for e in grid]
+        i = vals.index(min(vals))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, size - 1)]
+    return vals[i]
 
 
 def _chi(eps1: float, mu1: float, tau: float) -> float:
@@ -504,13 +495,14 @@ def _chi(eps1: float, mu1: float, tau: float) -> float:
 
 
 _EPS_S_GRID = np.linspace(0.0, 0.5, 121)
+_EPS_LO, _EPS_HI = 1e-6, 0.5  # the adversary's deficit range in tradeoff_objective
 
 
-def _adversary_lp(eps: np.ndarray, eps1, chi, h1, h_block: np.ndarray) -> np.ndarray:
-    """Adversary's cheapest edge split per deficit eps, as a ratio to 1 - eps;
-    eps1, chi and h1 are scalars or hold one value per deficit.
+def _adversary_lp(eps, eps1, chi, h1, h_block: np.ndarray) -> np.ndarray:
+    """Adversary's cheapest edge split at deficit eps, one row (axis 0) per
+    block deficit eps_S of the grid, with block value h_block; eps, eps1, chi
+    and h1 broadcast against (121, k).
 
-    One row per block deficit eps_S of the grid, with block value h_block.
     The final-round share Z sits at its upper bound min(1 - (1+chi) X,
     (eps - eps_S X) / eps1), since its objective coefficient 1/2 - H1 is at
     most 0 (h_fn is at least 1/2); Y is eliminated by the simplex
@@ -532,37 +524,37 @@ def _adversary_lp(eps: np.ndarray, eps1, chi, h1, h_block: np.ndarray) -> np.nda
         last = np.fmin(1.0 / (1.0 + chi), eps / es)
         kink = (eps1 - eps) / (eps1 * (1.0 + chi) - es)
     kink = np.fmin(np.fmax(kink, 0.0), last)  # a 0/0 kink scores X = 0
-    low = np.minimum(score(last), score(kink)).min(axis=0)
-    return np.minimum(score(0.0, es=0.0, gain=0.0), low) / (1.0 - eps)
+    return np.minimum(score(0.0, es=0.0, gain=0.0), np.minimum(score(last), score(kink)))
 
 
 def _objectives(eps1s: np.ndarray, mu1: float, mu2: float, tau: float) -> np.ndarray:
     """tradeoff_objective for each eps1 of the array eps1s at one (mu1, mu2,
-    tau).  The block values are computed once, and the LP is scored only at
-    deficits below each eps1: at or above it, the trivial bound wins."""
+    tau), with the block values computed once.
+
+    A row's LP value V falls as eps grows, and is linear in eps between its
+    knots eps1 and eps_S/(1+chi), where a vertex of its feasible set meets a
+    bound.  As (1+chi) X + Y + Z = 1, V - 1/2 = (H_S - 1/2) X + (H1 - 1/2) Y
+    >= 0, so V/(1 - eps) is monotone on each piece, and each row's minimum
+    lies at a knot or at an end of [_EPS_LO, _EPS_HI].  The trivial half cut
+    max(1/2, .) changes V only by rounding.
+    """
     chi = np.array([_chi(float(e), mu1, tau) for e in eps1s])
     h1 = np.array([h_fn(float(e), float(mu1)) for e in eps1s])
     h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
-
-    def guaranteed(eps: np.ndarray) -> np.ndarray:
-        out = 0.5 / (1.0 - eps)
-        live = eps < eps1s[:, None]
-        row = np.nonzero(live)[0]
-        lp = _adversary_lp(eps[live], eps1s[row], chi[row], h1[row], h_block)
-        out[live] = np.maximum(out[live], lp)
-        return out
-
-    return _refined_min(guaranteed, np.full(eps1s.shape, 1e-6),
-                        np.full(eps1s.shape, 0.5), (61, 31, 31))
+    ends = np.broadcast_arrays(_EPS_LO, eps1s, _EPS_S_GRID[:, None] / (1.0 + chi), _EPS_HI)
+    knots = np.clip(np.stack(ends, axis=-1), _EPS_LO, _EPS_HI)  # (121, eps1, 4)
+    per_knot = (np.repeat(a, 4) for a in (eps1s, chi, h1))
+    v = _adversary_lp(knots.reshape(len(_EPS_S_GRID), -1), *per_knot, h_block).reshape(knots.shape)
+    return (np.maximum(v, 0.5) / (1.0 - knots)).min(axis=(0, 2))
 
 
 def tradeoff_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float:
     """Worst-case approximation ratio guaranteed for the given parameters.
 
-    Minimizes over the adversary's deficit eps in [0, 1/2] the better of the
-    trivial half cut 1/(2(1-eps)) and the block/threshold accounting bound,
-    the adversary LP solved exactly in the block edge share and over the
-    block deficit grid.  tau must lie in [0, 1).
+    Minimizes exactly over the adversary's deficit eps in [1e-6, 1/2] the
+    better of the trivial half cut 1/(2(1-eps)) and the block/threshold
+    accounting bound, the adversary LP solved exactly in the block edge
+    share and over the block deficit grid.  tau must lie in [0, 1).
     """
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         if not 0.0 < mu < math.inf:  # also refuses nan

@@ -30,14 +30,15 @@ _LOG_POWER_MAX = 700.0
 
 
 def sigma_fn(eps: float, mu: float) -> float:
-    """Uncut-fraction surrogate 1 - (1-eps)^(1 + 1/mu), clamped to [0, 1]."""
+    """Uncut-fraction surrogate 1 - (1-eps)^(1 + 1/mu), clamped to [0, 1];
+    through log1p and expm1, so accurate to rounding however small mu is."""
     if not mu > 0.0:  # also refuses nan
         raise InvalidParamsError("mu must be positive")
     if not eps >= 0.0:
         raise InvalidParamsError("eps must be nonnegative")
     if eps >= 1.0:
         return 1.0
-    return 1.0 - (1.0 - eps) ** (1.0 + 1.0 / mu)
+    return 0.0 - math.expm1((1.0 + 1.0 / mu) * math.log1p(-eps))  # +0.0 at eps = 0
 
 
 def sigma_inv(s: float, mu: float) -> float:

@@ -2,8 +2,7 @@
 
 None of these runs in the library.  Each keeps the float operations it had
 where tests pin bit-identical results: threshold._first_passes computes its
-estimates as signed_estimates does, and solver._objectives scores each eps1
-as pair_objective does.
+estimates as signed_estimates does.
 """
 
 import math
@@ -13,7 +12,6 @@ import numpy as np
 
 from rwcut.errors import InvalidInputError
 from rwcut.graph import EVEN, ODD, UNCLASSIFIED, WeightedGraph, _as_index_array, _rows, conductance
-from rwcut.solver import _EPS_S_GRID, _chi, h_fn
 from rwcut.spectral import LaplacianOperator
 from rwcut.walks import WalkTally, exact_walk_distribution
 
@@ -135,47 +133,3 @@ def power_laplacian_vector(g: WeightedGraph, start: int, length: int) -> np.ndar
     for _ in range(length):
         v = 0.5 * op.apply(v)
     return v
-
-
-def _refined_min(f, lo: float, hi: float, sizes) -> float:
-    """Minimum of f over a grid of sizes[0] points on [lo, hi], refined by
-    each further size to a grid spanning the minimizer's two neighbours."""
-    for size in sizes:
-        grid = np.linspace(lo, hi, size)
-        vals = f(grid)
-        i = int(np.argmin(vals))
-        lo, hi = grid[max(0, i - 1)], grid[min(size - 1, i + 1)]
-    return float(vals[i])
-
-
-def _adversary_lp(eps1: float, chi: float, h1: float, h_block: np.ndarray):
-    """The adversary LP of one eps1, every row scored at X = 0, at X_last and
-    at the clipped kink, for every deficit."""
-    es = _EPS_S_GRID[:, None]
-    gain = (h_block + chi / 2.0)[:, None]
-
-    def score(eps, x):
-        a = 1.0 - (1.0 + chi) * x
-        z = np.clip(np.minimum(a, (eps - es * x) / eps1), 0.0, 1.0)
-        return gain * x + h1 * (a - z) + z / 2.0
-
-    def ratios(eps: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            last = np.fmin(1.0 / (1.0 + chi), eps / es)
-            kink = (eps1 - eps) / (eps1 * (1.0 + chi) - es)
-        kink = np.fmin(np.fmax(kink, 0.0), last)
-        low = np.minimum(np.minimum(score(eps, 0.0), score(eps, last)), score(eps, kink))
-        return low.min(axis=0) / (1.0 - eps)
-
-    return ratios
-
-
-def pair_objective(eps1: float, mu1: float, mu2: float, tau: float) -> float:
-    """tradeoff_objective scored one (eps1, mu1) pair at a time: its own
-    block values, and the LP on every deficit, eps >= eps1 included."""
-    chi = _chi(eps1, mu1, tau)
-    h1 = h_fn(float(eps1), float(mu1))
-    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
-    lp = _adversary_lp(eps1, chi, h1, h_block)
-    return _refined_min(lambda eps: np.maximum(0.5 / (1.0 - eps), lp(eps)),
-                        1e-6, 0.5, (61, 31, 31))

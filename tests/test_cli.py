@@ -180,22 +180,30 @@ class TestTradeoff:
     # compares the default run too.
     @pytest.mark.parametrize("args, stdout", [
         ([], "b,source,mu1,tau,mu2,eps1,ratio\n"
-             "1.6,balance,0.117108,0.517108,0.160299,0.007584,0.503821\n"
-             "2,balance,0.179307,0.179307,4.577016,0.031129,0.515837\n"
-             "3,simple,1.000000,0.000000,1.000000,0.000000,0.572610\n"),
+             "1.6,balance,0.117108225108,0.517108225108,0.160298697385,0.00758428909106,0.503821\n"
+             "2,balance,0.175497835498,0.175497835498,4.69807597435,0.031129229798,0.515879\n"
+             "3,simple,1,0,1,0,0.572610\n"),
         (["--b", "1.8", "--b", "2.4"], "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1.8,balance,0.274026,0.474026,0.687671,0.018671,0.509513\n"
-         "2.4,simple,0.400000,0.000000,0.400000,0.000000,0.547711\n"),
-        # b keeps the digits that tell it from 1.5, which the command refuses.
+         "1.8,balance,0.274025974026,0.474025974026,0.687671232877,0.0186712154075,0.509513\n"
+         "2.4,simple,0.4,0,0.4,0,0.547711\n"),
+        # b keeps the digits that tell it from 1.5, which the command refuses,
+        # and the parameters theirs, which are far below 1e-6.
         (["--b", "1.5000001"], "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1.5000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"),
+         "1.5000001,balance,4.00000000234e-09,0.499999904,3.92000075724e-07,"
+         "9.80000188732e-12,0.500001\n"),
         # Two b next to 1.5, where the mu1 region is at most 2e-7 wide, around one
         # where it is not.
         (["--b", "1.5000001", "--b", "2", "--b", "1.5000000001"],
          "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1.5000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"
-         "2,balance,0.179307,0.179307,4.577016,0.031129,0.515837\n"
-         "1.5000000001,balance,0.000000,0.500000,0.000000,0.000000,0.500001\n"),
+         "1.5000001,balance,4.00000000234e-09,0.499999904,3.92000075724e-07,"
+         "9.80000188732e-12,0.500001\n"
+         "2,balance,0.175497835498,0.175497835498,4.69807597435,0.031129229798,0.515879\n"
+         "1.5000000001,balance,4.00000033096e-12,0.499999999904,3.92000210145e-10,"
+         "9.80000081274e-15,0.500001\n"),
+        # A huge b, answered by the deficit-sweep solver: mu1 = b - 2 prints in
+        # 12 significant digits, as b does.
+        (["--b", "1e300"], "b,source,mu1,tau,mu2,eps1,ratio\n"
+         "1e+300,simple,1e+300,0,1e+300,0,0.614247\n"),
     ])
     def test_stdout_pinned(self, args, stdout):
         proc = run_cli(["tradeoff", *args])

@@ -13,6 +13,8 @@ from rwcut.bench import brute_force_maxcut, gen_planted, greedy_cut
 from rwcut.errors import InvalidParamsError, ResourceError
 from rwcut.graph import WeightedGraph, cut_value, load_graph
 from rwcut.solver import (
+    _EPS_HI,
+    _EPS_LO,
     _EPS_S_GRID,
     _adversary_lp,
     _chi,
@@ -31,7 +33,6 @@ from rwcut.solver import (
 from rwcut.walks import STEP_CAP
 
 from conftest import complete_bipartite, planted_file, random_graph
-from oracles import pair_objective
 
 SIGMA0 = 0.22815
 
@@ -67,7 +68,8 @@ def _h_riemann(eps, mu, cells=2**20):
 
 
 def _dense_lp(eps, eps1, chi, h1, h_block):
-    """The adversary LP scored on the full 121 x 121 grid (reference)."""
+    """Each row's adversary LP value scored on a 121-point block-share grid
+    (reference)."""
     es = _EPS_S_GRID[:, None]
     x = np.linspace(0.0, 1.0 / (1.0 + chi), 121)[None, :]
     feasible = es * x <= eps + 1e-15
@@ -75,8 +77,7 @@ def _dense_lp(eps, eps1, chi, h1, h_block):
     z = np.clip(z, 0.0, 1.0)
     y = 1.0 - (1.0 + chi) * x - z
     value = (h_block[:, None] + chi / 2.0) * x + h1 * y + z / 2.0
-    value = np.where(feasible & (y >= -1e-12), value, np.inf)
-    return float(value.min()) / (1.0 - eps)
+    return np.where(feasible & (y >= -1e-12), value, np.inf).min(axis=1)
 
 
 def _dense_objective(eps1, mu1, mu2, tau):
@@ -86,7 +87,7 @@ def _dense_objective(eps1, mu1, mu2, tau):
     h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
 
     def guaranteed(eps):
-        return max(0.5 / (1.0 - eps), _dense_lp(eps, eps1, chi, h1, h_block))
+        return max(0.5, float(_dense_lp(eps, eps1, chi, h1, h_block).min())) / (1.0 - eps)
 
     grid = np.linspace(1e-6, 0.5, 61)
     vals = [guaranteed(float(e)) for e in grid]
@@ -106,13 +107,26 @@ def _x_column(chi, c):
 
 
 def _linprog_row(eps, eps1, chi, h1, es, hs):
-    """One row of the adversary LP, solved by HiGHS in (X, Z) with Y
-    eliminated by the simplex constraint, as a ratio to 1 - eps."""
+    """One row's adversary LP value, solved by HiGHS in (X, Z) with Y
+    eliminated by the simplex constraint."""
     res = linprog([hs + chi / 2.0 - h1 * (1.0 + chi), 0.5 - h1],
                   A_ub=[[es, eps1], [1.0 + chi, 1.0]], b_ub=[eps, 1.0],
                   bounds=[(0.0, None), (0.0, 1.0)], method="highs")
     assert res.status == 0, res.message
-    return (res.fun + h1) / (1.0 - eps)
+    return res.fun + h1
+
+
+def _dense_eps_objective(eps1, mu1, mu2, tau, points=200_001):
+    """tradeoff_objective minimized over a uniform grid of the adversary's
+    deficit instead of exactly (reference), scored in chunks of the grid."""
+    chi = _chi(eps1, mu1, tau)
+    h1 = h_fn(float(eps1), float(mu1))
+    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
+    best = math.inf
+    for eps in np.array_split(np.linspace(_EPS_LO, _EPS_HI, points), 40):
+        v = _adversary_lp(eps, eps1, chi, h1, h_block).min(axis=0)
+        best = min(best, float((np.maximum(v, 0.5) / (1.0 - eps)).min()))
+    return best
 
 
 _LP_CASES = dict(
@@ -438,7 +452,7 @@ class TestTradeoff:
                         v = (hs + chi / 2) * x + h1 * max(y, 0.0) + z / 2
                         best = min(best, v / (1 - eps))
             h_block = np.array([h_fn(float(e), mu2) for e in _EPS_S_GRID])
-            mine = _adversary_lp(np.array([eps]), eps1, chi, h1, h_block)[0]
+            mine = _adversary_lp(np.array([eps]), eps1, chi, h1, h_block).min() / (1 - eps)
             assert mine == pytest.approx(best, abs=2e-3)
 
     def test_ratio_bounds(self):
@@ -454,7 +468,7 @@ class TestTradeoff:
 
     def test_simple_ratio_reference_value(self):
         assert simple_ratio(1.0) == pytest.approx(0.5727, abs=0.002)
-        assert simple_ratio(1.0).hex() == "0x1.252d293bd429ep-1"
+        assert simple_ratio(1.0).hex() == "0x1.252d293bd429fp-1"
 
     def test_monotone_in_b(self):
         points = [best_tradeoff(b) for b in (1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0)]
@@ -465,22 +479,23 @@ class TestTradeoff:
     @pytest.mark.parametrize("b, expected", [
         (1.6, ("0x1.dfacdfceeb3f3p-4", "0x1.08c268c6aa34cp-1",
                "0x1.484aaef6decbfp-3", "0x1.f10b419c08693p-8",
-               "0x1.01f4dca4897e4p-1")),
-        (2.0, ("0x1.6f38b26142017p-3", "0x1.6f38b26142010p-3",
-               "0x1.24edd43dce4f6p+2", "0x1.fe0573fba5c21p-6",
-               "0x1.081bc91d6ea7cp-1")),
+               "0x1.01f4d7ae5b27ep-1")),
+        (2.0, ("0x1.676b68bfdb1e3p-3", "0x1.676b68bfdb1e0p-3",
+               "0x1.2cad46d9fc365p+2", "0x1.fe0573fba5c1bp-6",
+               "0x1.082150cb595f3p-1")),
         (3.0, ("0x1.24267a4267a42p+0", "0x1.2133d2133d210p-3",
                "0x1.a53808ca29c0bp+3", "0x1.236d5fb294873p-4",
                "0x1.131fd8f2619d6p-1")),
         (1.8, ("0x1.189a43d2c8cf8p-2", "0x1.e567109f959c4p-2",
                "0x1.6016719f36018p-1", "0x1.31e8c0e35066ep-6",
-               "0x1.04deeb8aa3bf8p-1")),
+               "0x1.04deeb1293fc3p-1")),
         (2.5, ("0x1.4c33995582b9fp-1", "0x1.30ce65560ae80p-3",
                "0x1.228359cd116c3p+3", "0x1.e3c673b0ed5b1p-5",
-               "0x1.101119ca7f510p-1")),
+               "0x1.10111957f1ef0p-1")),
     ])
     def test_balance_points_pinned(self, b, expected):
-        # (mu1, tau, mu2, eps1, ratio) with the adversary LP solved exactly
+        # (mu1, tau, mu2, eps1, ratio), the adversary LP solved exactly in the
+        # block share and the adversary's deficit
         p = balance_tradeoff(b)
         assert (p.b, p.source) == (b, "balance")
         assert tuple(v.hex() for v in (p.mu1, p.tau, p.mu2, p.eps1, p.ratio)) == expected
@@ -488,13 +503,13 @@ class TestTradeoff:
     @pytest.mark.parametrize("b, expected", [
         (1.6, ("0x1.999999999999ap+0", "balance", "0x1.dfacdfceeb3f3p-4",
                "0x1.08c268c6aa34cp-1", "0x1.484aaef6decbfp-3",
-               "0x1.f10b419c08693p-8", "0x1.01f4dca4897e4p-1")),
-        (2.0, ("0x1.0000000000000p+1", "balance", "0x1.6f38b26142017p-3",
-               "0x1.6f38b26142010p-3", "0x1.24edd43dce4f6p+2",
-               "0x1.fe0573fba5c21p-6", "0x1.081bc91d6ea7cp-1")),
+               "0x1.f10b419c08693p-8", "0x1.01f4d7ae5b27ep-1")),
+        (2.0, ("0x1.0000000000000p+1", "balance", "0x1.676b68bfdb1e3p-3",
+               "0x1.676b68bfdb1e0p-3", "0x1.2cad46d9fc365p+2",
+               "0x1.fe0573fba5c1bp-6", "0x1.082150cb595f3p-1")),
         (3.0, ("0x1.8000000000000p+1", "simple", "0x1.0000000000000p+0",
                "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
-               "0x1.252d293bd429ep-1")),
+               "0x1.252d293bd429fp-1")),
         (1.5 + 1e-7, ("0x1.800001ad7f29bp+0", "balance", "0x1.12e0be851eb85p-28",
                       "0x1.fffff98ebb88cp-2", "0x1.a4e8290bd6011p-22",
                       "0x1.58ce91d797ff6p-37", "0x1.000010c6f8ba3p-1")),
@@ -503,7 +518,8 @@ class TestTradeoff:
                "0x1.1b912ce857456p-1")),
     ])
     def test_curve_points_pinned(self, b, expected):
-        # Every field of best_tradeoff, with the adversary LP solved exactly.
+        # Every field of best_tradeoff, with the adversary LP solved exactly in
+        # the block share and the adversary's deficit.
         # np.linspace over the search's row endpoints changes formula for
         # every row once any row has zero width; no row here has.
         p = best_tradeoff(b)
@@ -544,20 +560,42 @@ class TestTradeoff:
             balance_params(b, p.mu1)
             assert p.ratio >= 0.5
 
-    @settings(max_examples=40, deadline=None)
-    @given(
+    _OBJECTIVE_CASES = dict(
         mu1=st.floats(0.01, 1.5),
         tau=st.just(0.0) | st.floats(0.0, 0.99),
         mu2=st.floats(0.01, 3.0) | st.floats(3.0, 50.0),
         frac=st.just(1.0) | st.floats(1e-3, 1.0),
     )
+    # eps1 = 0.06025690795091769, where a (61, 31, 31) refinement over the
+    # adversary's deficit settled on the wrong tooth of the sawtooth ratio
+    # and gave 0.5091553368; the minimum is 0.5091141832.
+    _SAWTOOTH = dict(mu1=1.0, tau=0.5, mu2=0.5, frac=0.49189312612994035)
+
+    @staticmethod
+    def _eps1(mu1, tau, frac):
+        cap = min(0.5, mu1 / (16.0 * tau) * 0.98) if tau > 0.0 else 0.5
+        return cap * frac
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_OBJECTIVE_CASES)
+    @example(**_SAWTOOTH)
     def test_objective_at_most_dense_grid(self, mu1, tau, mu2, frac):
         # The dense grid's X values are feasible points of every row, so its
         # minimum can only be higher, up to rounding.
-        cap = min(0.5, mu1 / (16.0 * tau) * 0.98) if tau > 0.0 else 0.5
-        eps1 = cap * frac
+        eps1 = self._eps1(mu1, tau, frac)
         assert tradeoff_objective(eps1, mu1, mu2, tau) <= _dense_objective(
             eps1, mu1, mu2, tau) + 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(**_OBJECTIVE_CASES)
+    @example(**_SAWTOOTH)
+    def test_objective_within_dense_eps_grid(self, mu1, tau, mu2, frac):
+        # Every grid deficit is a candidate of the exact minimum, so the grid
+        # can only be higher; and it is higher by at most the grid spacing,
+        # 2.5e-6, times the ratio's slope beside the minimizer.
+        eps1 = self._eps1(mu1, tau, frac)
+        dense = _dense_eps_objective(eps1, mu1, mu2, tau)
+        assert dense - 2e-6 <= tradeoff_objective(eps1, mu1, mu2, tau) <= dense + 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -570,12 +608,38 @@ class TestTradeoff:
     @example(mu1=0.2, tau=0.0, mu2=3.0, fracs=[1.0, 1e-3])
     @example(mu1=0.25, tau=0.25, mu2=3.0, fracs=[1e-3, 0.5, 1.0])
     def test_row_scorer_matches_pair_reference(self, mu1, tau, mu2, fracs):
-        # One row per eps1, the LP scored only below it and its X = 0 cell
-        # once per deficit: the same floats as scoring each pair alone.
-        cap = min(0.5, mu1 / (16.0 * tau) * 0.98) if tau > 0.0 else 0.5
-        eps1s = cap * np.array(fracs)
-        expected = [pair_objective(float(e), mu1, mu2, tau) for e in eps1s]
+        # Each eps1 is scored on its own knots, so an array of them gives the
+        # floats of their one-element calls.
+        eps1s = self._eps1(mu1, tau, np.array(fracs))
+        expected = [tradeoff_objective(float(e), mu1, mu2, tau) for e in eps1s]
         assert _objectives(eps1s, mu1, mu2, tau).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eps1=_LP_CASES["eps1"],
+        chi=_LP_CASES["chi"],
+        h1=_LP_CASES["h1"],
+        hs=st.just(0.5) | st.floats(0.5, 1.0),
+        row=st.integers(0, 120),
+    )
+    @example(eps1=0.1, chi=5.0, h1=0.51, hs=1.0, row=60)
+    @example(eps1=0.5, chi=0.0, h1=1.0, hs=0.5, row=120)
+    def test_lp_linear_between_knots(self, eps1, chi, h1, hs, row):
+        # The lemma that makes the deficit search exact, checked with HiGHS
+        # alone: between the knots eps1 and eps_S/(1+chi), clipped to the
+        # searched range, a row's LP value is linear in eps, and it is at
+        # least 1/2, so the ratio is monotone between knots.
+        es = float(_EPS_S_GRID[row])
+        knots = np.sort(np.clip([_EPS_LO, eps1, es / (1.0 + chi), _EPS_HI], _EPS_LO, _EPS_HI))
+        for lo, hi in zip(knots.tolist(), knots[1:].tolist()):
+            if hi <= lo:
+                continue
+            v_lo, v_hi = (_linprog_row(e, eps1, chi, h1, es, hs) for e in (lo, hi))
+            assert min(v_lo, v_hi) >= 0.5 - 1e-12
+            for eps in (lo + t * (hi - lo) for t in (0.1, 0.37, 0.5, 0.9)):
+                share = (eps - lo) / (hi - lo)
+                assert _linprog_row(eps, eps1, chi, h1, es, hs) == pytest.approx(
+                    v_lo + share * (v_hi - v_lo), rel=0.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(**_LP_CASES)
@@ -585,18 +649,14 @@ class TestTradeoff:
         # column holds a row's minimizer, as on a row flat in X, the two
         # agree only to rounding.
         h_block, eps = np.array(h_block), np.array(eps)
-        dense = [_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps]
-        assert (_adversary_lp(eps, eps1, chi, h1, h_block) <= np.add(dense, 1e-12)).all()
+        dense = np.array([_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps]).T
+        assert (_adversary_lp(eps, eps1, chi, h1, h_block) <= dense + 1e-12).all()
 
     @settings(max_examples=200, deadline=None)
     @given(**_LP_CASES, row=st.integers(0, 120))
     @_lp_examples(with_row=True)
     def test_adversary_lp_row_matches_linprog(self, eps1, chi, h1, h_block, eps, row):
-        # The other rows get a block value at which they rise in X, so their
-        # minimum is the X = 0 value shared by every row, and the LP is row's.
-        alone = np.full(121, h1 * (1.0 + chi) + 1.0)
-        alone[row] = h_block[row]
-        mine = _adversary_lp(np.array(eps), eps1, chi, h1, alone)
+        mine = _adversary_lp(np.array(eps), eps1, chi, h1, np.array(h_block))[row]
         exact = [_linprog_row(e, eps1, chi, h1, _EPS_S_GRID[row], h_block[row])
                  for e in eps]
         np.testing.assert_allclose(mine, exact, rtol=0.0, atol=1e-12)
@@ -612,15 +672,13 @@ class TestTradeoff:
     )
     def test_trivial_bound_decides_eps_at_least_eps1(self, eps1, chi, h1, h_block,
                                                      fracs):
-        # The X = 0 cell is 1/2 there, so no row can beat the trivial bound.
+        # The X = 0 cell is 1/2 there, so every row's value is at most 1/2,
+        # and the ratio there is the trivial bound 1/(2(1 - eps)).
         h_block = np.array(h_block)
         eps = np.minimum(eps1 + np.array(fracs) * (0.5 - eps1), 0.5)
-        trivial = 0.5 / (1.0 - eps)
-        mine = np.maximum(trivial, _adversary_lp(eps, eps1, chi, h1, h_block))
-        dense = [max(t, _dense_lp(float(e), eps1, chi, h1, h_block))
-                 for t, e in zip(trivial, eps)]
-        assert np.array_equal(mine, trivial)
-        assert np.array_equal(mine, dense)
+        dense = np.array([_dense_lp(float(e), eps1, chi, h1, h_block) for e in eps]).T
+        assert (_adversary_lp(eps, eps1, chi, h1, h_block) <= 0.5).all()
+        assert (dense <= 0.5).all()
 
     def test_eps_bar_formula(self):
         assert eps_bar(1.0) == pytest.approx(1.0 - 0.75**0.5)

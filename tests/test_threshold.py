@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -33,7 +34,21 @@ from oracles import cut_metrics, signed_estimates
 
 class TestSigma:
     def test_zero(self):
-        assert sigma_fn(0.0, 1.0) == 0.0
+        for mu in (1e-9, 1.0, 1e6):
+            assert math.copysign(1.0, sigma_fn(0.0, mu)) == 1.0  # +0.0, not -0.0
+
+    def test_matches_decimal_oracle(self):
+        # 1 - (1 - eps)^(1 + 1/mu) in 60-digit decimal arithmetic on the float
+        # inputs.  Taking the power of a rounded 1 - eps would be off by up to
+        # 3.4e-5 here, at mu = 1e-9.
+        ctx = decimal.Context(prec=60)
+        for mu in (10.0**k for k in range(-9, 7)):
+            m = decimal.Decimal(mu)
+            for eps in np.geomspace(1e-12, 0.999, 100).tolist():
+                power = ctx.multiply(1 + ctx.divide(1, m), ctx.ln(1 - decimal.Decimal(eps)))
+                exact = 1 - ctx.exp(power)
+                error = abs(decimal.Decimal(sigma_fn(eps, mu)) - exact) / exact
+                assert error <= decimal.Decimal("1e-15"), (eps, mu)
 
     def test_arithmetic(self):
         assert sigma_fn(0.1, 1.0) == pytest.approx(0.19)
