@@ -42,10 +42,11 @@ def sigma_fn(eps: float, mu: float) -> float:
 
 
 def sigma_inv(s: float, mu: float) -> float:
-    """The eps at which sigma_fn(eps, mu) reaches s: 1 - (1-s)^(mu/(1+mu))."""
+    """The eps at which sigma_fn(eps, mu) reaches s: 1 - (1-s)^(mu/(1+mu)),
+    through log1p and expm1 like sigma_fn."""
     if not mu > 0.0:
         raise InvalidParamsError("mu must be positive")
-    return 1.0 - (1.0 - s) ** (mu / (1.0 + mu))
+    return -math.expm1(mu / (1.0 + mu) * math.log1p(-s))
 
 
 def soto_fn(sigma: float) -> float:

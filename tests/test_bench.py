@@ -311,8 +311,7 @@ class TestGenPlanted:
         ((60, 0.05, 6, 9), "eee35e3cd8c7539c6b8cf87e2526bfc425d235d9db8f0ace72f36c05f0322d08"),
         ((1000, 0.05, 8, 1), "b7fdb43d9ccec9eb031045030517522fea2a2475c30e2eaef4a7644d7218dbd2"),
         ((500, 0.2, 3, 4), "933e1347753317bf893f36107f17703b0467a640e8ece7742fbec43e990c8be7"),
-        ((100_000, 0.05, 8, 101000),
-         "de96144b53f6284f41a7fe50fba2d373b9d6c52d65821156340c140f25fd537d"),
+        # tests/golden.py pins n = 100,000 through the CLI.
     ])
     def test_instances_pinned(self, args, digest):
         text = dump_text(gen_planted(*args).graph)

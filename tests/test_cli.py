@@ -11,6 +11,7 @@ import pytest
 from rwcut import bench, solver
 from rwcut.cli import build_parser, main
 
+import golden
 from conftest import cli_env, make_graph, planted_file, run_cli
 from rwcut.bench import gen_planted
 from rwcut.graph import dump_graph
@@ -175,35 +176,23 @@ class TestCutbound:
             assert report["conductance"] < report["phi"]
 
 
+def stored_curve(*bs):
+    """What `rwcut tradeoff` prints for bs, from the lines of the golden
+    store's curves: each b's line is computed on its own."""
+    rows = {}
+    for path in golden.STORE.glob("curve*.csv"):
+        header, *lines = path.read_text().splitlines(True)
+        rows.update((line.split(",", 1)[0], line) for line in lines)
+    return header + "".join(rows[f"{float(b):.12g}"] for b in bs)
+
+
 class TestTradeoff:
-    # The curve with the adversary LP solved exactly; the CI workflow
-    # compares the default run too.
+    # Any run, alone or among other b, prints each b's stored line: b next
+    # to 1.5, where the mu1 region is at most 2e-7 wide, and a huge b.
     @pytest.mark.parametrize("args, stdout", [
-        ([], "b,source,mu1,tau,mu2,eps1,ratio\n"
-             "1.6,balance,0.117108225108,0.517108225108,0.160298697385,0.00758428909106,0.503821\n"
-             "2,balance,0.175497835498,0.175497835498,4.69807597435,0.031129229798,0.515879\n"
-             "3,simple,1,0,1,0,0.572610\n"),
-        (["--b", "1.8", "--b", "2.4"], "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1.8,balance,0.274025974026,0.474025974026,0.687671232877,0.0186712154075,0.509513\n"
-         "2.4,simple,0.4,0,0.4,0,0.547711\n"),
-        # b keeps the digits that tell it from 1.5, which the command refuses,
-        # and the parameters theirs, which are far below 1e-6.
-        (["--b", "1.5000001"], "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1.5000001,balance,4.00000000234e-09,0.499999904,3.92000075724e-07,"
-         "9.80000188732e-12,0.500001\n"),
-        # Two b next to 1.5, where the mu1 region is at most 2e-7 wide, around one
-        # where it is not.
-        (["--b", "1.5000001", "--b", "2", "--b", "1.5000000001"],
-         "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1.5000001,balance,4.00000000234e-09,0.499999904,3.92000075724e-07,"
-         "9.80000188732e-12,0.500001\n"
-         "2,balance,0.175497835498,0.175497835498,4.69807597435,0.031129229798,0.515879\n"
-         "1.5000000001,balance,4.00000033096e-12,0.499999999904,3.92000210145e-10,"
-         "9.80000081274e-15,0.500001\n"),
-        # A huge b, answered by the deficit-sweep solver: mu1 = b - 2 prints in
-        # 12 significant digits, as b does.
-        (["--b", "1e300"], "b,source,mu1,tau,mu2,eps1,ratio\n"
-         "1e+300,simple,1e+300,0,1e+300,0,0.614247\n"),
+        (args, stored_curve(*args[1::2] or (1.6, 2, 3))) for args in (
+            [], ["--b", "1.8", "--b", "2.4"], ["--b", "1.5000001"],
+            ["--b", "1.5000001", "--b", "2", "--b", "1.5000000001"], ["--b", "1e300"])
     ])
     def test_stdout_pinned(self, args, stdout):
         proc = run_cli(["tradeoff", *args])

@@ -50,6 +50,18 @@ class TestSigma:
                 error = abs(decimal.Decimal(sigma_fn(eps, mu)) - exact) / exact
                 assert error <= decimal.Decimal("1e-15"), (eps, mu)
 
+    def test_sigma_inv_matches_decimal_oracle(self):
+        # 1 - (1 - s)^(mu / (1 + mu)) in 60-digit decimal arithmetic; the power
+        # of a rounded 1 - s was 3.3e-5 off at mu = 1e-9, s = 1e-3.
+        ctx = decimal.Context(prec=60)
+        for mu in (10.0**k for k in range(-9, 7)):
+            m = decimal.Decimal(mu)
+            for s in np.geomspace(1e-12, 0.999, 100).tolist():
+                power = ctx.multiply(ctx.divide(m, 1 + m), ctx.ln(1 - decimal.Decimal(s)))
+                exact = 1 - ctx.exp(power)
+                error = abs(decimal.Decimal(sigma_inv(s, mu)) - exact) / exact
+                assert error <= decimal.Decimal("1e-15"), (s, mu)
+
     def test_arithmetic(self):
         assert sigma_fn(0.1, 1.0) == pytest.approx(0.19)
 
