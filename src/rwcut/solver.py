@@ -34,46 +34,96 @@ SMALL_WEIGHT_FLOOR = 16.0
 # -- quality function ---------------------------------------------------------
 
 
-def z_star(eps: float, mu: float) -> float:
-    """The z up to which the quality floor soto(sigma(eps/z, mu)) is 1/2,
-    capped at 1: sigma(eps/z, mu) falls as z grows and is 1/3 at
-    z = eps / sigma_inv(1/3, mu)."""
+def z_star(eps, mu: float) -> np.ndarray:
+    """The z up to which the quality floor soto(sigma(eps/z, mu)) is 1/2, for
+    each eps of an array, capped at 1: sigma(eps/z, mu) falls as z grows and
+    is 1/3 at z = eps / sigma_inv(1/3, mu)."""
     root = sigma_inv(1.0 / 3.0, mu)
-    return eps / root if eps < root else 1.0
+    return np.where(eps < root, np.divide(eps, root), 1.0)
 
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = (v.tolist() for v in np.polynomial.legendre.leggauss(16))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Widest piece in ln z that the rule integrates to rounding; wider ones
+# (only at deficits below about 1e-7) are split into equal pieces.
+_PIECE_MAX = 16.0
 
 
-@lru_cache(maxsize=65536)
-def h_fn(eps: float, mu: float) -> float:
-    """Guaranteed cut fraction of the recursive solver at deficit eps.
+def _math_map(fn, a: np.ndarray) -> np.ndarray:
+    """The math function fn at each element of a.  numpy's exp, log, log1p
+    and expm1 pick SIMD loops by CPU at run time, and those round
+    differently from math and from CPU to CPU."""
+    return np.fromiter(map(fn, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def h_values(eps, mu: float) -> np.ndarray:
+    """Guaranteed cut fraction H of the recursive solver at each deficit of
+    the array eps, at one mu.
 
     z*/2 plus the integral over z in [z*, 1] of the per-level quality floor
     soto(sigma(eps/z, mu)).  In t = ln z the integrand is z soto(sigma(eps/z,
     mu)), which the 16-point Gauss-Legendre rule integrates on each side of
-    its kink.
+    its kink, in equal pieces at most _PIECE_MAX wide.  Each piece is one
+    column of a (16, pieces) node matrix.  The transcendental functions go
+    through math and the rest runs in numpy, in the scalar rule's order:
+    nodes summed one at a time, and each eps's pieces added in turn.  So
+    every value is the same float on every CPU.
     """
-    if eps < 0.0 or mu <= 0.0:
-        raise InvalidParamsError("eps must be >= 0 and mu > 0")
-    if eps == 0.0:
-        return 1.0
-    zs = z_star(eps, mu)
-    if zs >= 1.0:
-        return 0.5
-    kink = eps / sigma_inv(SIGMA0, mu)  # where sigma(eps/z, mu) = SIGMA0
-    ends = [zs, kink, 1.0] if zs < kink < 1.0 else [zs, 1.0]
-    integral = 0.0
-    for lo, hi in zip(ends, ends[1:]):
-        a, b = math.log(lo), math.log(hi)
-        half, mid = (b - a) / 2.0, (b + a) / 2.0
-        total = 0.0
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            z = math.exp(mid + half * x)
-            total += w * z * soto_fn(sigma_fn(min(eps / z, 1.0), mu))
-        integral += half * total
-    return zs / 2.0 + integral
+    eps = np.asarray(eps, dtype=float)
+    if not 0.0 < mu < math.inf:  # also refuses nan
+        raise InvalidParamsError(f"mu = {mu!r} must be positive and finite")
+    if not np.all(eps >= 0.0):
+        raise InvalidParamsError("eps must be nonnegative")
+    mu = float(mu)
+    flat = eps.ravel()
+    zs = z_star(flat, mu)
+    out = np.where(flat == 0.0, 1.0, 0.5)
+    live = np.flatnonzero((flat > 0.0) & (zs < 1.0))
+    e, zs = flat[live], zs[live]
+    kink = e / sigma_inv(SIGMA0, mu)  # where sigma(eps/z, mu) = SIGMA0
+    split = np.flatnonzero((zs < kink) & (kink < 1.0))
+    # One segment per side of the kink: [z*, kink or 1] for each live eps,
+    # then [kink, 1] where the kink splits; ends in ln z.
+    owner = np.concatenate([np.arange(live.size), split])
+    lo = _math_map(math.log, np.concatenate([zs, kink[split]]))
+    hi = np.zeros(owner.size)  # ln 1
+    hi[split] = lo[live.size:]
+    count = np.ceil((hi - lo) / _PIECE_MAX).astype(np.int64)  # pieces per segment
+    # Piece j is piece k[j] of segment seg[j], and piece rank[j] of eps
+    # who[j]: a second segment's pieces follow its first's.
+    seg = np.repeat(np.arange(owner.size), count)
+    who = owner[seg]
+    k = np.arange(seg.size) - (np.cumsum(count) - count)[seg]
+    rank = k + np.where(seg < live.size, 0, count[who])
+    a, b, n = lo[seg], hi[seg], count[seg]
+    start = a + (b - a) * k / n
+    end = np.where(k + 1 == n, b, a + (b - a) * (k + 1) / n)
+    half, mid = (end - start) / 2.0, (end + start) / 2.0
+    z = _math_map(math.exp, mid + half * _GL_NODES[:, None])  # (16, pieces)
+    # eps/z < sigma_inv(1/3, mu) < 1 at every node, as z > z*.
+    log_keep = _math_map(math.log1p, -(e[who] / z))
+    sigma = 0.0 - _math_map(math.expm1, (1.0 + 1.0 / mu) * log_keep)  # sigma_fn
+    soto = np.where(sigma > 1.0 / 3.0, 0.5, np.where(
+        sigma > SIGMA0,
+        (-1.0 + np.sqrt(4.0 * sigma * sigma - 8.0 * sigma + 5.0)) / (2.0 * (1.0 - sigma)),
+        1.0 / (1.0 + 2.0 * np.sqrt(sigma * (1.0 - sigma)))))  # soto_fn
+    total = np.zeros(seg.size)
+    for term in _GL_WEIGHTS[:, None] * z * soto:
+        total = total + term
+    area = half * total
+    integral = np.zeros(live.size)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = np.flatnonzero(rank == r)
+        integral[who[at]] += area[at]
+    out[live] = zs / 2.0 + integral
+    return out.reshape(eps.shape)
+
+
+@lru_cache(maxsize=65536)
+def h_fn(eps: float, mu: float) -> float:
+    """H at one deficit: h_values' 0-d case.  perfbench's tradeoff-curve
+    workload clears the cache and reads its statistics."""
+    return float(h_values(eps, mu))
 
 
 def eps_bar(mu: float) -> float:
@@ -472,16 +522,15 @@ class TradeoffPoint:
 
 def simple_ratio(mu: float) -> float:
     """Worst-case ratio of the deficit-sweep solver: min of H(eps, mu) / (1 - eps)
-    on a 400-point eps grid over [1e-4, 1/2], refined by 120 points."""
-    if mu <= 0.0:
-        raise InvalidParamsError("mu must be positive")
+    on a 400-point eps grid over [1e-4, 1/2], refined by 120 points.  A mu
+    that is not positive and finite is refused, as h_values refuses it."""
     lo, hi = 1e-4, 0.5
     for size in (400, 120):
-        grid = np.linspace(lo, hi, size).tolist()
-        vals = [h_fn(e, float(mu)) / (1.0 - e) for e in grid]
-        i = vals.index(min(vals))
+        grid = np.linspace(lo, hi, size)
+        vals = h_values(grid, mu) / (1.0 - grid)
+        i = int(np.argmin(vals))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, size - 1)]
-    return vals[i]
+    return float(vals[i])
 
 
 def _chi(eps1: float, mu1: float, tau: float) -> float:
@@ -505,7 +554,7 @@ def _adversary_lp(eps, eps1, chi, h1, h_block: np.ndarray) -> np.ndarray:
 
     The final-round share Z sits at its upper bound min(1 - (1+chi) X,
     (eps - eps_S X) / eps1), since its objective coefficient 1/2 - H1 is at
-    most 0 (h_fn is at least 1/2); Y is eliminated by the simplex
+    most 0 (H is at least 1/2); Y is eliminated by the simplex
     constraint.  Each row is then convex and piecewise linear in the block
     edge share X on [0, X_last], X_last = min(1/(1+chi), eps/eps_S), with
     one kink where Z's two bounds meet, so its minimum lies at X = 0, at
@@ -539,8 +588,8 @@ def _objectives(eps1s: np.ndarray, mu1: float, mu2: float, tau: float) -> np.nda
     max(1/2, .) changes V only by rounding.
     """
     chi = np.array([_chi(float(e), mu1, tau) for e in eps1s])
-    h1 = np.array([h_fn(float(e), float(mu1)) for e in eps1s])
-    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
+    h1 = h_values(eps1s, mu1)
+    h_block = h_values(_EPS_S_GRID, mu2)
     ends = np.broadcast_arrays(_EPS_LO, eps1s, _EPS_S_GRID[:, None] / (1.0 + chi), _EPS_HI)
     knots = np.clip(np.stack(ends, axis=-1), _EPS_LO, _EPS_HI)  # (121, eps1, 4)
     per_knot = (np.repeat(a, 4) for a in (eps1s, chi, h1))

@@ -2,7 +2,8 @@
 
 None of these runs in the library.  Each keeps the float operations it had
 where tests pin bit-identical results: threshold._first_passes computes its
-estimates as signed_estimates does.
+estimates as signed_estimates does, and solver.h_values computes H as
+h_scalar does.
 """
 
 import math
@@ -12,7 +13,9 @@ import numpy as np
 
 from rwcut.errors import InvalidInputError
 from rwcut.graph import EVEN, ODD, UNCLASSIFIED, WeightedGraph, _as_index_array, _rows, conductance
+from rwcut.solver import _GL_NODES, _GL_WEIGHTS, _PIECE_MAX
 from rwcut.spectral import LaplacianOperator
+from rwcut.threshold import SIGMA0, sigma_fn, sigma_inv, soto_fn
 from rwcut.walks import WalkTally, exact_walk_distribution
 
 
@@ -133,3 +136,32 @@ def power_laplacian_vector(g: WeightedGraph, start: int, length: int) -> np.ndar
     for _ in range(length):
         v = 0.5 * op.apply(v)
     return v
+
+
+def h_scalar(eps: float, mu: float) -> float:
+    """H(eps, mu) one deficit at a time, through the scalar sigma_fn and
+    soto_fn: the 16-point Gauss-Legendre rule in ln z on each side of the
+    integrand's kink, each side split into equal pieces at most _PIECE_MAX
+    wide.  Every deficit the tradeoff curve uses has both sides narrower, so
+    each side is one piece there."""
+    if eps == 0.0:
+        return 1.0
+    root = sigma_inv(1.0 / 3.0, mu)
+    zs = eps / root if eps < root else 1.0
+    if zs >= 1.0:
+        return 0.5
+    kink = eps / sigma_inv(SIGMA0, mu)
+    ends = [zs, kink, 1.0] if zs < kink < 1.0 else [zs, 1.0]
+    integral = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        a, b = math.log(lo), math.log(hi)
+        n = math.ceil((b - a) / _PIECE_MAX)
+        cuts = [a + (b - a) * k / n for k in range(n)] + [b]
+        for start, end in zip(cuts, cuts[1:]):
+            half, mid = (end - start) / 2.0, (end + start) / 2.0
+            total = 0.0
+            for x, w in zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()):
+                z = math.exp(mid + half * x)
+                total += w * z * soto_fn(sigma_fn(min(eps / z, 1.0), mu))
+            integral += half * total
+    return zs / 2.0 + integral

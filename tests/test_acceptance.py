@@ -18,7 +18,7 @@ from rwcut.graph import (
     dump_graph,
 )
 from rwcut.localcut import LowConductanceCut, cut_or_bound
-from rwcut.solver import balance_solve, best_tradeoff, eps_bar, h_fn, simple_solve
+from rwcut.solver import balance_solve, best_tradeoff, eps_bar, h_fn, h_values, simple_solve
 from rwcut.spectral import trevisan_baseline
 from rwcut.threshold import SIGMA0, sigma_fn, soto_fn, threshold_classify, walk_count
 from rwcut.walks import (
@@ -155,7 +155,7 @@ def test_criterion_5_h_function():
         assert val > 0.5029, f"H(eps_bar, {mu}) = {val:g}"
     for mu in (0.5, 1.0, 2.0):
         eps = np.linspace(1e-3, 0.5, 100)
-        vals = np.array([h_fn(float(e), mu) for e in eps])
+        vals = h_values(eps, mu)
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.all(np.diff(vals, 2) >= -1e-6)
     _report(5, "H function lower bound, convexity, monotonicity")

@@ -25,14 +25,17 @@ from rwcut.solver import (
     best_tradeoff,
     eps_bar,
     h_fn,
+    h_values,
     simple_ratio,
     simple_solve,
     tradeoff_objective,
     z_star,
 )
+from rwcut.threshold import sigma_inv
 from rwcut.walks import STEP_CAP
 
 from conftest import complete_bipartite, planted_file, random_graph
+from oracles import h_scalar
 
 SIGMA0 = 0.22815
 
@@ -83,8 +86,8 @@ def _dense_lp(eps, eps1, chi, h1, h_block):
 def _dense_objective(eps1, mu1, mu2, tau):
     """tradeoff_objective with one dense-grid LP per deficit (reference)."""
     chi = _chi(eps1, mu1, tau)
-    h1 = h_fn(float(eps1), float(mu1))
-    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
+    h1 = float(h_values(eps1, mu1))
+    h_block = h_values(_EPS_S_GRID, mu2)
 
     def guaranteed(eps):
         return max(0.5, float(_dense_lp(eps, eps1, chi, h1, h_block).min())) / (1.0 - eps)
@@ -120,8 +123,8 @@ def _dense_eps_objective(eps1, mu1, mu2, tau, points=200_001):
     """tradeoff_objective minimized over a uniform grid of the adversary's
     deficit instead of exactly (reference), scored in chunks of the grid."""
     chi = _chi(eps1, mu1, tau)
-    h1 = h_fn(float(eps1), float(mu1))
-    h_block = np.array([h_fn(float(e), float(mu2)) for e in _EPS_S_GRID])
+    h1 = float(h_values(eps1, mu1))
+    h_block = h_values(_EPS_S_GRID, mu2)
     best = math.inf
     for eps in np.array_split(np.linspace(_EPS_LO, _EPS_HI, points), 40):
         v = _adversary_lp(eps, eps1, chi, h1, h_block).min(axis=0)
@@ -183,7 +186,7 @@ class TestHFunction:
     def test_convex_decreasing_grid(self):
         for mu in (0.5, 1.0, 2.0):
             eps = np.linspace(1e-3, 0.5, 100)
-            vals = np.array([h_fn(float(e), mu) for e in eps])
+            vals = h_values(eps, mu)
             assert np.all(np.diff(vals) <= 1e-12)
             second = np.diff(vals, 2)
             assert np.all(second >= -1e-6)
@@ -199,6 +202,59 @@ class TestHFunction:
                   for _ in range(60)]
         for eps, mu in cases:
             assert abs(h_fn(eps, mu) - _h_riemann(eps, mu)) < 1e-9, (eps, mu)
+
+    def test_matches_scalar_rule_bit_for_bit(self):
+        # 5,080 points, compared with ==: eps = 0, eps at and beyond
+        # sigma_inv(1/3, mu) (H = 1/2), eps at and just below the kink's end
+        # sigma_inv(SIGMA0, mu), a uniform grid and draws on [0, 0.5], and
+        # log-uniform draws down to 1e-300, where the [kink, 1] side is split.
+        rng = np.random.default_rng(32)
+        mus = [1e-9, 1e6] + np.exp(rng.uniform(math.log(1e-3), math.log(30), 38)).tolist()
+        checked = 0
+        for mu in mus:
+            root, kink_end = sigma_inv(1.0 / 3.0, mu), sigma_inv(SIGMA0, mu)
+            eps = np.concatenate([
+                [0.0, root, np.nextafter(root, 0.0), 2.0 * root, kink_end,
+                 np.nextafter(kink_end, 0.0)],
+                np.linspace(0.0, 0.5, 41), rng.uniform(0.0, 0.5, 40),
+                np.exp(rng.uniform(math.log(1e-300), math.log(0.5), 40)),
+            ])
+            assert h_values(eps, mu).tolist() == [h_scalar(e, mu) for e in eps.tolist()]
+            checked += eps.size
+        assert checked >= 5000
+
+    def test_zero_d_and_empty(self):
+        value = h_values(np.array(0.1), 1.0)
+        assert value.shape == () and float(value) == h_scalar(0.1, 1.0) == h_fn(0.1, 1.0)
+        assert h_values(np.array([]), 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("mu", [1e-7, 0.25, 1.0, 4.7, 1e6])
+    def test_half_to_one_and_nonincreasing_down_to_tiny_deficits(self, mu):
+        # Below about 1e-7 the [kink, 1] side is wider than 16 in ln z (690
+        # at 1e-300); unsplit, the rule gave 0.2439 at eps = 1e-300, mu = 0.25.
+        vals = h_values(np.concatenate([[0.0], np.geomspace(1e-300, 0.5, 1000)]), mu)
+        assert np.all((vals >= 0.5 - 1e-12) & (vals <= 1.0 + 1e-12))
+        assert np.all(np.diff(vals) <= 1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-20, 1e-30])
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 4.7])
+    def test_tiny_deficit_matches_riemann_oracle(self, eps, mu):
+        # Unsplit, the rule was off by 2.4e-6 to 3.2e-6 at eps = 1e-30.  At
+        # 1e-20 most of the gap (8.1e-10 at mu = 0.25) is the oracle's own
+        # rounding of 1 - (1 - x)^(1 + 1/mu) at x = eps/z.
+        assert abs(h_fn(eps, mu) - _h_riemann(eps, mu)) < 1e-9
+
+    @pytest.mark.parametrize("eps, mu", [
+        (math.nan, 1.0), (-1e-300, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0),
+        (0.1, math.inf), (0.1, math.nan), (0.1, -math.inf)])
+    def test_bad_inputs_refused(self, eps, mu):
+        with pytest.raises(InvalidParamsError):
+            h_values(np.array([0.1, eps]), mu)
+        with pytest.raises(InvalidParamsError):
+            h_fn(eps, mu)
+        if eps == 0.1:
+            with pytest.raises(InvalidParamsError):
+                simple_ratio(mu)
 
     def test_z_star_boundary(self):
         assert z_star(0.0, 1.0) == 0.0
@@ -435,11 +491,12 @@ class TestTradeoff:
         eps1, mu1, mu2, tau = 0.03, 0.2, 3.0, 0.2
         phi = math.sqrt(4 * eps1 * tau / mu1)
         chi = 4 * phi / (1 - 2 * phi)
-        h1 = h_fn(eps1, mu1)
+        h1 = float(h_values(eps1, mu1))
+        es_grid = np.linspace(0, 0.5, 41)
+        h_block = h_values(_EPS_S_GRID, mu2)
         for eps in (0.05, 0.12, 0.3):
             best = np.inf
-            for es in np.linspace(0, 0.5, 41):
-                hs = h_fn(float(es), mu2)
+            for es, hs in zip(es_grid, h_values(es_grid, mu2)):
                 for x in np.linspace(0, 1 / (1 + chi), 41):
                     if es * x > eps:
                         continue
@@ -451,7 +508,6 @@ class TestTradeoff:
                             continue
                         v = (hs + chi / 2) * x + h1 * max(y, 0.0) + z / 2
                         best = min(best, v / (1 - eps))
-            h_block = np.array([h_fn(float(e), mu2) for e in _EPS_S_GRID])
             mine = _adversary_lp(np.array([eps]), eps1, chi, h1, h_block).min() / (1 - eps)
             assert mine == pytest.approx(best, abs=2e-3)
 
