@@ -52,9 +52,9 @@ def _load(path: str) -> graph.WeightedGraph:
     try:
         return graph.load_graph(path)
     except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc}", EXIT_IO))
+        raise RwCutError(f"cannot read {path}: {exc}") from exc
     except (ParseError, ResourceError) as exc:
-        raise SystemExit(_fail(f"bad graph file {path}: {exc}", EXIT_IO))
+        raise RwCutError(f"bad graph file {path}: {exc}") from exc
 
 
 def _write(path: str, write) -> None:
@@ -62,7 +62,7 @@ def _write(path: str, write) -> None:
     try:
         write(path)
     except OSError as exc:
-        raise SystemExit(_fail(f"cannot write {path}: {exc}", EXIT_IO))
+        raise RwCutError(f"cannot write {path}: {exc}") from exc
 
 
 def _fail(msg: str, code: int) -> int:
@@ -85,13 +85,11 @@ def _solve_once(g, args, seed):
         return g.greedy_left(), None
     if args.algo == "random":
         return bench.random_cut(g, np.random.default_rng(seed)), None
-    if args.algo == "exact":
-        _value, left = bench.brute_force_maxcut(g)
-        return left, None
-    raise InvalidParamsError(f"unknown algorithm {args.algo}")
+    _value, left = bench.brute_force_maxcut(g)  # exact
+    return left, None
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     seed = _resolve_seed(args)
     g = _load(args.infile)
     t0 = time.perf_counter()
@@ -116,10 +114,9 @@ def cmd_solve(args) -> int:
     _log(f"wall_time_s={elapsed:.3f}")
     if not args.out:
         graph.write_partition(left, g.n, sys.stdout)
-    return EXIT_OK
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     seed = _resolve_seed(args)
     inst = bench.gen_planted(args.n, args.eps, args.deg, seed)
     out = args.out or "planted.el"
@@ -132,38 +129,35 @@ def cmd_gen(args) -> int:
         "planted_value": inst.planted_value, "target_eps": inst.target_eps,
         "seed": seed,
     }, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     g = _load(args.infile)
     try:
         with open(args.partition, "r", encoding="utf-8") as fh:
             left = graph.read_partition(fh, g.n)
     except OSError as exc:
-        return _fail(f"cannot read {args.partition}: {exc}", EXIT_IO)
+        raise RwCutError(f"cannot read {args.partition}: {exc}") from exc
     except ParseError as exc:
-        return _fail(f"bad partition file {args.partition}: {exc}", EXIT_IO)
+        raise RwCutError(f"bad partition file {args.partition}: {exc}") from exc
     value = graph.cut_value(g, left)
     print(json.dumps({"cut_value": value, "n": g.n, "m": g.total_weight},
                      sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args) -> None:
     bs = args.b if args.b else [1.6, 2.0, 3.0]
     if not all(1.5 < b < float("inf") for b in bs):  # also refuses nan
-        return _fail("every b must be finite and exceed 1.5", EXIT_PARAMS)
+        raise InvalidParamsError("every b must be finite and exceed 1.5")
     # Every point before printing, so a refused b prints nothing.
     points = [solver.best_tradeoff(b) for b in bs]
     print("b,source,mu1,tau,mu2,eps1,ratio")
     for point in points:
         print(f"{point.b:.12g},{point.source},{point.mu1:.12g},{point.tau:.12g},"
               f"{point.mu2:.12g},{point.eps1:.12g},{point.ratio:.6f}")
-    return EXIT_OK
 
 
-def cmd_cutbound(args) -> int:
+def cmd_cutbound(args) -> None:
     seed = _resolve_seed(args)
     g = _load(args.infile)
     res = localcut.cut_or_bound(g, args.start, args.tau, args.zeta, seed=seed)
@@ -178,7 +172,6 @@ def cmd_cutbound(args) -> int:
             "kind": "bound", "alpha_bound": res.alpha_bound,
             "alpha": res.alpha, "phi": res.phi, "walks": res.walks,
         }, sort_keys=True))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,14 +246,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _check_counts(args)
-        return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_IO
+        args.func(args)
     except (InvalidParamsError, InvalidInputError) as exc:
         return _fail(str(exc), EXIT_PARAMS)
     except RwCutError as exc:
         return _fail(str(exc), EXIT_IO)
+    return EXIT_OK
 
 
 def run() -> int:

@@ -89,12 +89,11 @@ def h_values(eps, mu: float) -> np.ndarray:
     hi = np.zeros(owner.size)  # ln 1
     hi[split] = lo[live.size:]
     count = np.ceil((hi - lo) / _PIECE_MAX).astype(np.int64)  # pieces per segment
-    # Piece j is piece k[j] of segment seg[j], and piece rank[j] of eps
-    # who[j]: a second segment's pieces follow its first's.
+    # Piece j is piece k[j] of segment seg[j], of eps who[j]: every first
+    # segment's pieces, then every second's, each in k order.
     seg = np.repeat(np.arange(owner.size), count)
     who = owner[seg]
     k = np.arange(seg.size) - (np.cumsum(count) - count)[seg]
-    rank = k + np.where(seg < live.size, 0, count[who])
     a, b, n = lo[seg], hi[seg], count[seg]
     start = a + (b - a) * k / n
     end = np.where(k + 1 == n, b, a + (b - a) * (k + 1) / n)
@@ -110,12 +109,8 @@ def h_values(eps, mu: float) -> np.ndarray:
     total = np.zeros(seg.size)
     for term in _GL_WEIGHTS[:, None] * z * soto:
         total = total + term
-    area = half * total
-    integral = np.zeros(live.size)
-    for r in range(int(rank.max(initial=-1)) + 1):
-        at = np.flatnonzero(rank == r)
-        integral[who[at]] += area[at]
-    out[live] = zs / 2.0 + integral
+    # bincount adds each eps's pieces one at a time in index order, from 0.0.
+    out[live] = zs / 2.0 + np.bincount(who, weights=half * total, minlength=live.size)
     return out.reshape(eps.shape)
 
 
@@ -533,10 +528,11 @@ def simple_ratio(mu: float) -> float:
     return float(vals[i])
 
 
-def _chi(eps1: float, mu1: float, tau: float) -> float:
-    """Crossing-loss factor 4*phi/(1-2*phi) at the conductance bound."""
-    phi = math.sqrt(4.0 * eps1 * tau / mu1) if tau > 0.0 else 0.0
-    if phi >= 0.5:
+def _chi(eps1s: np.ndarray, mu1: float, tau: float) -> np.ndarray:
+    """Crossing-loss factor 4*phi/(1-2*phi) at the conductance bound, for
+    each eps1 of the array eps1s."""
+    phi = np.sqrt(4.0 * eps1s * tau / mu1)
+    if np.any(phi >= 0.5):
         raise InvalidParamsError(
             "eps1 too large: conductance bound reaches 1/2"
         )
@@ -587,7 +583,7 @@ def _objectives(eps1s: np.ndarray, mu1: float, mu2: float, tau: float) -> np.nda
     lies at a knot or at an end of [_EPS_LO, _EPS_HI].  The trivial half cut
     max(1/2, .) changes V only by rounding.
     """
-    chi = np.array([_chi(float(e), mu1, tau) for e in eps1s])
+    chi = _chi(eps1s, mu1, tau)
     h1 = h_values(eps1s, mu1)
     h_block = h_values(_EPS_S_GRID, mu2)
     ends = np.broadcast_arrays(_EPS_LO, eps1s, _EPS_S_GRID[:, None] / (1.0 + chi), _EPS_HI)
@@ -644,9 +640,10 @@ def balance_tradeoff(b: float) -> TradeoffPoint:
         for mu1 in map(float, mu1_grid):
             tau, mu2 = balance_params(b, mu1)
             eps1s = min(0.5, mu1 / (16.0 * tau) * 0.98) * frac_grid
-            for ratio, eps1, frac in zip(_objectives(eps1s, mu1, mu2, tau), eps1s, frac_grid):
-                if best is None or ratio > best[0]:
-                    best = (float(ratio), mu1, float(eps1), float(frac))
+            ratios = _objectives(eps1s, mu1, mu2, tau)
+            i = int(np.argmax(ratios))  # the first best, as a strict > keeps
+            if best is None or ratios[i] > best[0]:
+                best = (float(ratios[i]), mu1, float(eps1s[i]), float(frac_grid[i]))
         _, mu1_c, _, frac_c = best
         mu1_h = (mu1_win[1] - mu1_win[0]) / points
         frac_h = (eps1_frac_win[1] - eps1_frac_win[0]) / points

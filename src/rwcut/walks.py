@@ -280,8 +280,9 @@ class WalkAccumulator:
         self._left = np.empty(0, dtype=np.int64)  # drawn, not yet added; a copy, never a view
 
     def extend_to(self, walks: int) -> np.ndarray:
-        """Grow the pool to `walks`, at most top, count the cells of the walks
-        added and return them, in walk order; a no-op at or below its size."""
+        """Grow the pool to `walks`, at most top, counting each block's cells
+        as it is drawn, and return the added cells of the pool's last block,
+        at most BLOCK_WALKS, in walk order; a no-op at or below its size."""
         if walks <= self.walks:
             return self._left[:0]
         if walks > self._top:
@@ -292,9 +293,12 @@ class WalkAccumulator:
         have = self.walks + self._left.size  # the walks drawn so far
         new = _blocks(drawn)[-(-have // BLOCK_WALKS):]  # the blocks not drawn yet
         self.steps_sampled += (drawn - have) * max(self.length, 1)
-        cells = np.concatenate([self._left, *(
-            _run_block(self.g, self.start, self.length, self.seed, i, c) for i, c in new)])
-        k = walks - self.walks
+        cells, first = self._left, self.walks  # cells[0] is walk `first`
+        for i, c in new:
+            self.counts += np.bincount(cells, minlength=self.counts.size)  # all added
+            first += cells.size
+            cells = _run_block(self.g, self.start, self.length, self.seed, i, c)
+        k = walks - first
         added, self._left, self.walks = cells[:k], cells[k:].copy(), walks
         self.counts += np.bincount(added, minlength=self.counts.size)
         return added

@@ -12,6 +12,7 @@ from rwcut import solver
 from rwcut.bench import brute_force_maxcut, gen_planted, greedy_cut
 from rwcut.errors import InvalidParamsError, ResourceError
 from rwcut.graph import WeightedGraph, cut_value, load_graph
+from rwcut.localcut import PSI_MAX
 from rwcut.solver import (
     _EPS_HI,
     _EPS_LO,
@@ -34,7 +35,7 @@ from rwcut.solver import (
 from rwcut.threshold import sigma_inv
 from rwcut.walks import STEP_CAP
 
-from conftest import complete_bipartite, planted_file, random_graph
+from conftest import complete_bipartite, complete_graph, planted_file, random_graph
 from oracles import h_scalar
 
 SIGMA0 = 0.22815
@@ -66,7 +67,7 @@ def _h_riemann(eps, mu, cells=2**20):
     width = -math.log(zs) / cells
     z = np.exp(math.log(zs) + width * (np.arange(cells) + 0.5))
     x = np.minimum(eps / z, 1.0)
-    sigma = 1.0 - (1.0 - x) ** (1.0 + 1.0 / mu)
+    sigma = -np.expm1((1.0 + 1.0 / mu) * np.log1p(-x))
     return zs / 2.0 + width * float(np.sum(z * _soto_independent(sigma)))
 
 
@@ -239,9 +240,10 @@ class TestHFunction:
     @pytest.mark.parametrize("eps", [1e-20, 1e-30])
     @pytest.mark.parametrize("mu", [0.25, 1.0, 4.7])
     def test_tiny_deficit_matches_riemann_oracle(self, eps, mu):
-        # Unsplit, the rule was off by 2.4e-6 to 3.2e-6 at eps = 1e-30.  At
-        # 1e-20 most of the gap (8.1e-10 at mu = 0.25) is the oracle's own
-        # rounding of 1 - (1 - x)^(1 + 1/mu) at x = eps/z.
+        # Unsplit, the rule was off by 2.4e-6 to 3.2e-6 at eps = 1e-30.  With
+        # sigma as -expm1((1 + 1/mu) log1p(-x)), the oracle is within 1.8e-10
+        # of H at both deficits; as 1 - (1 - x)^(1 + 1/mu) it cancelled, and
+        # was off by 8.1e-10 at 1e-20 and mu = 0.25.
         assert abs(h_fn(eps, mu) - _h_riemann(eps, mu)) < 1e-9
 
     @pytest.mark.parametrize("eps, mu", [
@@ -424,6 +426,30 @@ class TestBalanceSolve:
         assert rep.cut_value == cut_value(g, rep.left)
         blocks = [l for l in rep.levels if l["branch"] == "low-conductance"]
         assert len(blocks) > 1000
+
+    @pytest.mark.parametrize("g, b, eps1, top, clamped", [
+        (complete_graph(30), 2.04, 0.5, ["random"], False),
+        (complete_graph(30), 2.0, 0.5, ["low-conductance"] * 5 + ["brute-force"], True),
+        (complete_graph(30), 2.0, None, ["fallback-greedy"], False),
+        (complete_bipartite(30, 30), 1.6, None, ["low-conductance"] * 3 + ["tripartition"], True),
+    ], ids=["random", "clamp", "certified-greedy", "certified-tripartition"])
+    def test_branches_planted_graphs_miss(self, monkeypatch, g, b, eps1, top, clamped):
+        # On planted graphs every probe ends in a block or in a padding cut,
+        # so these branches run only on graphs like these: the random branch,
+        # the clamp of the probe's decay rate zeta at PSI_MAX / tau, and the
+        # certified classification, failing to greedy or giving a level.
+        tau, _ = balance_params(b, 0.05)
+        zetas, probe = [], solver.cut_or_bound
+
+        def recording(sub, start, tau, zeta, **kwargs):
+            zetas.append(zeta)
+            return probe(sub, start, tau, zeta, **kwargs)
+
+        monkeypatch.setattr(solver, "cut_or_bound", recording)
+        rep = balance_solve(g, b, 0.05, eps1=eps1, seed=1)
+        assert [l["branch"] for l in rep.levels if "depth" in l and "within" not in l] == top
+        assert (PSI_MAX / tau in zetas) == clamped
+        assert rep.cut_value >= cut_value(g, greedy_cut(g))
 
 
 # SHA-256 of to_json() for fixed seeds on the committed planted files,

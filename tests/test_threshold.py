@@ -493,3 +493,20 @@ class TestAgainstReference:
         else:  # a round may reach several blocks past the last one drawn
             assert 2 < len(scored) <= len(drawn)
             assert sum(scored[:-1]) < res.rounds <= sum(scored)
+
+    def test_scorer_reads_at_most_one_block_of_cells(self, monkeypatch):
+        # A batch's rounds all end in its last block and share the earlier
+        # blocks whole, so the scorer reads only the last block's cells, and
+        # its memory does not grow with the step budget.
+        g = load_graph(planted_file(200, 0.05, 8, 1))
+        params = AlgoParams.for_graph(g, 0.05, 1.0, step_budget=20_000_000)
+        read, scorer = [], threshold._first_passes
+
+        def recording(*args):
+            read.append(args[3].size)  # the cells handed to the scorer
+            return scorer(*args)
+
+        monkeypatch.setattr(threshold, "_first_passes", recording)
+        res = find_threshold(g, 0, params, 1)
+        assert not res.success and res.walks > 30 * BLOCK_WALKS
+        assert 0 < max(read) <= BLOCK_WALKS
